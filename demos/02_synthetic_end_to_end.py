@@ -38,9 +38,9 @@ with open(out / "run" / "dyadic_scores.csv") as fh:
 
 fwd = rows[("blog_000", "blog_001")]
 rev = rows[("blog_001", "blog_000")]
-print("\nplanted direction  gamma=%.3f omega=%.4f (|A|=%s, |Y|=%s, %s)"
+print("\nplanted direction  gamma=%.3f omega=%.4f (|A|=%s, |Y|=%s)"
       % (float(fwd["gamma"]), float(fwd["omega"]), fwd["a_size"],
-         fwd["y_size"], fwd["method"]))
+         fwd["y_size"]))
 print("reverse direction  gamma=%.3f omega=%.4f (|Y|=%s)"
       % (float(rev["gamma"]), float(rev["omega"]), rev["y_size"]))
 

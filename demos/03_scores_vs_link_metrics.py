@@ -26,7 +26,7 @@ records, _ = synth.generate(spec)
 corpus = corpus_from_records(enumerate(records, 1), IngestConfig())
 
 topics = merge_bursts(filter_bursts(detect_all(build_index(corpus))))
-scores = score_all_dyads(corpus, topics, ScoringConfig(seed=7))
+scores = score_all_dyads(corpus, topics, ScoringConfig())
 blogs = eligible_blogs(corpus, 7)
 pl = global_scores(scores, blogs)
 

@@ -9,6 +9,7 @@ import sys
 from .config import build_config
 from .corpus import CorpusError
 from .pipeline import STAGES, StageError, run_pipeline, run_synth
+from .scoring import VARIANTS
 from .synth import InfeasibleSpec
 
 
@@ -34,13 +35,10 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     add("--max-total-burst-days", type=float, dest="max_total_burst_days")
     add("--keep-singletons", action="store_const", const=True,
         dest="keep_singletons")
-    add("--mc-samples", type=int, dest="mc_samples")
-    add("--subset-samples", type=int, dest="subset_samples")
-    add("--seed", type=int, help="global seed (overrides PRECURSOR_SEED)")
+    add("--seed", type=int,
+        help="global seed (overrides PRECURSOR_SEED); no stage uses it")
     add("--min-posts", type=int, dest="min_posts")
-    add("--exact-limit", type=int, dest="exact_limit")
-    add("--likelihood-variant", choices=("verbatim", "partitioned"),
-        dest="likelihood_variant")
+    add("--likelihood-variant", choices=VARIANTS, dest="likelihood_variant")
     add("--damping", type=float)
     add("--bins", type=int, help="score bins for the box-plot summaries")
     add("--hex-grid", type=int, dest="hex_grid")
@@ -52,10 +50,9 @@ _CONFIG_KEYS = ("input", "workdir", "window_start", "window_end",
                 "assume_nouns", "keep_external_links", "max_ngram_len",
                 "stopwords", "alpha", "beta_days", "min_blogs",
                 "min_mean_gap_hours", "max_mean_gap_days", "min_burst_days",
-                "max_total_burst_days", "keep_singletons", "mc_samples",
-                "subset_samples", "seed", "min_posts", "exact_limit",
-                "likelihood_variant", "damping", "bins", "hex_grid",
-                "log_bins", "jobs")
+                "max_total_burst_days", "keep_singletons", "seed",
+                "min_posts", "likelihood_variant", "damping", "bins",
+                "hex_grid", "log_bins", "jobs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,32 +60,42 @@ def build_parser() -> argparse.ArgumentParser:
         prog="precursor",
         description="Burst-based topic detection and precursor/laggard "
                     "scoring for timestamped blog corpora.")
+    verbosity = argparse.ArgumentParser(add_help=False)
+    group = verbosity.add_mutually_exclusive_group()
+    group.add_argument("-v", "--verbose", action="store_const",
+                       const=logging.DEBUG, dest="log_level",
+                       help="also log debug messages")
+    group.add_argument("-q", "--quiet", action="store_const",
+                       const=logging.WARNING, dest="log_level",
+                       help="log warnings and errors only")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run pipeline stages")
+    run = sub.add_parser("run", parents=[verbosity], help="run pipeline stages")
     run.add_argument("--config", help="key = value config file")
     run.add_argument("--stages", help="comma-separated subset of: "
                                       + ",".join(STAGES))
     run.add_argument("--dry-run", action="store_true")
     _add_override_flags(run)
 
-    synth_p = sub.add_parser("synth", help="generate a synthetic corpus")
+    synth_p = sub.add_parser("synth", parents=[verbosity],
+                             help="generate a synthetic corpus")
     synth_p.add_argument("--spec", required=True, help="JSON synth spec file")
     synth_p.add_argument("--out", required=True, help="output directory")
     synth_p.add_argument("--seed", type=int, help="override the spec seed")
     synth_p.add_argument("--rate-ramp", type=float, dest="rate_ramp",
                          help="override the spec's posting-rate ramp")
 
-    report = sub.add_parser("report", help="rebuild report tables and figures")
+    report = sub.add_parser("report", parents=[verbosity],
+                            help="rebuild report tables and figures")
     report.add_argument("--config", help="key = value config file")
     _add_override_flags(report)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO,
-                        format="%(message)s")
     args = build_parser().parse_args(argv)
+    logging.basicConfig(stream=sys.stderr, format="%(message)s")
+    logging.getLogger("precursor").setLevel(args.log_level or logging.INFO)
     try:
         if args.command == "synth":
             run_synth(args.spec, args.out, seed=args.seed,

@@ -11,6 +11,8 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .scoring import VARIANTS
+
 
 @dataclass
 class PipelineConfig:
@@ -35,11 +37,7 @@ class PipelineConfig:
     # topics
     keep_singletons: bool = False
     # scoring
-    mc_samples: int = 10_000
-    subset_samples: int = 50_000
-    seed: int | None = None
     min_posts: int = 7
-    exact_limit: int = 15
     likelihood_variant: str = "verbatim"
     # network
     damping: float = 0.85
@@ -49,6 +47,7 @@ class PipelineConfig:
     log_bins: bool = False
     # execution
     jobs: int = 1
+    seed: int | None = None  # kept for compatibility; no stage is random
 
     def resolved_seed(self) -> int:
         if self.seed is not None:
@@ -109,4 +108,7 @@ def build_config(file_path: str | Path | None = None,
     for layer in layers:
         for key, value in layer.items():
             setattr(config, key, value)
+    if config.likelihood_variant not in VARIANTS:
+        raise ValueError(f"likelihood_variant: expected one of {VARIANTS}, "
+                         f"got {config.likelihood_variant!r}")
     return config

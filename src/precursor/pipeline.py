@@ -3,9 +3,9 @@
 Stages run in a fixed order (ingest, ngrams, bursts, topics, score, network,
 report); each consumes the artifacts of its predecessors from the working
 directory and writes its own atomically (temp file + rename), so any suffix
-of the pipeline can be re-run without repeating earlier stages.  Re-running
-a stage with unchanged inputs and seed reproduces its artifacts byte for
-byte.
+of the pipeline can be re-run without repeating earlier stages.  No stage
+draws random numbers, so re-running a stage with unchanged inputs and config
+reproduces its artifacts byte for byte, whatever the seed.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
@@ -184,9 +185,11 @@ def stage_ingest(cfg: PipelineConfig, workdir: Path) -> None:
     write_corpus_artifact(corpus, workdir / "corpus.jsonl")
     r = corpus.report
     logger.info("[ingest] %d posts from %d blogs (%d records read, "
-                "%d out of window, %d pos warnings)", r.posts_loaded,
+                "%d out of window, %d pos warnings, %d empty-lemma tokens, "
+                "%d self links, %d external links)", r.posts_loaded,
                 len(corpus.blogs), r.records_read, r.out_of_window,
-                r.pos_warnings)
+                r.pos_warnings, r.empty_lemma_tokens, r.self_links,
+                r.external_links)
 
 
 def _load_corpus_artifact(cfg: PipelineConfig, workdir: Path,
@@ -250,11 +253,7 @@ def _score_chunk(pairs):
 
 
 def _scoring_config(cfg: PipelineConfig) -> scoring.ScoringConfig:
-    return scoring.ScoringConfig(mc_samples=cfg.mc_samples,
-                                 subset_samples=cfg.subset_samples,
-                                 seed=cfg.resolved_seed(),
-                                 min_posts=cfg.min_posts,
-                                 exact_limit=cfg.exact_limit,
+    return scoring.ScoringConfig(min_posts=cfg.min_posts,
                                  variant=cfg.likelihood_variant)
 
 
@@ -282,17 +281,16 @@ def stage_score(cfg: PipelineConfig, workdir: Path) -> None:
     config = _scoring_config(cfg)
     scores = compute_dyad_scores(corpus, topics, config, jobs=cfg.jobs)
     _write_csv(workdir / "dyadic_scores.csv",
-               ["b", "b2", "a_size", "y_size", "gamma", "pr_h", "omega",
-                "method"],
-               [[s.b, s.b2, s.a_size, s.y_size, s.gamma, s.pr_h, s.omega,
-                 s.method] for s in scores])
+               ["b", "b2", "a_size", "y_size", "gamma", "pr_h", "omega"],
+               [[s.b, s.b2, s.a_size, s.y_size, s.gamma, s.pr_h, s.omega]
+                for s in scores])
     blogs = scoring.eligible_blogs(corpus, config.min_posts)
     pl = scoring.global_scores(scores, blogs)
     _write_csv(workdir / "global_scores.csv", ["blog_id", "P", "L"],
                [[b, pl[b][0], pl[b][1]] for b in blogs])
-    n_sampled = sum(1 for s in scores if s.method == "SAMPLED")
+    n_shared = sum(1 for s in scores if s.a_size > 0)
     logger.info("[score] %d dyads scored over %d eligible blogs "
-                "(%d sampled-likelihood)", len(scores), len(blogs), n_sampled)
+                "(%d with shared topics)", len(scores), len(blogs), n_shared)
 
 
 def read_global_scores(path: Path) -> tuple[list[str], list[dict]]:
@@ -427,7 +425,9 @@ def run_pipeline(cfg: PipelineConfig, stages: Sequence[str] | None = None,
         return
     workdir.mkdir(parents=True, exist_ok=True)
     for stage in selected:
+        start = time.perf_counter()
         _STAGE_FUNCS[stage](cfg, workdir)
+        logger.debug("[%s] done in %.2f s", stage, time.perf_counter() - start)
 
 
 def run_synth(spec_path: str | Path, out_dir: str | Path,

@@ -13,17 +13,24 @@ which is implemented literally ("verbatim" variant).  The alternate
 "partitioned" variant restricts the (1-C_r) product to A\\Y so that the
 per-topic factors partition A; it exists for sensitivity analysis only.
 
-The dyadic score gamma is the likelihood-weighted mean of p over [0, 1],
-estimated by Monte Carlo integration with a shared uniform sample for
-numerator and denominator.  When |Y| exceeds the exact limit the likelihood
-itself is estimated from uniformly sampled splits.  The adjusted score omega
-multiplies gamma by the co-participation probability Pr(H); per-blog P and L
-are means of outgoing and incoming omega over all eligible dyads.
+Grouping the splits by |Z| = k makes the likelihood a polynomial in p,
+L(p) = base * sum_k c_k p^k (1-p)^(n-k) with n = |A|.  The dyadic score
+gamma is the posterior mean of p under a flat prior, and each term
+integrates to a Beta function, so gamma is computed exactly:
+
+    gamma = sum_k c_k B(k+2, n-k+1) / sum_k c_k B(k+1, n-k+1).
+
+`likelihood` (split enumeration) and `likelihood_sampled` (the paper's
+split-sampling estimator) evaluate L(p) itself; gamma uses neither.
+
+The adjusted score omega multiplies gamma by the co-participation
+probability Pr(H); per-blog P and L are means of outgoing and incoming omega
+over all eligible dyads.
 """
 
 from __future__ import annotations
 
-import hashlib
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -34,8 +41,6 @@ from .corpus import Corpus, post_count
 from .topics import Topic
 
 EXACT_LIMIT = 15
-MC_SAMPLES = 10_000
-SUBSET_SAMPLES = 50_000
 MIN_POSTS = 7
 
 VARIANTS = ("verbatim", "partitioned")
@@ -46,7 +51,7 @@ class TooLargeForExact(Exception):
 
 
 class DegenerateLikelihood(RuntimeWarning):
-    """The likelihood vanished at every Monte Carlo sample."""
+    """The likelihood is zero for every p, so gamma is undefined."""
 
 
 @dataclass(frozen=True)
@@ -77,16 +82,11 @@ class DyadScore:
     gamma: float
     pr_h: float
     omega: float
-    method: str  # EXACT or SAMPLED
 
 
 @dataclass
 class ScoringConfig:
-    mc_samples: int = MC_SAMPLES
-    subset_samples: int = SUBSET_SAMPLES
-    seed: int = 0
     min_posts: int = MIN_POSTS
-    exact_limit: int = EXACT_LIMIT
     variant: str = "verbatim"
 
 
@@ -174,61 +174,50 @@ def _variant_factors(ctx: DyadContext, variant: str):
     return z_fac, r_fac, base
 
 
-def _poly_exact(ctx: DyadContext, variant: str) -> np.ndarray:
-    """coeffs[k] = sum over splits with |Z| = k of the p-independent factors."""
-    z_fac, r_fac, base = _variant_factors(ctx, variant)
-    coeffs = np.array([1.0])
-    for z, r in zip(z_fac, r_fac):
-        nxt = np.zeros(coeffs.size + 1)
-        nxt[:-1] += coeffs * r
-        nxt[1:] += coeffs * z
-        coeffs = nxt
-    return coeffs * base
+def _log_split_coefficients(ctx: DyadContext, variant: str) -> np.ndarray:
+    """log c_k: the log of the sum of split factors over splits with |Z| = k.
 
-
-def _poly_sampled(ctx: DyadContext, n_subsets: int, rng: np.random.Generator,
-                  variant: str) -> np.ndarray:
-    """Monte Carlo estimate of the split coefficients from uniform splits."""
-    z_fac, r_fac, base = _variant_factors(ctx, variant)
-    n_y = len(ctx.y_topics)
-    bits = rng.random((n_subsets, n_y)) < 0.5
-    prods = np.where(bits, z_fac, r_fac).prod(axis=1)
-    sizes = bits.sum(axis=1)
-    coeffs = np.bincount(sizes, weights=prods, minlength=n_y + 1)
-    return coeffs * (2.0 ** n_y / n_subsets) * base
-
-
-def gamma(ctx: DyadContext, mc_samples: int = MC_SAMPLES, seed: int = 0, *,
-          exact_limit: int = EXACT_LIMIT, subset_samples: int = SUBSET_SAMPLES,
-          variant: str = "verbatim") -> float:
-    """Monte Carlo posterior mean of the precedence strength p.
-
-    Shared uniform samples p_k feed both the numerator and the denominator
-    of the normalized mean.  The subset sample (when |Y| exceeds the exact
-    limit) is drawn before the p sample from the same generator, so a single
-    integer seed fixes the whole estimate.
+    The common factor base is left out, since gamma does not depend on it
+    (and its product underflows at large |A\\Y|).  The DP runs in log
+    space: past about a thousand topics of Y the c_k span more than the
+    float range, and the small ones can still carry gamma's largest weights.
     """
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    n_y = len(ctx.y_topics)
+    z_fac, r_fac, _ = _variant_factors(ctx, variant)
+    with np.errstate(divide="ignore"):
+        log_z, log_r = np.log(z_fac), np.log(r_fac)
+    log_c = np.zeros(1)
+    for lz, lr in zip(log_z.tolist(), log_r.tolist()):
+        nxt = np.empty(log_c.size + 1)
+        nxt[0], nxt[-1] = log_c[0] + lr, log_c[-1] + lz
+        np.logaddexp(log_c[1:] + lr, log_c[:-1] + lz, out=nxt[1:-1])
+        log_c = nxt
+    return log_c
+
+
+def gamma(ctx: DyadContext, *, variant: str = "verbatim") -> float:
+    """Exact posterior mean of the precedence strength p under a flat prior.
+
+    B(k+2, n-k+1) = B(k+1, n-k+1) * (k+1)/(n+2), so gamma is the mean of
+    (k+1)/(n+2) under weights c_k * B(k+1, n-k+1), which are taken in log
+    space (lgamma) so that |A| in the thousands stays finite.
+    """
     n_a = len(ctx.a_topics)
-    if n_y > exact_limit:
-        coeffs = _poly_sampled(ctx, subset_samples, rng, variant)
-    else:
-        coeffs = _poly_exact(ctx, variant)
-    peak = coeffs.max()
-    if peak > 0:
-        coeffs = coeffs / peak  # gamma is scale-free in the likelihood
-    p = rng.random(mc_samples)
-    ks = np.arange(n_y + 1)
-    lam = (p[:, None] ** ks * (1.0 - p)[:, None] ** (n_a - ks)) @ coeffs
-    den = lam.sum()
-    if den <= 0.0:
-        warnings.warn("likelihood vanished at every sample; returning 0.5",
+    if n_a == 0:
+        return 0.5  # no shared topic: the flat prior's mean
+    log_c = _log_split_coefficients(ctx, variant)
+    in_y = set(ctx.y_topics)
+    # base = prod_{A\Y} (1 - C_r) is zero exactly when some C_r there is 1
+    if any(ctx.c[r] >= 1.0 for r in ctx.a_topics if r not in in_y) \
+            or not np.isfinite(log_c).any():
+        warnings.warn("likelihood vanishes for every p; returning 0.5",
                       DegenerateLikelihood)
         return 0.5
-    return float((lam * p).sum() / den)
+    # log B(k+1, n-k+1) up to the constant -lgamma(n+2), which cancels
+    log_w = log_c + np.array([math.lgamma(k + 1) + math.lgamma(n_a - k + 1)
+                              for k in range(log_c.size)])
+    weights = np.exp(log_w - log_w.max())
+    means = np.arange(1, log_c.size + 1) / (n_a + 2)
+    return float(weights @ means / weights.sum())
 
 
 def pr_h(corpus: Corpus, topics: Sequence[Topic], b: str, b2: str) -> float:
@@ -252,12 +241,6 @@ def pr_h(corpus: Corpus, topics: Sequence[Topic], b: str, b2: str) -> float:
 def omega(gamma_value: float, pr_h_value: float) -> float:
     """Adjusted dyadic precursor score: gamma * Pr(H)."""
     return gamma_value * pr_h_value
-
-
-def dyad_seed(seed: int, b: str, b2: str) -> int:
-    """Stable per-dyad sub-seed so parallel scheduling cannot reorder draws."""
-    digest = hashlib.sha256(f"{seed}|{b}|{b2}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:16], "big")
 
 
 def eligible_blogs(corpus: Corpus, min_posts: int = MIN_POSTS) -> list[str]:
@@ -287,14 +270,11 @@ def build_dyad_context(corpus: Corpus, topics: Sequence[Topic],
 def score_dyad(corpus: Corpus, topics: Sequence[Topic], b: str, b2: str,
                config: ScoringConfig) -> DyadScore:
     ctx = build_dyad_context(corpus, topics, b, b2)
-    g = gamma(ctx, config.mc_samples, dyad_seed(config.seed, b, b2),
-              exact_limit=config.exact_limit,
-              subset_samples=config.subset_samples, variant=config.variant)
+    g = gamma(ctx, variant=config.variant)
     h = pr_h(corpus, topics, b, b2)
-    method = "SAMPLED" if len(ctx.y_topics) > config.exact_limit else "EXACT"
     return DyadScore(b=b, b2=b2, a_size=len(ctx.a_topics),
                      y_size=len(ctx.y_topics), gamma=g, pr_h=h,
-                     omega=omega(g, h), method=method)
+                     omega=omega(g, h))
 
 
 def score_pairs(corpus: Corpus, topics: Sequence[Topic],

@@ -87,10 +87,47 @@ def brute_force_likelihood(p: float, a_topics, y_topics, c, variant="verbatim"):
 def grid_gamma(a_topics, y_topics, c, n_grid: int = 2001, variant="verbatim"):
     """Deterministic gamma by trapezoidal quadrature on a fine p grid."""
     ps = np.linspace(0.0, 1.0, n_grid)
-    lam = np.array([brute_force_likelihood(p, a_topics, y_topics, c, variant)
-                    for p in ps])
+    lam = brute_force_likelihood(ps, a_topics, y_topics, c, variant)
     num = np.trapezoid(lam * ps, ps)
     den = np.trapezoid(lam, ps)
+    return num / den
+
+
+def split_polynomial(y_topics, c, variant="verbatim"):
+    """coeffs[k]: sum of the Y factors over splits with |Z| = k, in plain
+    Python floats, adding one topic of Y at a time."""
+    coeffs = [1.0]
+    for r in y_topics:
+        z = 1.0 - c[r] if variant == "verbatim" else 1.0
+        coeffs = ([coeffs[0] * c[r]]
+                  + [coeffs[k] * c[r] + coeffs[k - 1] * z
+                     for k in range(1, len(coeffs))]
+                  + [coeffs[-1] * z])
+    return coeffs
+
+
+def quad_gamma(a_topics, y_topics, c, variant="verbatim"):
+    """gamma by adaptive scipy quadrature of the split polynomial in p.
+
+    The factor over A\\Y cancels from the ratio; the likelihood is divided
+    by its largest value on a grid so that quad's error control sees O(1)
+    values even at |A| in the hundreds.
+    """
+    from scipy.integrate import quad
+
+    coeffs = split_polynomial(y_topics, c, variant)
+    n = len(a_topics)
+
+    def lik(p):
+        return math.fsum(ck * p ** k * (1.0 - p) ** (n - k)
+                         for k, ck in enumerate(coeffs))
+
+    grid = np.linspace(0.0, 1.0, 1001)
+    values = [lik(p) for p in grid]
+    peak, mode = max(values), float(grid[int(np.argmax(values))])
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=500, points=[mode])
+    num = quad(lambda p: p * lik(p) / peak, 0.0, 1.0, **opts)[0]
+    den = quad(lambda p: lik(p) / peak, 0.0, 1.0, **opts)[0]
     return num / den
 
 

@@ -98,11 +98,11 @@ def test_criterion_02_likelihood_oracle():
 
 
 def test_criterion_03_analytic_gamma_values():
-    flat = gamma(ctx_of(0, 0, []), 10_000, seed=42)
-    third = gamma(ctx_of(1, 0, [0.5]), 10_000, seed=42)
-    half = gamma(ctx_of(1, 1, [0.5]), 10_000, seed=42)
-    ok = (abs(flat - 0.5) <= 0.01 and abs(third - 1 / 3) <= 0.01
-          and abs(half - 0.5) <= 0.01)
+    flat = gamma(ctx_of(0, 0, []))
+    third = gamma(ctx_of(1, 0, [0.5]))
+    half = gamma(ctx_of(1, 1, [0.5]))
+    ok = (abs(flat - 0.5) <= 1e-12 and abs(third - 1 / 3) <= 1e-12
+          and abs(half - 0.5) <= 1e-12)
     report(3, "analytic gamma fixtures (0.5, 1/3, 0.5)", ok,
            f"got {flat:.4f}, {third:.4f}, {half:.4f}")
 
@@ -156,8 +156,8 @@ def test_criterion_06_rate_asymmetry_discount():
         records, _ = generate(spec)
         corpus = corpus_from_records(enumerate(records, 1), IngestConfig())
         topics = merge_bursts(filter_bursts(detect_all(build_index(corpus))))
-        config = ScoringConfig(seed=trial)
-        score = score_dyad(corpus, topics, "blog_000", "blog_001", config)
+        score = score_dyad(corpus, topics, "blog_000", "blog_001",
+                           ScoringConfig())
         deviations.append(abs(score.gamma - 0.5))
     mean_dev = float(np.mean(deviations))
     report(6, "5x posting volume without lead stays near gamma = 0.5",

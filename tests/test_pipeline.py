@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -29,8 +30,7 @@ def small_corpus_file(tmp_path_factory):
 
 def run_all(corpus_file, workdir, jobs=1, seed=1):
     cfg = PipelineConfig(input=str(corpus_file), workdir=str(workdir),
-                         seed=seed, jobs=jobs, mc_samples=2000,
-                         subset_samples=5000)
+                         seed=seed, jobs=jobs)
     run_pipeline(cfg)
     return workdir
 
@@ -44,6 +44,16 @@ class TestConfig:
         assert cfg.alpha == 7.5
         assert cfg.keep_singletons is True
         assert cfg.min_blogs == 6  # CLI overrides file
+
+    def test_unknown_likelihood_variant_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("likelihood_variant = literal\n")
+        with pytest.raises(ValueError, match="verbatim"):
+            build_config(path)
+        with pytest.raises(ValueError, match="partitioned"):
+            build_config(overrides={"likelihood_variant": "Verbatim"})
+        assert build_config(overrides={"likelihood_variant": "partitioned"}) \
+            .likelihood_variant == "partitioned"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -108,8 +118,7 @@ class TestRunPipeline:
         workdir = run_all(small_corpus_file, tmp_path / "o3")
         before = (workdir / "bursts.jsonl").read_bytes()
         cfg = PipelineConfig(input=str(small_corpus_file),
-                             workdir=str(workdir), seed=1,
-                             mc_samples=2000, subset_samples=5000)
+                             workdir=str(workdir), seed=1)
         run_pipeline(cfg, stages=["bursts"])
         assert (workdir / "bursts.jsonl").read_bytes() == before
 
@@ -118,6 +127,12 @@ class TestRunPipeline:
         w2 = run_all(small_corpus_file, tmp_path / "j2", jobs=2)
         assert (w1 / "dyadic_scores.csv").read_bytes() == \
             (w2 / "dyadic_scores.csv").read_bytes()
+
+    def test_seed_does_not_change_scores(self, small_corpus_file, tmp_path):
+        w1 = run_all(small_corpus_file, tmp_path / "s1", seed=1)
+        w2 = run_all(small_corpus_file, tmp_path / "s2", seed=2)
+        for name in ("dyadic_scores.csv", "global_scores.csv"):
+            assert (w1 / name).read_bytes() == (w2 / name).read_bytes()
 
     def test_dry_run_writes_nothing(self, small_corpus_file, tmp_path, capsys):
         workdir = tmp_path / "dry"
@@ -150,12 +165,26 @@ class TestSynthRunner:
         assert truth["topics"][0]["words"] == ["alpha", "beta"]
 
 
+@pytest.fixture
+def restore_log_level():
+    """main() sets the package logger's level; put it back afterwards."""
+    logger = logging.getLogger("precursor")
+    level = logger.level
+    yield
+    logger.setLevel(level)
+
+
+def precursor_messages(caplog, level):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "precursor" and r.levelno == level]
+
+
+@pytest.mark.usefixtures("restore_log_level")
 class TestCli:
     def test_run_and_report_exit_zero(self, small_corpus_file, tmp_path):
         workdir = tmp_path / "cli_out"
         assert main(["run", "--input", str(small_corpus_file),
-                     "--workdir", str(workdir), "--seed", "3",
-                     "--mc-samples", "1000"]) == 0
+                     "--workdir", str(workdir), "--seed", "3"]) == 0
         assert (workdir / "global_scores.csv").exists()
         assert main(["report", "--workdir", str(workdir), "--bins", "3"]) == 0
 
@@ -177,3 +206,29 @@ class TestCli:
         assert main(["run", "--input", str(small_corpus_file),
                      "--workdir", str(tmp_path / "dd"), "--dry-run"]) == 0
         assert "stage plan" in capsys.readouterr().out
+
+    def test_default_logs_info_with_every_ingest_counter(
+            self, small_corpus_file, tmp_path, caplog):
+        assert main(["run", "--input", str(small_corpus_file),
+                     "--workdir", str(tmp_path / "v0"),
+                     "--stages", "ingest"]) == 0
+        info = precursor_messages(caplog, logging.INFO)
+        assert len(info) == 1 and info[0].startswith("[ingest]")
+        for counter in ("records read", "out of window", "pos warnings",
+                        "empty-lemma tokens", "self links", "external links"):
+            assert counter in info[0]
+        assert not precursor_messages(caplog, logging.DEBUG)
+
+    def test_verbose_flag_logs_debug(self, small_corpus_file, tmp_path, caplog):
+        assert main(["run", "-v", "--input", str(small_corpus_file),
+                     "--workdir", str(tmp_path / "v1"),
+                     "--stages", "ingest"]) == 0
+        debug = precursor_messages(caplog, logging.DEBUG)
+        assert len(debug) == 1 and debug[0].startswith("[ingest] done in")
+
+    def test_quiet_flag_drops_info(self, small_corpus_file, tmp_path, caplog):
+        assert main(["run", "-q", "--input", str(small_corpus_file),
+                     "--workdir", str(tmp_path / "v2"),
+                     "--stages", "ingest"]) == 0
+        assert (tmp_path / "v2" / "corpus.jsonl").exists()
+        assert not precursor_messages(caplog, logging.INFO)

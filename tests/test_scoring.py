@@ -1,15 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from precursor.scoring import (DegenerateLikelihood, DyadContext, DyadScore,
-                               ScoringConfig, TooLargeForExact, chance_prob,
-                               build_dyad_context, dyad_seed, eligible_blogs,
+                               ScoringConfig, TooLargeForExact, VARIANTS,
+                               chance_prob, build_dyad_context, eligible_blogs,
                                gamma, global_scores, likelihood,
                                likelihood_sampled, omega, pr_h, score_dyad,
                                score_all_dyads)
 
 from conftest import (brute_force_likelihood, burst_of, corpus_of, grid_gamma,
-                      post, topic_of)
+                      post, quad_gamma, topic_of)
 
 
 def ctx_of(n_a, n_y, c_values, b="a", b2="b"):
@@ -127,32 +130,30 @@ class TestLikelihoodSampled:
         assert sampled == pytest.approx(exact, rel=0.05)
 
 
+# chance probabilities strictly inside (0, 1): C_r = 1 on A\Y is degenerate
+chance = st.floats(0.01, 0.99)
+
+
 class TestGamma:
     def test_flat_prior_mean(self):
-        assert gamma(ctx_of(0, 0, []), 10_000, seed=5) == pytest.approx(0.5, abs=0.01)
+        assert gamma(ctx_of(0, 0, [])) == 0.5
 
     def test_one_third_case(self):
-        assert gamma(ctx_of(1, 0, [0.5]), 10_000, seed=5) == \
-            pytest.approx(1 / 3, abs=0.01)
+        assert gamma(ctx_of(1, 0, [0.5])) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_half_case(self):
-        assert gamma(ctx_of(1, 1, [0.5]), 10_000, seed=5) == \
-            pytest.approx(0.5, abs=0.01)
-
-    def test_requires_samples(self):
-        with pytest.raises(ValueError):
-            gamma(ctx_of(0, 0, []), 0)
+        assert gamma(ctx_of(1, 1, [0.5])) == pytest.approx(0.5, abs=1e-12)
 
     def test_degenerate_likelihood_returns_half(self):
         ctx = ctx_of(1, 0, [1.0])  # base factor (1 - C) = 0 kills every term
         with pytest.warns(DegenerateLikelihood):
-            assert gamma(ctx, 100, seed=0) == 0.5
+            assert gamma(ctx) == 0.5
 
     def test_gamma_within_unit_interval(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             ctx = random_ctx(rng)
-            g = gamma(ctx, 2000, seed=int(rng.integers(1 << 30)))
+            g = gamma(ctx)
             assert 0.0 <= g <= 1.0
 
     def test_matches_quadrature_oracle(self):
@@ -160,7 +161,7 @@ class TestGamma:
         for _ in range(5):
             ctx = random_ctx(rng, max_a=5, max_y=5)
             expected = grid_gamma(ctx.a_topics, ctx.y_topics, ctx.c)
-            assert gamma(ctx, 40_000, seed=3) == pytest.approx(expected, abs=0.02)
+            assert gamma(ctx) == pytest.approx(expected, abs=1e-6)
 
     def test_monotone_in_y(self):
         rng = np.random.default_rng(10)
@@ -174,10 +175,73 @@ class TestGamma:
             assert all(b >= a - 1e-9 for a, b in zip(gammas, gammas[1:]))
 
     def test_symmetric_null_stays_near_half(self):
-        # planted-null trials: no shared topics, flat likelihood
-        deviations = [abs(gamma(ctx_of(0, 0, []), 10_000, seed=s) - 0.5)
-                      for s in range(20)]
-        assert max(deviations) < 0.1
+        # chance-level precedence (C = 0.5 on every topic of Y = A) leaves
+        # the likelihood flat in p, so gamma is the prior mean
+        deviations = [abs(gamma(ctx_of(n, n, [0.5] * n)) - 0.5)
+                      for n in range(20)]
+        assert max(deviations) < 1e-12
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n_y, n_a", [(16, 16), (30, 40), (150, 150),
+                                          (150, 170)])
+    def test_matches_adaptive_quadrature(self, n_y, n_a, variant):
+        rng = np.random.default_rng(n_y * 1000 + n_a)
+        ctx = ctx_of(n_a, n_y, rng.uniform(0.05, 0.95, n_a))
+        expected = quad_gamma(ctx.a_topics, ctx.y_topics, ctx.c, variant)
+        assert gamma(ctx, variant=variant) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_finite_at_400_topics(self, variant):
+        rng = np.random.default_rng(400)
+        for lo, hi in ((0.05, 0.95), (0.001, 0.01), (0.99, 0.999)):
+            g = gamma(ctx_of(400, 400, rng.uniform(lo, hi, 400)),
+                      variant=variant)
+            assert math.isfinite(g) and 0.0 < g < 1.0
+
+    @pytest.mark.parametrize("n_a", [1, 2, 7, 150, 400])
+    def test_closed_form_fixtures(self, n_a):
+        # Y empty: L = base (1-p)^n, so gamma = B(2, n+1) / B(1, n+1); at
+        # C = 0.9 the factor base = 0.1^n underflows for large n and cancels
+        assert gamma(ctx_of(n_a, 0, [0.9] * n_a)) == 1 / (n_a + 2)
+        # Y = A with C = 0: every topic counts for the relationship, L = p^n
+        assert gamma(ctx_of(n_a, n_a, [0.0] * n_a)) == (n_a + 1) / (n_a + 2)
+
+    @pytest.mark.parametrize("variant, c, n", [("verbatim", 0.2, 60),
+                                               ("verbatim", 0.01, 1100),
+                                               ("partitioned", 0.3, 5),
+                                               ("partitioned", 0.99, 1100)])
+    def test_uniform_chance_closed_form(self, variant, c, n):
+        # Y = A with one C for all: L = (a + b p)^n, and at n = 1100 the
+        # split coefficients span more than the float range
+        a, b = c, (1.0 - 2.0 * c if variant == "verbatim" else 1.0 - c)
+
+        def moment(j):  # integral of u^j over u = a + b p, p in [0, 1]
+            return ((a + b) ** (j + 1) - a ** (j + 1)) / (j + 1)
+
+        expected = (moment(n + 1) - a * moment(n)) / (b * moment(n))
+        got = gamma(ctx_of(n, n, [c] * n), variant=variant)
+        assert got == pytest.approx(expected, rel=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(chance, min_size=1, max_size=6), st.data(),
+           st.sampled_from(VARIANTS))
+    def test_equals_grid_quadrature(self, c_values, data, variant):
+        n_a = len(c_values)
+        n_y = data.draw(st.integers(0, n_a))
+        ctx = ctx_of(n_a, n_y, c_values)
+        expected = grid_gamma(ctx.a_topics, ctx.y_topics, ctx.c,
+                              variant=variant)
+        # trapezoid error at 2001 points for degree <= 7 is below 3e-7
+        assert gamma(ctx, variant=variant) == pytest.approx(expected, abs=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(chance, min_size=1, max_size=40),
+           st.sampled_from(VARIANTS))
+    def test_never_decreases_as_topics_join_y(self, c_values, variant):
+        n_a = len(c_values)
+        gammas = [gamma(ctx_of(n_a, n_y, c_values), variant=variant)
+                  for n_y in range(n_a + 1)]
+        assert all(b >= a - 1e-12 for a, b in zip(gammas, gammas[1:]))
 
 
 def scored_corpus():
@@ -230,7 +294,7 @@ class TestOmega:
 class TestGlobalScores:
     def make_score(self, b, b2, om):
         return DyadScore(b=b, b2=b2, a_size=1, y_size=0, gamma=0.5,
-                         pr_h=om / 0.5, omega=om, method="EXACT")
+                         pr_h=om / 0.5, omega=om)
 
     def test_two_blogs_single_term(self):
         scores = [self.make_score("a", "b", 0.12),
@@ -250,7 +314,7 @@ class TestGlobalScores:
 
     def test_blog_without_topics_scores_zero(self):
         corpus, topics = scored_corpus()
-        config = ScoringConfig(mc_samples=500, min_posts=7, seed=1)
+        config = ScoringConfig(min_posts=7)
         scores = score_all_dyads(corpus, topics, config)
         result = global_scores(scores, eligible_blogs(corpus, 7))
         assert result["c"] == (0.0, 0.0)
@@ -263,15 +327,17 @@ class TestScoreDyads:
         corpus = corpus_of(posts)
         assert eligible_blogs(corpus, 7) == ["a"]
 
-    def test_method_flag_matches_y_size(self):
-        corpus, topics = scored_corpus()
-        config = ScoringConfig(mc_samples=200, seed=0)
-        score = score_dyad(corpus, topics, "a", "b", config)
-        assert score.method == "EXACT" and score.y_size == 1
-        big = [topic_of(f"t{i}", 100 + i, 140 + i, {"a": 100 + i, "b": 105 + i})
+    def test_gamma_at_y16_matches_oracle(self):
+        # |Y| = 16 is past the enumeration limit of `likelihood`
+        corpus, _ = scored_corpus()
+        big = [topic_of(f"t{i}", 100 + 20 * i, 140 + 20 * i,
+                        {"a": 100 + 20 * i, "b": 105 + 20 * i})
                for i in range(16)]
-        score = score_dyad(corpus, big, "a", "b", config)
-        assert score.y_size == 16 and score.method == "SAMPLED"
+        score = score_dyad(corpus, big, "a", "b", ScoringConfig())
+        assert score.a_size == score.y_size == 16
+        ctx = build_dyad_context(corpus, big, "a", "b")
+        expected = quad_gamma(ctx.a_topics, ctx.y_topics, ctx.c)
+        assert score.gamma == pytest.approx(expected, abs=1e-12)
 
     def test_strict_tie_excluded_from_y(self):
         corpus, _ = scored_corpus()
@@ -281,12 +347,7 @@ class TestScoreDyads:
 
     def test_deterministic_across_runs(self):
         corpus, topics = scored_corpus()
-        config = ScoringConfig(mc_samples=1000, seed=7)
+        config = ScoringConfig()
         first = score_all_dyads(corpus, topics, config)
         second = score_all_dyads(corpus, topics, config)
         assert first == second
-
-    def test_dyad_seed_is_order_sensitive(self):
-        assert dyad_seed(1, "a", "b") != dyad_seed(1, "b", "a")
-        assert dyad_seed(1, "a", "b") != dyad_seed(2, "a", "b")
-        assert dyad_seed(3, "a", "b") == dyad_seed(3, "a", "b")
