@@ -203,10 +203,7 @@ def hexbin(points: Sequence[tuple[float, float, float]],
         raise ValueError("grid_size must be >= 1")
     if not points:
         return []
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
-    span = float(xs.max() - xs.min())
-    size = span / (grid_size * math.sqrt(3.0)) if span > 0 else 1.0
+    size = hex_size_for(points, grid_size)
 
     cells: dict[tuple[int, int], list[float]] = {}
     for x, y, metric in points:

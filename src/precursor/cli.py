@@ -43,7 +43,9 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     add("--bins", type=int, help="score bins for the box-plot summaries")
     add("--hex-grid", type=int, dest="hex_grid")
     add("--log-bins", action="store_const", const=True, dest="log_bins")
-    add("--jobs", type=int, help="worker processes for dyad scoring")
+    add("--jobs", type=int,
+        help="accepted for compatibility; does nothing (scoring runs in "
+             "one process)")
 
 
 _CONFIG_KEYS = ("input", "workdir", "window_start", "window_end",

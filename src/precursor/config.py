@@ -46,7 +46,7 @@ class PipelineConfig:
     hex_grid: int = 10
     log_bins: bool = False
     # execution
-    jobs: int = 1
+    jobs: int = 1  # kept for compatibility; scoring runs in one process
     seed: int | None = None  # kept for compatibility; no stage is random
 
     def resolved_seed(self) -> int:
@@ -97,6 +97,17 @@ def parse_config_file(path: str | Path) -> dict:
     return values
 
 
+# Checked once the config is assembled, so that a bad value fails before any
+# stage runs instead of deep inside the stage that reads it.
+_CHECKS = (("alpha", lambda v: v > 0, "a value > 0"),
+           ("beta_days", lambda v: v > 0, "a value > 0"),
+           ("damping", lambda v: 0 < v < 1, "a value in (0, 1)"),
+           ("bins", lambda v: v >= 1, "an integer >= 1"),
+           ("hex_grid", lambda v: v >= 1, "an integer >= 1"),
+           ("max_ngram_len", lambda v: v >= 1, "an integer >= 1"),
+           ("min_posts", lambda v: v >= 1, "an integer >= 1"))
+
+
 def build_config(file_path: str | Path | None = None,
                  overrides: dict | None = None) -> PipelineConfig:
     config = PipelineConfig()
@@ -111,4 +122,8 @@ def build_config(file_path: str | Path | None = None,
     if config.likelihood_variant not in VARIANTS:
         raise ValueError(f"likelihood_variant: expected one of {VARIANTS}, "
                          f"got {config.likelihood_variant!r}")
+    for name, ok, expected in _CHECKS:
+        value = getattr(config, name)
+        if not ok(value):
+            raise ValueError(f"{name}: expected {expected}, got {value!r}")
     return config

@@ -33,9 +33,6 @@ class CitationGraph:
     def edges(self) -> list[tuple[str, str, int]]:
         return [(s, d, c) for (s, d), c in sorted(self.weights.items())]
 
-    def sources_of(self, blog: str) -> set[str]:
-        return {s for (s, d) in self.weights if d == blog}
-
 
 def build_graph(corpus: Corpus) -> CitationGraph:
     weights: Counter = Counter()
@@ -47,7 +44,7 @@ def build_graph(corpus: Corpus) -> CitationGraph:
 
 def in_degree(graph: CitationGraph, blog: str) -> int:
     """Number of distinct blogs linking to `blog` at least once."""
-    return len(graph.sources_of(blog))
+    return len({src for (src, dst) in graph.weights if dst == blog})
 
 
 def in_degrees(graph: CitationGraph) -> dict[str, int]:

@@ -1,11 +1,16 @@
 """Staged pipeline orchestration with resumable intermediate artifacts.
 
 Stages run in a fixed order (ingest, ngrams, bursts, topics, score, network,
-report); each consumes the artifacts of its predecessors from the working
-directory and writes its own atomically (temp file + rename), so any suffix
-of the pipeline can be re-run without repeating earlier stages.  No stage
-draws random numbers, so re-running a stage with unchanged inputs and config
-reproduces its artifacts byte for byte, whatever the seed.
+report); each writes its artifacts atomically (temp file + rename) to the
+working directory, so any suffix of the pipeline can be re-run without
+repeating earlier stages.  Within one `run_pipeline` call the corpus is
+parsed once, by the ingest stage or else by the first stage that needs it,
+and handed to the ngrams, score and network stages; every other input is
+read from the artifacts of the preceding stages.  A stage run on its own
+therefore reads `corpus.jsonl` and its other inputs from the working
+directory.  No stage draws random numbers, so re-running a stage with
+unchanged inputs and config reproduces its artifacts byte for byte, whatever
+the seed.
 """
 
 from __future__ import annotations
@@ -14,11 +19,10 @@ import csv
 import json
 import logging
 import os
-import sys
+import resource
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import analysis, network, scoring, svg, synth
 from .bursts import Burst, FilterConfig, detect_all, filter_bursts
@@ -163,7 +167,7 @@ def read_topics_artifact(path: Path) -> list[Topic]:
     return topics
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     def writer(fh):
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(header)
@@ -176,7 +180,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 # ------------------------------------------------------------------ stages
 
-def stage_ingest(cfg: PipelineConfig, workdir: Path) -> None:
+def stage_ingest(cfg: PipelineConfig, workdir: Path) -> Corpus:
     if not cfg.input:
         raise StageError("ingest", "no input corpus file configured")
     if not Path(cfg.input).exists():
@@ -190,6 +194,7 @@ def stage_ingest(cfg: PipelineConfig, workdir: Path) -> None:
                 len(corpus.blogs), r.records_read, r.out_of_window,
                 r.pos_warnings, r.empty_lemma_tokens, r.self_links,
                 r.external_links)
+    return corpus
 
 
 def _load_corpus_artifact(cfg: PipelineConfig, workdir: Path,
@@ -206,8 +211,7 @@ def _ngram_config(cfg: PipelineConfig) -> NgramConfig:
     return NgramConfig(max_len=cfg.max_ngram_len)
 
 
-def stage_ngrams(cfg: PipelineConfig, workdir: Path) -> None:
-    corpus = _load_corpus_artifact(cfg, workdir, "ngrams")
+def stage_ngrams(cfg: PipelineConfig, workdir: Path, corpus: Corpus) -> None:
     index = build_index(corpus, _ngram_config(cfg))
     write_index_artifact(index, workdir / "index.jsonl")
     total = sum(len(v) for v in index.values())
@@ -240,68 +244,36 @@ def stage_topics(cfg: PipelineConfig, workdir: Path) -> None:
     logger.info("[topics] %d topics from %d bursts", len(topics), len(bursts))
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(corpus, topics, config):
-    _WORKER_STATE["args"] = (corpus, topics, config)
-
-
-def _score_chunk(pairs):
-    corpus, topics, config = _WORKER_STATE["args"]
-    return scoring.score_pairs(corpus, topics, pairs, config)
-
-
 def _scoring_config(cfg: PipelineConfig) -> scoring.ScoringConfig:
     return scoring.ScoringConfig(min_posts=cfg.min_posts,
                                  variant=cfg.likelihood_variant)
 
 
-def compute_dyad_scores(corpus: Corpus, topics: Sequence[Topic],
-                        config: scoring.ScoringConfig,
-                        jobs: int = 1) -> list[scoring.DyadScore]:
-    """All ordered dyads among eligible blogs; identical results for any jobs."""
-    blogs = scoring.eligible_blogs(corpus, config.min_posts)
-    pairs = scoring.all_ordered_pairs(blogs)
-    if jobs <= 1 or len(pairs) < 2 * jobs:
-        return scoring.score_pairs(corpus, topics, pairs, config)
-    chunk = max(1, len(pairs) // (jobs * 4))
-    chunks = [pairs[i:i + chunk] for i in range(0, len(pairs), chunk)]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                             initargs=(corpus, topics, config)) as pool:
-        results = pool.map(_score_chunk, chunks)
-        return [score for part in results for score in part]
-
-
-def stage_score(cfg: PipelineConfig, workdir: Path) -> None:
-    corpus = _load_corpus_artifact(cfg, workdir, "score")
+def stage_score(cfg: PipelineConfig, workdir: Path, corpus: Corpus) -> None:
     topics_path = workdir / "topics.jsonl"
     _require("score", topics_path)
     topics = read_topics_artifact(topics_path)
     config = _scoring_config(cfg)
-    scores = compute_dyad_scores(corpus, topics, config, jobs=cfg.jobs)
+    blogs = scoring.eligible_blogs(corpus, config.min_posts)
+    shared = scoring.score_shared_dyads(corpus, topics, blogs, config)
     _write_csv(workdir / "dyadic_scores.csv",
                ["b", "b2", "a_size", "y_size", "gamma", "pr_h", "omega"],
-               [[s.b, s.b2, s.a_size, s.y_size, s.gamma, s.pr_h, s.omega]
-                for s in scores])
-    blogs = scoring.eligible_blogs(corpus, config.min_posts)
-    pl = scoring.global_scores(scores, blogs)
+               ([s.b, s.b2, s.a_size, s.y_size, s.gamma, s.pr_h, s.omega]
+                for s in scoring.all_dyads(blogs, shared)))
+    pl = scoring.global_scores(shared, blogs)
     _write_csv(workdir / "global_scores.csv", ["blog_id", "P", "L"],
                [[b, pl[b][0], pl[b][1]] for b in blogs])
-    n_shared = sum(1 for s in scores if s.a_size > 0)
     logger.info("[score] %d dyads scored over %d eligible blogs "
-                "(%d with shared topics)", len(scores), len(blogs), n_shared)
+                "(%d with shared topics)", len(blogs) * (len(blogs) - 1),
+                len(blogs), len(shared))
 
 
-def read_global_scores(path: Path) -> tuple[list[str], list[dict]]:
+def read_global_scores(path: Path) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-        return list(reader.fieldnames or []), rows
+        return list(csv.DictReader(fh))
 
 
-def stage_network(cfg: PipelineConfig, workdir: Path) -> None:
-    corpus = _load_corpus_artifact(cfg, workdir, "network")
+def stage_network(cfg: PipelineConfig, workdir: Path, corpus: Corpus) -> None:
     scores_path = workdir / "global_scores.csv"
     _require("network", scores_path)
     graph = network.build_graph(corpus)
@@ -309,7 +281,7 @@ def stage_network(cfg: PipelineConfig, workdir: Path) -> None:
                [list(edge) for edge in graph.edges()])
     degrees = network.in_degrees(graph)
     ranks = network.pagerank(graph, damping=cfg.damping)
-    _, rows = read_global_scores(scores_path)
+    rows = read_global_scores(scores_path)
     merged = [[row["blog_id"], float(row["P"]), float(row["L"]),
                degrees.get(row["blog_id"], 0),
                ranks.get(row["blog_id"], 0.0)] for row in rows]
@@ -322,7 +294,7 @@ def stage_network(cfg: PipelineConfig, workdir: Path) -> None:
 def stage_report(cfg: PipelineConfig, workdir: Path) -> None:
     scores_path = workdir / "global_scores.csv"
     _require("report", scores_path)
-    _, rows = read_global_scores(scores_path)
+    rows = read_global_scores(scores_path)
     if rows and "in_degree" not in rows[0]:
         raise StageError("report", "global_scores.csv lacks network metrics; "
                                    "run the network stage first")
@@ -408,6 +380,7 @@ _STAGE_FUNCS = {"ingest": stage_ingest, "ngrams": stage_ngrams,
                 "bursts": stage_bursts, "topics": stage_topics,
                 "score": stage_score, "network": stage_network,
                 "report": stage_report}
+_CORPUS_STAGES = ("ngrams", "score", "network")
 
 
 def run_pipeline(cfg: PipelineConfig, stages: Sequence[str] | None = None,
@@ -424,10 +397,21 @@ def run_pipeline(cfg: PipelineConfig, stages: Sequence[str] | None = None,
             print(f"  {f} = {getattr(cfg, f)}")
         return
     workdir.mkdir(parents=True, exist_ok=True)
+    corpus = None
     for stage in selected:
-        start = time.perf_counter()
-        _STAGE_FUNCS[stage](cfg, workdir)
-        logger.debug("[%s] done in %.2f s", stage, time.perf_counter() - start)
+        start, cpu_start = time.perf_counter(), time.process_time()
+        if stage == "ingest":
+            corpus = stage_ingest(cfg, workdir)
+        elif stage in _CORPUS_STAGES:
+            if corpus is None:
+                corpus = _load_corpus_artifact(cfg, workdir, stage)
+            _STAGE_FUNCS[stage](cfg, workdir, corpus)
+        else:
+            _STAGE_FUNCS[stage](cfg, workdir)
+        logger.debug("[%s] done in %.2f s (cpu %.2f s, peak rss %.1f MiB)",
+                     stage, time.perf_counter() - start,
+                     time.process_time() - cpu_start,  # ru_maxrss is in KiB
+                     resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
 
 def run_synth(spec_path: str | Path, out_dir: str | Path,

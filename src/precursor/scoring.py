@@ -26,6 +26,13 @@ split-sampling estimator) evaluate L(p) itself; gamma uses neither.
 The adjusted score omega multiplies gamma by the co-participation
 probability Pr(H); per-blog P and L are means of outgoing and incoming omega
 over all eligible dyads.
+
+Only co-participating dyads (|A| > 0) are computed, from one pass over the
+topics (`score_shared_dyads`), so the work grows with the number of such
+dyads rather than with the square of the number of blogs.  Every other dyad
+is fixed by definition at gamma = 0.5 (the flat prior's mean), Pr(H) = 0 and
+omega = 0.  `build_dyad_context`, `pr_h` and `score_dyad` compute one dyad
+at a time and serve as the reference.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -277,14 +284,68 @@ def score_dyad(corpus: Corpus, topics: Sequence[Topic], b: str, b2: str,
                      omega=omega(g, h))
 
 
-def score_pairs(corpus: Corpus, topics: Sequence[Topic],
-                pairs: Iterable[tuple[str, str]],
-                config: ScoringConfig) -> list[DyadScore]:
-    return [score_dyad(corpus, topics, b, b2, config) for b, b2 in pairs]
+def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
+                       blogs: Sequence[str],
+                       config: ScoringConfig) -> list[DyadScore]:
+    """Scores of the ordered pairs of `blogs` that share a topic, in (b, b2) order.
+
+    One pass over the topics records, for each participant in `blogs`, its
+    post ids in the topic's bursts (for Pr(H)), and for each co-participating
+    ordered pair its shared topics in topic order.  The per-pair results
+    equal those of `build_dyad_context`, `gamma` and `pr_h` exactly.
+    """
+    scored = set(blogs)
+    post_ids: dict[tuple[str, int], set[str]] = {}
+    shared: dict[tuple[str, str], list[int]] = {}
+    for i, topic in enumerate(topics):
+        members = [b for b in topic.participations if b in scored]
+        if len(members) < 2:
+            continue
+        for b in members:
+            post_ids[b, i] = set()
+        for burst in topic.bursts:
+            for occ in burst.occurrences:
+                if (occ.blog_id, i) in post_ids:
+                    post_ids[occ.blog_id, i].add(occ.post_id)
+        for b in members:
+            for b2 in members:
+                if b != b2:
+                    shared.setdefault((b, b2), []).append(i)
+
+    scores = []
+    for b, b2 in sorted(shared):
+        a_topics, y_topics, c = [], [], {}
+        participating: set[str] = set()
+        for i in shared[b, b2]:
+            topic = topics[i]
+            a_topics.append(topic.topic_id)
+            if topic.participations[b] < topic.participations[b2]:
+                y_topics.append(topic.topic_id)
+            c[topic.topic_id] = chance_prob(corpus, b, b2, topic)
+            participating |= post_ids[b2, i]
+        ctx = DyadContext(b=b, b2=b2, a_topics=tuple(a_topics),
+                          y_topics=tuple(y_topics), c=c)
+        g = gamma(ctx, variant=config.variant)
+        total = len(corpus.posts_by_blog(b2))
+        h = len(participating) / total if total else 0.0
+        scores.append(DyadScore(b=b, b2=b2, a_size=len(a_topics),
+                                y_size=len(y_topics), gamma=g, pr_h=h,
+                                omega=omega(g, h)))
+    return scores
 
 
-def all_ordered_pairs(blogs: Sequence[str]) -> list[tuple[str, str]]:
-    return [(b, b2) for b in blogs for b2 in blogs if b != b2]
+def all_dyads(blogs: Sequence[str],
+              shared: Iterable[DyadScore]) -> Iterator[DyadScore]:
+    """Every ordered pair of `blogs` in (b, b2) order: the scores in `shared`,
+    and the fixed no-shared-topic row (gamma 0.5, Pr(H) 0, omega 0) for
+    every other pair."""
+    by_pair = {(s.b, s.b2): s for s in shared}
+    for b in blogs:
+        for b2 in blogs:
+            if b != b2:
+                yield by_pair.get((b, b2)) or DyadScore(
+                    b=b, b2=b2, a_size=0, y_size=0, gamma=0.5, pr_h=0.0,
+                    omega=0.0)
 
 
 def score_all_dyads(corpus: Corpus, topics: Sequence[Topic],
@@ -292,12 +353,17 @@ def score_all_dyads(corpus: Corpus, topics: Sequence[Topic],
     """Score every ordered pair of eligible blogs, in (b, b2) order."""
     config = config or ScoringConfig()
     blogs = eligible_blogs(corpus, config.min_posts)
-    return score_pairs(corpus, topics, all_ordered_pairs(blogs), config)
+    return list(all_dyads(blogs, score_shared_dyads(corpus, topics, blogs,
+                                                    config)))
 
 
 def global_scores(dyad_scores: Sequence[DyadScore],
                   blogs: Sequence[str]) -> dict[str, tuple[float, float]]:
-    """Per-blog precursor P (mean outgoing omega) and laggard L (incoming)."""
+    """Per-blog precursor P (mean outgoing omega) and laggard L (incoming).
+
+    Dyads left out of `dyad_scores` count as omega = 0, so the scores of the
+    co-participating dyads alone give the same means.
+    """
     n = len(blogs)
     out: dict[str, float] = {b: 0.0 for b in blogs}
     inc: dict[str, float] = {b: 0.0 for b in blogs}

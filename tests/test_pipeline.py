@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from precursor.pipeline import (STAGES, StageError, read_bursts_artifact,
                                 write_index_artifact, write_topics_artifact)
 from precursor.synth import SynthSpec, blog_ids, generate, leader_follower_spec
 from precursor.topics import merge_bursts
-from precursor import synth
+from precursor import pipeline, synth
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,22 @@ class TestConfig:
             build_config(overrides={"likelihood_variant": "Verbatim"})
         assert build_config(overrides={"likelihood_variant": "partitioned"}) \
             .likelihood_variant == "partitioned"
+
+    @pytest.mark.parametrize("name, bad, good", [
+        ("alpha", 0.0, 0.5), ("beta_days", -1.0, 0.1),
+        ("damping", 1.0, 0.99), ("damping", 0.0, 0.01),
+        ("bins", 0, 1), ("hex_grid", 0, 1), ("max_ngram_len", 0, 1),
+        ("min_posts", 0, 1)])
+    def test_out_of_range_values_rejected(self, name, bad, good):
+        with pytest.raises(ValueError, match=name):
+            build_config(overrides={name: bad})
+        assert getattr(build_config(overrides={name: good}), name) == good
+
+    def test_out_of_range_value_in_file_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("alpha = -2\n")
+        with pytest.raises(ValueError, match="alpha"):
+            build_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -149,6 +166,89 @@ class TestRunPipeline:
             run_pipeline(cfg, stages=["nonsense"])
 
 
+def artifact_bytes(workdir: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(workdir)): p.read_bytes()
+            for p in sorted(workdir.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture
+def corpus_loads(monkeypatch):
+    """The paths `pipeline.load_corpus` is called with, in order."""
+    calls = []
+    real = pipeline.load_corpus
+
+    def counting(path, config=None):
+        calls.append(Path(path))
+        return real(path, config)
+    monkeypatch.setattr(pipeline, "load_corpus", counting)
+    return calls
+
+
+class TestCorpusParsedOnce:
+    def test_full_run_parses_input_once(self, small_corpus_file, tmp_path,
+                                        corpus_loads):
+        workdir = run_all(small_corpus_file, tmp_path / "once")
+        assert corpus_loads == [small_corpus_file]
+        corpus_loads.clear()
+        cfg = PipelineConfig(input=str(small_corpus_file), workdir=str(workdir))
+        run_pipeline(cfg, stages=["score"])
+        assert corpus_loads == [workdir / "corpus.jsonl"]
+        corpus_loads.clear()
+        run_pipeline(cfg, stages=["ngrams", "bursts", "topics", "score",
+                                  "network"])
+        assert corpus_loads == [workdir / "corpus.jsonl"]
+
+    def test_stage_by_stage_run_is_byte_identical(self, small_corpus_file,
+                                                  tmp_path):
+        full = run_all(small_corpus_file, tmp_path / "full")
+        cfg = PipelineConfig(input=str(small_corpus_file),
+                             workdir=str(tmp_path / "staged"))
+        for stage in STAGES:
+            run_pipeline(cfg, stages=[stage])
+        assert artifact_bytes(tmp_path / "staged") == artifact_bytes(full)
+
+    @pytest.mark.parametrize("window", [(None, None), (150, 900),
+                                        (150, None), (None, 900)])
+    @pytest.mark.parametrize("keep_external", [False, True])
+    @pytest.mark.parametrize("assume_nouns", [False, True])
+    def test_ingested_corpus_equals_reloaded_artifact(
+            self, tmp_path, window, keep_external, assume_nouns):
+        # what lets the later stages skip re-parsing corpus.jsonl
+        def tokens(*pairs):
+            return [{"l": lemma, "p": pos, "c": i}
+                    for i, (lemma, pos) in enumerate(pairs)]
+        records = [
+            {"post_id": "p1", "blog_id": "a", "timestamp": 100,
+             "title": tokens((" Big ", "ADJ")), "links": ["b"]},
+            {"post_id": "p2", "blog_id": "a", "timestamp": 200,
+             "body": tokens(("Cat", "noun?"), ("", "NOUN"), ("sat", "VERB")),
+             "links": ["a", "b", "elsewhere"]},
+            {"post_id": "p3", "blog_id": "b", "timestamp": "1970-01-01T00:05:00Z",
+             "body": tokens(("dog", "XX"), ("2", "NUM")), "links": ["a", "b"]},
+            {"post_id": "p4", "blog_id": "c", "timestamp": 1000,
+             "body": tokens(("late", "ADV")), "links": ["a", "nowhere"]},
+            {"post_id": "p5", "blog_id": "b", "timestamp": 600,
+             "links": ["c", "c", "gone"]}]
+        path = tmp_path / "input.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        cfg = PipelineConfig(input=str(path), workdir=str(tmp_path),
+                             window_start=window[0], window_end=window[1],
+                             keep_external_links=keep_external,
+                             assume_nouns=assume_nouns)
+        ingested = pipeline.stage_ingest(cfg, tmp_path)
+        reloaded = load_corpus(tmp_path / "corpus.jsonl", IngestConfig(
+            window_start=window[0], window_end=window[1],
+            keep_external_links=keep_external, assume_nouns=assume_nouns))
+        assert ingested.posts == reloaded.posts
+        assert ingested.blogs == reloaded.blogs
+        assert ingested.window == reloaded.window
+        r = ingested.report
+        assert r.self_links > 0 and r.empty_lemma_tokens > 0
+        assert (r.external_links > 0) != keep_external
+        assert (r.pos_warnings > 0) != assume_nouns
+        assert (r.out_of_window > 0) == (window != (None, None))
+
+
 class TestSynthRunner:
     def test_spec_file_to_corpus(self, tmp_path):
         spec = {"n_blogs": 8, "window_days": 30, "base_rate": 0.5, "seed": 2,
@@ -225,6 +325,32 @@ class TestCli:
                      "--stages", "ingest"]) == 0
         debug = precursor_messages(caplog, logging.DEBUG)
         assert len(debug) == 1 and debug[0].startswith("[ingest] done in")
+
+    def test_verbose_stage_lines_report_cpu_and_rss(
+            self, small_corpus_file, tmp_path, caplog):
+        assert main(["run", "-v", "--input", str(small_corpus_file),
+                     "--workdir", str(tmp_path / "v3")]) == 0
+        debug = precursor_messages(caplog, logging.DEBUG)
+        pattern = re.compile(r"\[(\w+)\] done in [\d.]+ s "
+                             r"\(cpu [\d.]+ s, peak rss ([\d.]+) MiB\)")
+        matches = [pattern.fullmatch(line) for line in debug]
+        assert all(matches) and len(matches) == len(STAGES)
+        assert [m.group(1) for m in matches] == list(STAGES)
+        assert all(float(m.group(2)) > 0 for m in matches)
+        score_line, = [line for line in precursor_messages(caplog, logging.INFO)
+                       if line.startswith("[score]")]
+        rows = (tmp_path / "v3" / "dyadic_scores.csv").read_text().splitlines()
+        n_shared = sum(1 for row in rows[1:] if row.split(",")[2] != "0")
+        assert score_line.startswith(f"[score] {len(rows) - 1} dyads scored")
+        assert score_line.endswith(f"({n_shared} with shared topics)")
+
+    def test_out_of_range_flag_fails_before_any_stage(
+            self, small_corpus_file, tmp_path, capsys):
+        workdir = tmp_path / "bad"
+        assert main(["run", "--input", str(small_corpus_file),
+                     "--workdir", str(workdir), "--damping", "1.5"]) == 1
+        assert "damping" in capsys.readouterr().err
+        assert not workdir.exists()
 
     def test_quiet_flag_drops_info(self, small_corpus_file, tmp_path, caplog):
         assert main(["run", "-q", "--input", str(small_corpus_file),

@@ -9,7 +9,7 @@ from precursor.scoring import (DegenerateLikelihood, DyadContext, DyadScore,
                                chance_prob, build_dyad_context, eligible_blogs,
                                gamma, global_scores, likelihood,
                                likelihood_sampled, omega, pr_h, score_dyad,
-                               score_all_dyads)
+                               score_all_dyads, score_shared_dyads)
 
 from conftest import (brute_force_likelihood, burst_of, corpus_of, grid_gamma,
                       post, quad_gamma, topic_of)
@@ -351,3 +351,94 @@ class TestScoreDyads:
         first = score_all_dyads(corpus, topics, config)
         second = score_all_dyads(corpus, topics, config)
         assert first == second
+
+
+@st.composite
+def corpora_with_topics(draw):
+    """A few blogs with 1-9 posts each and topics over random subsets of
+    them; first participations fall in a 4-second range, so ties are common."""
+    blogs = [f"b{i}" for i in range(draw(st.integers(2, 6)))]
+    posts = {b: [post(f"{b}_{k}", b, t) for k, t in enumerate(
+                 draw(st.lists(st.integers(0, 60), min_size=1, max_size=9)))]
+             for b in blogs}
+    corpus = corpus_of([p for ps in posts.values() for p in ps])
+    topics = []
+    for j in range(draw(st.integers(0, 6))):
+        members = draw(st.lists(st.sampled_from(blogs), unique=True))
+        start = draw(st.integers(0, 50))
+        end = draw(st.integers(start, 60))
+        bursts = tuple(
+            burst_of(("w", f"{j}{k}"), start, end, occurrences=[
+                (p.timestamp, b, p.post_id) for b in members
+                for p in draw(st.lists(st.sampled_from(posts[b]),
+                                       max_size=3))])
+            for k in range(draw(st.integers(1, 2))))
+        topics.append(topic_of(f"t{j}", start, end,
+                               {b: draw(st.integers(start, start + 3))
+                                for b in members}, bursts=bursts))
+    return corpus, topics
+
+
+def sparse_fixture():
+    """Blogs a-d are eligible at min_posts = 3 and e is not.  Topic t1 is
+    shared by a, b and e, with a and b tied; t2 by a and c; t3 has one
+    eligible participant (b) besides e; d shares no topic."""
+    posts = ([post(f"a{i}", "a", 10 * i) for i in range(5)]
+             + [post(f"b{i}", "b", 10 * i + 2) for i in range(4)]
+             + [post(f"c{i}", "c", 10 * i + 4) for i in range(3)]
+             + [post(f"d{i}", "d", 10 * i + 6) for i in range(6)]
+             + [post(f"e{i}", "e", 10 * i + 8) for i in range(2)])
+    corpus = corpus_of(posts)
+    t1 = topic_of("t1", 0, 20, {"a": 0, "b": 0, "e": 8}, bursts=(
+        burst_of(("w", "1"), 0, 20, [(0, "a", "a0"), (2, "b", "b0"),
+                                     (8, "e", "e0"), (12, "b", "b1")]),))
+    t2 = topic_of("t2", 10, 40, {"c": 14, "a": 20}, bursts=(
+        burst_of(("w", "2"), 10, 30, [(14, "c", "c1"), (20, "a", "a2")]),
+        burst_of(("w", "3"), 20, 40, [(24, "c", "c2"), (30, "a", "a3"),
+                                      (14, "c", "c1")])))
+    t3 = topic_of("t3", 0, 50, {"b": 2, "e": 18}, bursts=(
+        burst_of(("w", "4"), 0, 50, [(2, "b", "b0"), (18, "e", "e1")]),))
+    return corpus, [t1, t2, t3]
+
+
+@pytest.mark.filterwarnings("ignore::precursor.scoring.DegenerateLikelihood")
+class TestSparseScoring:
+    """The one-pass scorer against the per-pair reference `score_dyad`
+    (build_dyad_context + gamma + pr_h)."""
+
+    def check_against_reference(self, corpus, topics, config):
+        blogs = eligible_blogs(corpus, config.min_posts)
+        expected = [score_dyad(corpus, topics, b, b2, config)
+                    for b in blogs for b2 in blogs if b != b2]
+        assert score_all_dyads(corpus, topics, config) == expected
+        shared = score_shared_dyads(corpus, topics, blogs, config)
+        assert shared == [s for s in expected if s.a_size > 0]
+        assert global_scores(shared, blogs) == global_scores(expected, blogs)
+        return expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=corpora_with_topics(), min_posts=st.integers(1, 5),
+           variant=st.sampled_from(VARIANTS))
+    def test_matches_per_pair_reference(self, case, min_posts, variant):
+        corpus, topics = case
+        self.check_against_reference(
+            corpus, topics, ScoringConfig(min_posts=min_posts, variant=variant))
+
+    def test_fixture_cases(self):
+        corpus, topics = sparse_fixture()
+        scores = self.check_against_reference(corpus, topics,
+                                              ScoringConfig(min_posts=3))
+        by_pair = {(s.b, s.b2): s for s in scores}
+        assert {b for b, _ in by_pair} == {"a", "b", "c", "d"}  # not e
+        # tied first participations: shared, but neither precedes
+        assert by_pair["a", "b"].a_size == by_pair["b", "a"].a_size == 1
+        assert by_pair["a", "b"].y_size == by_pair["b", "a"].y_size == 0
+        # c1 occurs in both bursts of t2 and counts once: 2 of c's 3 posts
+        assert by_pair["a", "c"].pr_h == 2 / 3
+        # t3's only eligible participant and d share nothing with anyone
+        fixed = [s for s in scores if s.b == "d" or s.b2 == "d"
+                 or {s.b, s.b2} == {"b", "c"}]
+        assert len(fixed) == 8
+        assert all((s.a_size, s.y_size, s.gamma, s.pr_h, s.omega)
+                   == (0, 0, 0.5, 0.0, 0.0) for s in fixed)
+
