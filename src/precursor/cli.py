@@ -5,56 +5,22 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 
-from .config import build_config
+from .config import FIELD_TYPES, PipelineConfig, build_config
 from .corpus import CorpusError
 from .pipeline import STAGES, StageError, run_pipeline, run_synth
-from .scoring import VARIANTS
 from .synth import InfeasibleSpec
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    add = parser.add_argument
-    add("--input", help="corpus file (line-delimited JSON records)")
-    add("--workdir", help="artifact directory (default: out)")
-    add("--window-start", type=int, dest="window_start")
-    add("--window-end", type=int, dest="window_end")
-    add("--assume-nouns", action="store_const", const=True, dest="assume_nouns",
-        help="treat every token as a noun (untagged corpora)")
-    add("--keep-external-links", action="store_const", const=True,
-        dest="keep_external_links")
-    add("--max-ngram-len", type=int, dest="max_ngram_len")
-    add("--stopwords", help="stop-word list file (one lemma per line)")
-    add("--alpha", type=float, help="minimum accepted burst ratio")
-    add("--beta-days", type=float, dest="beta_days",
-        help="minimum inter-burst gap in days")
-    add("--min-blogs", type=int, dest="min_blogs")
-    add("--min-mean-gap-hours", type=float, dest="min_mean_gap_hours")
-    add("--max-mean-gap-days", type=float, dest="max_mean_gap_days")
-    add("--min-burst-days", type=float, dest="min_burst_days")
-    add("--max-total-burst-days", type=float, dest="max_total_burst_days")
-    add("--keep-singletons", action="store_const", const=True,
-        dest="keep_singletons")
-    add("--seed", type=int,
-        help="global seed (overrides PRECURSOR_SEED); no stage uses it")
-    add("--min-posts", type=int, dest="min_posts")
-    add("--likelihood-variant", choices=VARIANTS, dest="likelihood_variant")
-    add("--damping", type=float)
-    add("--bins", type=int, help="score bins for the box-plot summaries")
-    add("--hex-grid", type=int, dest="hex_grid")
-    add("--log-bins", action="store_const", const=True, dest="log_bins")
-    add("--jobs", type=int,
-        help="accepted for compatibility; does nothing (scoring runs in "
-             "one process)")
-
-
-_CONFIG_KEYS = ("input", "workdir", "window_start", "window_end",
-                "assume_nouns", "keep_external_links", "max_ngram_len",
-                "stopwords", "alpha", "beta_days", "min_blogs",
-                "min_mean_gap_hours", "max_mean_gap_days", "min_burst_days",
-                "max_total_burst_days", "keep_singletons", "seed",
-                "min_posts", "likelihood_variant", "damping", "bins",
-                "hex_grid", "log_bins", "jobs")
+    """One --kebab-name flag per PipelineConfig field, typed as the field."""
+    for f in fields(PipelineConfig):
+        kind = FIELD_TYPES[f.name]
+        how = (dict(action="store_const", const=True) if kind is bool
+               else dict(type=kind))
+        parser.add_argument("--" + f.name.replace("_", "-"), **how,
+                            **f.metadata)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
             run_synth(args.spec, args.out, seed=args.seed,
                       rate_ramp=args.rate_ramp)
             return 0
-        overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+        overrides = {name: getattr(args, name) for name in FIELD_TYPES}
         cfg = build_config(args.config, overrides)
         if args.command == "report":
             run_pipeline(cfg, stages=["report"])

@@ -1,34 +1,42 @@
 """Pipeline configuration: one flat key=value config file mirroring the CLI.
 
-Precedence: built-in defaults < config file < explicit CLI flags.  The seed
-additionally falls back to the PRECURSOR_SEED environment variable when
-neither the file nor the command line sets one.
+Each field of `PipelineConfig` is one config key: `cli` derives its
+--kebab-name flag from the field (type, help and choices), and
+`parse_config_file` reads it as snake_name or kebab-name with the same type.
+Precedence: built-in defaults < config file < explicit CLI flags.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .scoring import VARIANTS
+
+
+def _key(default, help=None, **cli):
+    """A config field; its metadata holds the CLI flag's help (and choices)."""
+    return field(default=default, metadata=dict(help=help, **cli))
 
 
 @dataclass
 class PipelineConfig:
     # ingest
-    input: str = ""
-    workdir: str = "out"
+    input: str = _key("", "corpus file (line-delimited JSON records)")
+    workdir: str = _key("out", "artifact directory (default: out)")
     window_start: int | None = None
     window_end: int | None = None
-    assume_nouns: bool = False
+    assume_nouns: bool = _key(False,
+                              "treat every token as a noun (untagged corpora)")
     keep_external_links: bool = False
     # ngrams
     max_ngram_len: int = 5
-    stopwords: str | None = None
+    stopwords: str | None = _key(None,
+                                 "stop-word list file (one lemma per line)")
     # bursts
-    alpha: float = 5.0
-    beta_days: float = 5.0
+    alpha: float = _key(5.0, "minimum accepted burst ratio")
+    beta_days: float = _key(5.0, "minimum inter-burst gap in days")
     min_blogs: int = 4
     min_mean_gap_hours: float = 1.0
     max_mean_gap_days: float = 1.0
@@ -38,48 +46,41 @@ class PipelineConfig:
     keep_singletons: bool = False
     # scoring
     min_posts: int = 7
-    likelihood_variant: str = "verbatim"
+    likelihood_variant: str = _key("verbatim", choices=VARIANTS)
     # network
     damping: float = 0.85
     # report
-    bins: int = 4
+    bins: int = _key(4, "score bins for the box-plot summaries")
     hex_grid: int = 10
     log_bins: bool = False
     # execution
-    jobs: int = 1  # kept for compatibility; scoring runs in one process
-    seed: int | None = None  # kept for compatibility; no stage is random
-
-    def resolved_seed(self) -> int:
-        if self.seed is not None:
-            return self.seed
-        env = os.environ.get("PRECURSOR_SEED")
-        return int(env) if env else 0
+    jobs: int = _key(1, "accepted for compatibility; does nothing (scoring "
+                        "runs in one process)")
+    seed: int | None = _key(None, "accepted for compatibility; does nothing "
+                                  "(no stage is random)")
 
 
-_BOOL_FIELDS = {"assume_nouns", "keep_external_links", "keep_singletons",
-                "log_bins"}
+# Each field's type with None stripped: what a flag or file value converts to.
+FIELD_TYPES = {name: next((t for t in get_args(hint) if t is not type(None)),
+                          hint)
+               for name, hint in get_type_hints(PipelineConfig).items()}
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-def _coerce(name: str, kind, raw: str):
-    if name in _BOOL_FIELDS:
-        low = raw.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ValueError(f"{name}: expected a boolean, got {raw!r}")
-    if kind in ("int", "int | None"):
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
+def _coerce(name: str, raw: str):
+    kind = FIELD_TYPES[name]
+    if kind is not bool:
+        return kind(raw)
+    if raw.lower() in _TRUE:
+        return True
+    if raw.lower() in _FALSE:
+        return False
+    raise ValueError(f"{name}: expected a boolean, got {raw!r}")
 
 
 def parse_config_file(path: str | Path) -> dict:
     """Read `key = value` lines; '#' starts a comment, blank lines ignored."""
-    known = {f.name: f.type for f in fields(PipelineConfig)}
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -90,10 +91,9 @@ def parse_config_file(path: str | Path) -> dict:
                 raise ValueError(f"{path}:{line_no}: expected key = value")
             key, _, raw = line.partition("=")
             key = key.strip().replace("-", "_")
-            raw = raw.strip()
-            if key not in known:
+            if key not in FIELD_TYPES:
                 raise ValueError(f"{path}:{line_no}: unknown option {key!r}")
-            values[key] = _coerce(key, known[key], raw)
+            values[key] = _coerce(key, raw.strip())
     return values
 
 
@@ -101,11 +101,18 @@ def parse_config_file(path: str | Path) -> dict:
 # stage runs instead of deep inside the stage that reads it.
 _CHECKS = (("alpha", lambda v: v > 0, "a value > 0"),
            ("beta_days", lambda v: v > 0, "a value > 0"),
+           ("min_blogs", lambda v: v >= 1, "an integer >= 1"),
+           ("min_mean_gap_hours", lambda v: v >= 0, "a value >= 0"),
+           ("max_mean_gap_days", lambda v: v > 0, "a value > 0"),
+           ("min_burst_days", lambda v: v >= 0, "a value >= 0"),
+           ("max_total_burst_days", lambda v: v > 0, "a value > 0"),
            ("damping", lambda v: 0 < v < 1, "a value in (0, 1)"),
            ("bins", lambda v: v >= 1, "an integer >= 1"),
            ("hex_grid", lambda v: v >= 1, "an integer >= 1"),
            ("max_ngram_len", lambda v: v >= 1, "an integer >= 1"),
-           ("min_posts", lambda v: v >= 1, "an integer >= 1"))
+           ("min_posts", lambda v: v >= 1, "an integer >= 1"),
+           ("likelihood_variant", lambda v: v in VARIANTS,
+            f"one of {VARIANTS}"))
 
 
 def build_config(file_path: str | Path | None = None,
@@ -119,11 +126,12 @@ def build_config(file_path: str | Path | None = None,
     for layer in layers:
         for key, value in layer.items():
             setattr(config, key, value)
-    if config.likelihood_variant not in VARIANTS:
-        raise ValueError(f"likelihood_variant: expected one of {VARIANTS}, "
-                         f"got {config.likelihood_variant!r}")
     for name, ok, expected in _CHECKS:
         value = getattr(config, name)
         if not ok(value):
             raise ValueError(f"{name}: expected {expected}, got {value!r}")
+    start, end = config.window_start, config.window_end
+    if start is not None and end is not None and start > end:
+        raise ValueError(f"window_start: expected a value <= window_end "
+                         f"({end}), got {start}")
     return config

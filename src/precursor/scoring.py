@@ -13,15 +13,21 @@ which is implemented literally ("verbatim" variant).  The alternate
 "partitioned" variant restricts the (1-C_r) product to A\\Y so that the
 per-topic factors partition A; it exists for sensitivity analysis only.
 
-Grouping the splits by |Z| = k makes the likelihood a polynomial in p,
+Each term has one factor per topic: (1-p) (1-C_r) on A\\Y, and on Y either
+p z_r (r in Z) or (1-p) C_r (r in R), with z_r = 1-C_r (verbatim) or 1
+(partitioned).  The sum over all splits therefore factors as
+
+    L(p) = base * (1-p)^|A\\Y| * prod_{r in Y} (p z_r + (1-p) C_r)
+
+with base = prod_{r in A\\Y} (1-C_r); `likelihood` evaluates this product,
+and `likelihood_sampled` (the paper's split-sampling estimator) estimates
+it.  Grouping the splits by |Z| = k instead makes L(p) a polynomial in p,
 L(p) = base * sum_k c_k p^k (1-p)^(n-k) with n = |A|.  The dyadic score
 gamma is the posterior mean of p under a flat prior, and each term
-integrates to a Beta function, so gamma is computed exactly:
+integrates to a Beta function, so gamma is computed exactly (and uses
+neither likelihood function):
 
     gamma = sum_k c_k B(k+2, n-k+1) / sum_k c_k B(k+1, n-k+1).
-
-`likelihood` (split enumeration) and `likelihood_sampled` (the paper's
-split-sampling estimator) evaluate L(p) itself; gamma uses neither.
 
 The adjusted score omega multiplies gamma by the co-participation
 probability Pr(H); per-blog P and L are means of outgoing and incoming omega
@@ -47,14 +53,12 @@ import numpy as np
 from .corpus import Corpus, post_count
 from .topics import Topic
 
+# Unused here: perfbench/tracing.py reads it at import and labels the gamma
+# calls with |Y| above it `gamma_sampled`.
 EXACT_LIMIT = 15
 MIN_POSTS = 7
 
 VARIANTS = ("verbatim", "partitioned")
-
-
-class TooLargeForExact(Exception):
-    """Exact likelihood enumeration refused; use the sampled estimator."""
 
 
 class DegenerateLikelihood(RuntimeWarning):
@@ -106,50 +110,19 @@ def chance_prob(corpus: Corpus, b: str, b2: str, topic: Topic) -> float:
     return np_b / (np_b + np_b2)
 
 
-def _split_term(p: float, ctx: DyadContext, z_mask: int, variant: str) -> float:
-    """Likelihood contribution of one split of Y (z_mask selects Z)."""
-    y = ctx.y_topics
-    n_z = bin(z_mask).count("1")
-    term = p ** n_z * (1.0 - p) ** (len(ctx.a_topics) - n_z)
-    r_topics = {y[i] for i in range(len(y)) if not (z_mask >> i) & 1}
-    z_topics = {y[i] for i in range(len(y)) if (z_mask >> i) & 1}
-    for r in ctx.a_topics:
-        if r in r_topics:
-            term *= ctx.c[r]
-        elif variant == "verbatim":
-            term *= 1.0 - ctx.c[r]
-        elif r not in z_topics:  # partitioned: only A\Y gets the complement
-            term *= 1.0 - ctx.c[r]
-    return term
-
-
-def _exact_sum(p: float, ctx: DyadContext, variant: str) -> float:
-    return sum(_split_term(p, ctx, mask, variant)
-               for mask in range(1 << len(ctx.y_topics)))
-
-
-def likelihood(p: float, ctx: DyadContext, exact_limit: int = EXACT_LIMIT,
-               variant: str = "verbatim") -> float:
-    """Exact likelihood of gamma = p by full enumeration of splits of Y."""
+def likelihood(p: float, ctx: DyadContext, variant: str = "verbatim") -> float:
+    """Exact likelihood of gamma = p, from its product form over Y."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if len(ctx.y_topics) > exact_limit:
-        raise TooLargeForExact(
-            f"|Y| = {len(ctx.y_topics)} exceeds exact limit {exact_limit}")
-    return _exact_sum(p, ctx, variant)
+    z_fac, r_fac, base = _variant_factors(ctx, variant)
+    rest = len(ctx.a_topics) - len(ctx.y_topics)
+    return float(base * (1.0 - p) ** rest
+                 * np.prod(p * z_fac + (1.0 - p) * r_fac))
 
 
 def likelihood_sampled(p: float, ctx: DyadContext, n_subsets: int, seed: int,
-                       exhaustive: bool = False,
                        variant: str = "verbatim") -> float:
-    """Sampled likelihood: mean split term over uniform splits, times 2^|Y|.
-
-    With exhaustive=True every split is enumerated instead, which reproduces
-    the exact likelihood regardless of |Y| (the slow path used to validate
-    the estimator at the feasibility boundary).
-    """
-    if exhaustive:
-        return _exact_sum(p, ctx, variant)
+    """Sampled likelihood: mean split term over uniform splits, times 2^|Y|."""
     rng = np.random.default_rng(seed)
     z_fac, r_fac, base = _variant_factors(ctx, variant)
     n_y = len(ctx.y_topics)

@@ -1,10 +1,16 @@
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import pytest
 
+from precursor import cli
 from precursor.cli import main
 from precursor.config import PipelineConfig, build_config, parse_config_file
 from precursor.corpus import IngestConfig, corpus_from_records, load_corpus
@@ -60,11 +66,26 @@ class TestConfig:
         ("alpha", 0.0, 0.5), ("beta_days", -1.0, 0.1),
         ("damping", 1.0, 0.99), ("damping", 0.0, 0.01),
         ("bins", 0, 1), ("hex_grid", 0, 1), ("max_ngram_len", 0, 1),
-        ("min_posts", 0, 1)])
+        ("min_posts", 0, 1), ("min_blogs", 0, 1), ("min_blogs", -3, 1),
+        ("min_mean_gap_hours", -0.5, 0.0), ("max_mean_gap_days", 0.0, 0.1),
+        ("min_burst_days", -1.0, 0.0), ("max_total_burst_days", 0.0, 0.5),
+        ("max_total_burst_days", -1.0, 0.5)])
     def test_out_of_range_values_rejected(self, name, bad, good):
         with pytest.raises(ValueError, match=name):
             build_config(overrides={name: bad})
         assert getattr(build_config(overrides={name: good}), name) == good
+
+    def test_inverted_window_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="window_start"):
+            build_config(overrides={"window_start": 10, "window_end": 5})
+        path = tmp_path / "run.cfg"
+        path.write_text("window_end = 5\n")
+        with pytest.raises(ValueError, match="window_start"):
+            build_config(path, {"window_start": 6})
+        for start, end in ((5, 5), (4, 5), (10, None), (None, -3)):
+            cfg = build_config(overrides={"window_start": start,
+                                          "window_end": end})
+            assert (cfg.window_start, cfg.window_end) == (start, end)
 
     def test_out_of_range_value_in_file_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -78,12 +99,94 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config_file(path)
 
-    def test_seed_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("PRECURSOR_SEED", "77")
-        assert PipelineConfig().resolved_seed() == 77
-        assert PipelineConfig(seed=3).resolved_seed() == 3
-        monkeypatch.delenv("PRECURSOR_SEED")
-        assert PipelineConfig().resolved_seed() == 0
+
+FIELD_NAMES = [f.name for f in fields(PipelineConfig)]
+
+
+def field_type(name):
+    """The declared type of a PipelineConfig field, with None stripped."""
+    hint = get_type_hints(PipelineConfig)[name]
+    return next((a for a in get_args(hint) if a is not type(None)), hint)
+
+
+def sample_value(name):
+    """(text, value): a valid non-default setting of the field."""
+    if name == "likelihood_variant":
+        return "partitioned", "partitioned"
+    return {bool: ("true", True), int: ("3", 3), float: ("0.5", 0.5),
+            str: ("x", "x")}[field_type(name)]
+
+
+@pytest.fixture
+def captured_configs(monkeypatch, restore_log_level):
+    """The configs that `main` hands to run_pipeline, which does nothing."""
+    configs = []
+    monkeypatch.setattr(cli, "run_pipeline",
+                        lambda cfg, **kwargs: configs.append(cfg))
+    return configs
+
+
+class TestConfigSurface:
+    """Every PipelineConfig field is settable from `run` and `report` as
+    --kebab-name, and from a config file as snake_name or kebab-name, with
+    the field's type."""
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_no_flags_give_defaults(self, command, captured_configs):
+        assert main([command]) == 0
+        assert captured_configs == [PipelineConfig()]
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    @pytest.mark.parametrize("name", FIELD_NAMES)
+    def test_flag_sets_typed_value(self, command, name, captured_configs):
+        flag = "--" + name.replace("_", "-")
+        text, value = sample_value(name)
+        argv = [command, flag] if value is True else [command, flag, text]
+        assert main(argv) == 0
+        cfg, = captured_configs
+        assert type(getattr(cfg, name)) is type(value)
+        assert cfg == replace(PipelineConfig(), **{name: value})
+        assert cfg != PipelineConfig()
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    @pytest.mark.parametrize("name", [n for n in FIELD_NAMES
+                                      if field_type(n) is bool])
+    def test_bool_flag_takes_no_value(self, command, name, captured_configs):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--" + name.replace("_", "-"), "false"])
+        assert exc.value.code == 2 and not captured_configs
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_variant_flag_has_choices(self, command, captured_configs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--likelihood-variant", "bogus"])
+        assert exc.value.code == 2 and not captured_configs
+        assert "verbatim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling", ["snake", "kebab"])
+    @pytest.mark.parametrize("name", FIELD_NAMES)
+    def test_config_file_sets_typed_value(self, tmp_path, name, spelling):
+        key = name if spelling == "snake" else name.replace("_", "-")
+        text, value = sample_value(name)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {text}\n")
+        parsed = parse_config_file(path)
+        assert parsed == {name: value}
+        assert type(parsed[name]) is type(value)
+        assert build_config(path) == replace(PipelineConfig(), **{name: value})
+
+    @pytest.mark.parametrize("name", [n for n in FIELD_NAMES
+                                      if field_type(n) is bool])
+    def test_config_file_bool_spellings(self, tmp_path, name):
+        path = tmp_path / "run.cfg"
+        for words, value in ((("1", "true", "Yes", "ON"), True),
+                             (("0", "False", "no", "off"), False)):
+            for word in words:
+                path.write_text(f"{name} = {word}\n")
+                assert parse_config_file(path) == {name: value}
+        path.write_text(f"{name} = maybe\n")
+        with pytest.raises(ValueError, match=name):
+            parse_config_file(path)
 
 
 class TestArtifacts:
@@ -352,9 +455,36 @@ class TestCli:
         assert "damping" in capsys.readouterr().err
         assert not workdir.exists()
 
+    @pytest.mark.parametrize("flags, names", [
+        (["--window-start", "10", "--window-end", "5"], ["window_start"]),
+        (["--max-total-burst-days", "-1", "--min-blogs", "-3"],
+         ["max_total_burst_days", "min_blogs"])])
+    def test_bad_window_or_filter_flags_fail_before_any_stage(
+            self, small_corpus_file, tmp_path, capsys, flags, names):
+        workdir = tmp_path / "bad"
+        assert main(["run", "--input", str(small_corpus_file),
+                     "--workdir", str(workdir), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and any(n in err for n in names)
+        assert not workdir.exists()
+
     def test_quiet_flag_drops_info(self, small_corpus_file, tmp_path, caplog):
         assert main(["run", "-q", "--input", str(small_corpus_file),
                      "--workdir", str(tmp_path / "v2"),
                      "--stages", "ingest"]) == 0
         assert (tmp_path / "v2" / "corpus.jsonl").exists()
         assert not precursor_messages(caplog, logging.INFO)
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in
+                                        (REPO / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(REPO / "demos" / demo)],
+                          cwd=REPO, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from precursor.scoring import (DegenerateLikelihood, DyadContext, DyadScore,
-                               ScoringConfig, TooLargeForExact, VARIANTS,
+                               ScoringConfig, VARIANTS,
                                chance_prob, build_dyad_context, eligible_blogs,
                                gamma, global_scores, likelihood,
                                likelihood_sampled, omega, pr_h, score_dyad,
                                score_all_dyads, score_shared_dyads)
 
 from conftest import (brute_force_likelihood, burst_of, corpus_of, grid_gamma,
-                      post, quad_gamma, topic_of)
+                      post, quad_gamma, split_polynomial, topic_of)
 
 
 def ctx_of(n_a, n_y, c_values, b="a", b2="b"):
@@ -81,10 +81,29 @@ class TestLikelihood:
         for p in (0.0, 0.2, 0.9):
             assert likelihood(p, ctx) == pytest.approx(0.5)
 
-    def test_rejects_large_y(self):
-        ctx = ctx_of(16, 16, [0.5] * 16)
-        with pytest.raises(TooLargeForExact):
-            likelihood(0.5, ctx)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_brute_force_at_y16(self, variant):
+        rng = np.random.default_rng(16)
+        ctx = ctx_of(19, 16, rng.uniform(0.05, 0.95, 19))
+        expected = brute_force_likelihood(0.37, ctx.a_topics, ctx.y_topics,
+                                          ctx.c, variant)
+        assert likelihood(0.37, ctx, variant=variant) == \
+            pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n_y", [40, 400])
+    def test_matches_split_polynomial_at_large_y(self, n_y, variant):
+        rng = np.random.default_rng(n_y)
+        n_a = n_y + 5
+        ctx = ctx_of(n_a, n_y, rng.uniform(0.05, 0.95, n_a))
+        coeffs = split_polynomial(ctx.y_topics, ctx.c, variant)
+        base = math.prod(1.0 - ctx.c[r] for r in ctx.a_topics[n_y:])
+        for p in (0.05, 0.3, 0.5, 0.7, 0.95):
+            expected = base * math.fsum(ck * p ** k * (1.0 - p) ** (n_a - k)
+                                        for k, ck in enumerate(coeffs))
+            got = likelihood(p, ctx, variant=variant)
+            assert got > 0
+            assert got == pytest.approx(expected, rel=1e-12)
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(17)
@@ -116,16 +135,20 @@ class TestLikelihoodSampled:
         assert a == b
 
     def test_exhaustive_equals_exact(self):
+        # exhaustive: conftest's enumeration of every split of Y
         rng = np.random.default_rng(4)
         ctx = random_ctx(rng, max_a=6, max_y=6)
-        for p in (0.1, 0.5, 0.9):
-            assert likelihood_sampled(p, ctx, 1, seed=0, exhaustive=True) == \
-                likelihood(p, ctx)
+        for variant in VARIANTS:
+            for p in (0.1, 0.5, 0.9):
+                exhaustive = brute_force_likelihood(
+                    p, ctx.a_topics, ctx.y_topics, ctx.c, variant)
+                assert likelihood(p, ctx, variant=variant) == \
+                    pytest.approx(exhaustive, rel=1e-12, abs=1e-300)
 
     def test_boundary_accuracy(self):
         rng = np.random.default_rng(6)
         ctx = ctx_of(16, 16, rng.uniform(0.35, 0.65, 16))
-        exact = likelihood_sampled(0.5, ctx, 1, seed=0, exhaustive=True)
+        exact = likelihood(0.5, ctx)
         sampled = likelihood_sampled(0.5, ctx, 50_000, seed=1)
         assert sampled == pytest.approx(exact, rel=0.05)
 
@@ -328,7 +351,6 @@ class TestScoreDyads:
         assert eligible_blogs(corpus, 7) == ["a"]
 
     def test_gamma_at_y16_matches_oracle(self):
-        # |Y| = 16 is past the enumeration limit of `likelihood`
         corpus, _ = scored_corpus()
         big = [topic_of(f"t{i}", 100 + 20 * i, 140 + 20 * i,
                         {"a": 100 + 20 * i, "b": 105 + 20 * i})
