@@ -68,15 +68,14 @@ _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-def _coerce(name: str, raw: str):
-    kind = FIELD_TYPES[name]
+def _coerce(raw: str, kind: type):
     if kind is not bool:
         return kind(raw)
     if raw.lower() in _TRUE:
         return True
     if raw.lower() in _FALSE:
         return False
-    raise ValueError(f"{name}: expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -93,7 +92,10 @@ def parse_config_file(path: str | Path) -> dict:
             key = key.strip().replace("-", "_")
             if key not in FIELD_TYPES:
                 raise ValueError(f"{path}:{line_no}: unknown option {key!r}")
-            values[key] = _coerce(key, raw.strip())
+            try:
+                values[key] = _coerce(raw.strip(), FIELD_TYPES[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
     return values
 
 

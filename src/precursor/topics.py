@@ -7,6 +7,14 @@ finds generalizations ahead of it is discarded as a standalone candidate and
 its generalizations are gathered into a topic.  When the found
 generalizations already belong to different topics those topics are merged.
 
+Generalizations are looked up, not scanned for: the bursts are indexed once
+by lemma sequence, and a burst of length n asks the index for its at most
+n(n+1)/2 distinct contiguous sub-sequences, keeping only the bursts later in
+the traversal order whose interval contains its own.  Merging n bursts costs
+O(n · n_max² · bucket) for n-grams of at most n_max lemmas, where bucket is
+the number of bursts sharing one lemma sequence, instead of the n²/2
+pairwise tests a scan of every later burst needs.
+
 A topic is the tuple (n-gram set, start, end) plus bookkeeping: the member
 bursts and, per participating blog, its earliest occurrence time.
 """
@@ -14,6 +22,8 @@ bursts and, per participating blog, its earliest occurrence time.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .bursts import Burst
@@ -51,6 +61,12 @@ def is_generalization(ga: Burst, gb: Burst) -> bool:
     return gb.start <= ga.start and gb.end >= ga.end
 
 
+def _contiguous_subsequences(lemmas: tuple[str, ...]) -> set[tuple[str, ...]]:
+    """Every distinct contiguous piece of lemmas, lemmas itself included."""
+    n = len(lemmas)
+    return {lemmas[a:b] for a in range(n) for b in range(a + 1, n + 1)}
+
+
 def _participations(bursts: list[Burst]) -> dict[str, int]:
     first: dict[str, int] = {}
     for burst in bursts:
@@ -67,17 +83,30 @@ def merge_bursts(bursts: list[Burst], keep_singletons: bool = False) -> list[Top
     Bursts that are never generalized and never generalize anything become
     singleton topics only when keep_singletons is set; by default they are
     dropped, treating topics strictly as merge products.
+
+    The candidates for a burst's generalizations are the later bursts (in
+    the traversal order) whose lemma sequence is one of its contiguous
+    sub-sequences, found through an index from lemma sequence to traversal
+    positions; `is_generalization` then decides each candidate.
     """
     order = sorted(range(len(bursts)),
                    key=lambda i: (-len(bursts[i].ngram),
                                   bursts[i].ngram.lemmas, bursts[i].start))
+    positions: dict[tuple[str, ...], list[int]] = defaultdict(list)
+    for pos, i in enumerate(order):
+        positions[bursts[i].ngram.lemmas].append(pos)
     topic_of: dict[int, int] = {}
     members: dict[int, list[int]] = {}
     discarded: set[int] = set()
     next_tid = 0
 
     for pos, i in enumerate(order):
-        found = [j for j in order[pos + 1:] if is_generalization(bursts[i], bursts[j])]
+        later: list[int] = []
+        for sub in _contiguous_subsequences(bursts[i].ngram.lemmas):
+            bucket = positions.get(sub, ())
+            later.extend(bucket[bisect_right(bucket, pos):])
+        found = [order[p] for p in sorted(later)
+                 if is_generalization(bursts[i], bursts[order[p]])]
         if not found:
             continue
         discarded.add(i)

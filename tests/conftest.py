@@ -131,6 +131,82 @@ def quad_gamma(a_topics, y_topics, c, variant="verbatim"):
     return num / den
 
 
+def _scan_merge(bursts):
+    """The quadratic merge: test every later burst of the traversal order.
+
+    Returns the topic member lists, the topic of each member, the bursts
+    that found generalizations, and how many times two topics were merged.
+    """
+    def generalizes(gb, ga):
+        sub, full = gb.ngram.lemmas, ga.ngram.lemmas
+        return (any(full[k:k + len(sub)] == sub
+                    for k in range(len(full) - len(sub) + 1))
+                and gb.start <= ga.start and gb.end >= ga.end)
+
+    order = sorted(range(len(bursts)),
+                   key=lambda i: (-len(bursts[i].ngram),
+                                  bursts[i].ngram.lemmas, bursts[i].start))
+    topic_of, members, discarded = {}, {}, set()
+    next_tid = conflicts = 0
+    for pos, i in enumerate(order):
+        found = [j for j in order[pos + 1:] if generalizes(bursts[j], bursts[i])]
+        if not found:
+            continue
+        discarded.add(i)
+        existing = sorted({topic_of[j] for j in found if j in topic_of})
+        if existing:
+            target = existing[0]
+            for other in existing[1:]:
+                conflicts += 1
+                for k in members.pop(other):
+                    topic_of[k] = target
+                    members[target].append(k)
+        else:
+            target = next_tid
+            next_tid += 1
+            members[target] = []
+        for j in found:
+            if topic_of.get(j) != target:
+                topic_of[j] = target
+                members[target].append(j)
+    return members, topic_of, discarded, conflicts
+
+
+def scan_merge_conflicts(bursts) -> int:
+    """How many topic merges the quadratic merge of bursts performs."""
+    return _scan_merge(bursts)[3]
+
+
+def brute_force_merge(bursts, keep_singletons: bool = False) -> list[Topic]:
+    """merge_bursts by the quadratic scan, with the same topic bookkeeping."""
+    members, topic_of, discarded, _ = _scan_merge(bursts)
+    groups = [sorted(set(idxs)) for idxs in members.values() if idxs]
+    if keep_singletons:
+        groups += [[i] for i in range(len(bursts))
+                   if i not in topic_of and i not in discarded]
+    topics = []
+    for idxs in groups:
+        burst_list = sorted((bursts[i] for i in idxs),
+                            key=lambda b: (b.start, b.end, b.ngram.lemmas))
+        ngrams = []
+        for b in burst_list:
+            if b.ngram.lemmas not in [n.lemmas for n in ngrams]:
+                ngrams.append(b.ngram)
+        first = {}
+        for b in burst_list:
+            for occ in b.occurrences:
+                first[occ.blog_id] = min(first.get(occ.blog_id, occ.timestamp),
+                                         occ.timestamp)
+        topics.append((min(b.start for b in burst_list),
+                       max(b.end for b in burst_list),
+                       tuple(ngrams), tuple(burst_list), first))
+    topics.sort(key=lambda t: (t[0], t[1], t[2][0].lemmas))
+    return [Topic(topic_id=f"T{seq:04d}", ngrams=ngrams, start=start, end=end,
+                  bursts=burst_list, participations=first)
+            for seq, (start, end, ngrams, burst_list, first)
+            in enumerate(topics, start=1)]
+
+
 def exhaustive_best_partition(times, alpha: float, beta: float):
     """Max rho over every constraint-satisfying split assignment."""
     from precursor.bursts import burst_ratio, min_inter_interval

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from precursor.corpus import DAY, HOUR
 from precursor.bursts import (Burst, FilterConfig, NoSplit, burst_passes,
@@ -85,6 +86,28 @@ class TestDetect:
             if theta.sum() > 0:
                 assert burst_ratio(times, theta) >= 5.0
                 assert min_inter_interval(times, theta) >= 5 * DAY
+
+    @settings(max_examples=300, deadline=None)
+    @given(gaps=st.lists(st.one_of(st.integers(0, 6 * HOUR),
+                                   st.integers(DAY, 40 * DAY)),
+                         min_size=1, max_size=30),
+           alpha=st.floats(0.5, 20.0), beta_days=st.floats(0.1, 20.0))
+    def test_split_invariants(self, gaps, alpha, beta_days):
+        # integer times keep every sum exact, so rho is computed with the
+        # same roundings here and inside detect_bursts
+        times = np.cumsum([0] + gaps).tolist()
+        beta = beta_days * DAY
+        theta = detect_bursts(times, alpha, beta)
+        g = np.diff(times)
+        if theta.any():
+            assert g[theta == 1].min() >= beta
+            assert burst_ratio(times, theta) >= alpha
+        else:
+            # one burst only when no single split is admissible
+            for j in range(g.size):
+                single = np.zeros(g.size, dtype=int)
+                single[j] = 1
+                assert burst_ratio(times, single) < alpha or g[j] < beta
 
     def test_greedy_never_beats_exhaustive(self):
         rng = np.random.default_rng(11)

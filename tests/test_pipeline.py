@@ -99,6 +99,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("key, raw", [("alpha", "abc"), ("bins", "2.5"),
+                                          ("log_bins", "maybe")])
+    def test_badly_typed_value_names_file_line_and_key(self, tmp_path, key,
+                                                       raw):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# comment\n\nbeta_days = 2\n{key} = {raw}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: {key}: ")):
+            parse_config_file(path)
+
 
 FIELD_NAMES = [f.name for f in fields(PipelineConfig)]
 
@@ -467,6 +476,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and any(n in err for n in names)
         assert not workdir.exists()
+
+    def test_badly_typed_config_value_names_file_line_and_key(
+            self, small_corpus_file, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("min_blogs = 3\nalpha = abc\n")
+        workdir = tmp_path / "bad"
+        assert main(["run", "--config", str(path), "--input",
+                     str(small_corpus_file), "--workdir", str(workdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: alpha: ")
+        assert "'abc'" in err and not workdir.exists()
 
     def test_quiet_flag_drops_info(self, small_corpus_file, tmp_path, caplog):
         assert main(["run", "-q", "--input", str(small_corpus_file),

@@ -1,6 +1,12 @@
+from collections import Counter
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from precursor import topics
 from precursor.topics import is_generalization, merge_bursts
 
-from conftest import burst_of
+from conftest import brute_force_merge, burst_of, scan_merge_conflicts
 
 
 class TestIsGeneralization:
@@ -116,3 +122,109 @@ class TestMergeBursts:
                 for m2 in members:
                     if m1 is not m2:
                         assert not is_generalization(m1, m2)
+
+
+# (lemmas, start, length, [(offset, blog), ...]) over a three-word
+# vocabulary with 1 to 7 lemmas and small integer times, so that shared and
+# repeated sub-n-grams, equal starts and nested or equal intervals are common
+RAW_BURST = st.tuples(
+    st.text("abc", min_size=1, max_size=7), st.integers(0, 6),
+    st.integers(0, 6),
+    st.lists(st.tuples(st.integers(0, 6), st.sampled_from(("b1", "b2", "b3"))),
+             min_size=1, max_size=3))
+
+
+@st.composite
+def burst_lists(draw):
+    raw = draw(st.lists(RAW_BURST, max_size=12))
+    if draw(st.booleans()):
+        # two 4-grams open separate topics, one for x y and one for y z;
+        # the 3-gram x y z, traversed later, then finds both
+        x, y, z, p, q = draw(st.permutations("abcde"))
+        t = draw(st.integers(0, 4))
+        raw += [(p + x + y + p, t + 1, 1, [(0, "b1")]),
+                (q + y + z + q, t + 1, 1, [(1, "b2")]),
+                (x + y + z, t + 1, 1, [(0, "b3")]),
+                (x + y, t, 3, [(0, "b1")]), (y + z, t, 3, [(3, "b2")])]
+    bursts = []
+    for k, (lemmas, start, length, occs) in enumerate(raw):
+        end = start + length
+        bursts.append(burst_of(tuple(lemmas), start, end,
+                               [(min(start + dt, end), blog, f"p{k}_{m}")
+                                for m, (dt, blog) in enumerate(sorted(occs))]))
+    return bursts
+
+
+def _pairs(bursts):
+    return [(a, b) for a in bursts for b in bursts if a is not b]
+
+
+# What the generated burst lists must include.
+COVERAGE = {
+    "repeated lemma": lambda bs: any(
+        len(set(b.ngram.lemmas)) < len(b.ngram) for b in bs),
+    "shared sub-n-gram": lambda bs: any(
+        a.ngram != b.ngram and len(a.ngram) > 1 and len(b.ngram) > 1
+        and a.ngram.lemmas[:2] == b.ngram.lemmas[-2:] for a, b in _pairs(bs)),
+    "equal starts": lambda bs: any(
+        a.ngram != b.ngram and a.start == b.start for a, b in _pairs(bs)),
+    "nested intervals": lambda bs: any(
+        a.start < b.start and b.end < a.end for a, b in _pairs(bs)),
+    "equal intervals": lambda bs: any(
+        a.ngram != b.ngram and (a.start, a.end) == (b.start, b.end)
+        for a, b in _pairs(bs)),
+    "generalized n-gram longer than 5": lambda bs: any(
+        len(a.ngram) > 5 and is_generalization(a, b) for a, b in _pairs(bs)),
+    "conflicting topics merged": lambda bs: scan_merge_conflicts(bs) > 0,
+}
+
+
+def test_merge_equals_brute_force_merge():
+    covered = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(burst_lists(), st.booleans())
+    def check(bursts, keep_singletons):
+        assert merge_bursts(bursts, keep_singletons=keep_singletons) == \
+            brute_force_merge(bursts, keep_singletons)
+        covered.update(case for case, holds in COVERAGE.items()
+                       if holds(bursts))
+
+    check()
+    assert covered == set(COVERAGE)
+
+
+def test_merge_checks_only_indexed_candidates(monkeypatch):
+    """Only the bursts sharing a sub-n-gram are tested: a return to the
+    scan of every later burst fails here without any timing."""
+    rng = np.random.default_rng(17)
+    vocab = [f"w{v}" for v in range(12)]
+    bursts = []
+    for _ in range(2000):
+        lemmas = tuple(vocab[v] for v in rng.integers(0, 12, rng.integers(2, 6)))
+        start = int(rng.integers(0, 2000))
+        bursts.append(burst_of(lemmas, start, start + int(rng.integers(0, 400))))
+
+    # later bursts with a shorter contiguous piece of the lemmas, plus the
+    # pairs of bursts with the same lemmas
+    count = Counter(b.ngram.lemmas for b in bursts)
+    candidates = sum(m * (m - 1) // 2 for m in count.values())
+    for b in bursts:
+        lemmas, n = b.ngram.lemmas, len(b.ngram)
+        pieces = {lemmas[i:j] for i in range(n) for j in range(i + 1, n + 1)}
+        candidates += sum(count[p] for p in pieces if p != lemmas)
+
+    checks = hits = 0
+    real = topics.is_generalization
+
+    def counting(ga, gb):
+        nonlocal checks, hits
+        result = real(ga, gb)
+        checks += 1
+        hits += result
+        return result
+
+    monkeypatch.setattr(topics, "is_generalization", counting)
+    assert merge_bursts(bursts)
+    assert 0 < hits <= checks <= candidates
+    assert candidates * 20 < len(bursts) ** 2 / 2
