@@ -60,6 +60,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stage_list(spec: str | None) -> list[str] | None:
+    """--stages as a list of names, with the spaces around each one stripped."""
+    if not spec:
+        return None
+    names = [name.strip() for name in spec.split(",")]
+    for position, name in enumerate(names, start=1):
+        if not name:
+            raise ValueError(f"--stages {spec!r}: entry {position} is empty")
+    return names
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(stream=sys.stderr, format="%(message)s")
@@ -74,8 +85,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             run_pipeline(cfg, stages=["report"])
         else:
-            stages = args.stages.split(",") if args.stages else None
-            run_pipeline(cfg, stages=stages, dry_run=args.dry_run)
+            run_pipeline(cfg, stages=_stage_list(args.stages),
+                         dry_run=args.dry_run)
         return 0
     except (StageError, CorpusError, InfeasibleSpec, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,9 +6,18 @@ verb, adjective or number (the surviving tokens become adjacent).  A window
 is kept only if it contains at least one noun and none of its lemmas is a
 stop word.  Each post contributes at most one occurrence per n-gram.
 
-The occurrence index maps every surviving n-gram to its time-ordered
-occurrence list, with runs of consecutive same-blog occurrences collapsed to
-the earliest one, so that a burst can only be sustained by several blogs.
+An n-gram's identity is its lemma tuple: two windows with the same lemmas
+and different part-of-speech tags are one n-gram.  The occurrence index is
+built in a table keyed by that tuple, so a window costs tuple slices and
+dict lookups, and an `Ngram` is built only for an n-gram that is kept.  The
+words (lemma and tag pairs) an n-gram carries are those of its first-seen
+window: the first post in corpus order that has the lemma tuple, and in
+that post the first window in enumeration order (title chunks, then body
+chunks; start, then end position).
+
+The index maps every surviving n-gram to its time-ordered occurrence list,
+with runs of consecutive same-blog occurrences collapsed to the earliest
+one, so that a burst can only be sustained by several blogs.
 """
 
 from __future__ import annotations
@@ -18,18 +27,19 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .corpus import CONTENT_POS, Corpus, Pos, Post
+from .corpus import CONTENT_POS, Corpus, Pos, Post, collector_paused
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Ngram:
-    """Word sequence; equality and hashing use the lemma sequence only."""
+    """Word sequence; equality and hashing use the lemma sequence only,
+    which is built once, with the n-gram."""
 
     words: tuple[tuple[str, Pos], ...]
+    lemmas: tuple[str, ...] = field(init=False, repr=False)
 
-    @property
-    def lemmas(self) -> tuple[str, ...]:
-        return tuple(w[0] for w in self.words)
+    def __post_init__(self):
+        object.__setattr__(self, "lemmas", tuple([w[0] for w in self.words]))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -95,29 +105,38 @@ def _chunks(post: Post) -> Iterable[tuple[tuple[str, Pos], ...]]:
             yield tuple(current)
 
 
-def enumerate_ngrams(post: Post, config: NgramConfig | None = None) -> set[Ngram]:
-    """All n-grams of one post under the filter rules, deduplicated."""
-    config = config or NgramConfig()
-    found: set[Ngram] = set()
+def _windows(post: Post, config: NgramConfig
+             ) -> dict[tuple[str, ...], tuple[tuple[str, Pos], ...]]:
+    """The post's n-grams as lemma tuple -> words of its first window."""
+    found: dict[tuple[str, ...], tuple[tuple[str, Pos], ...]] = {}
+    stopwords, max_len, noun = config.stopwords, config.max_len, Pos.NOUN
     for survivors in _chunks(post):
+        lemmas = tuple(lemma for lemma, _ in survivors)
         n = len(survivors)
         for start in range(n - 1):
             has_noun = False
-            blocked = False
-            for end in range(start, min(start + config.max_len, n)):
+            for end in range(start, min(start + max_len, n)):
                 lemma, pos = survivors[end]
-                if lemma in config.stopwords:
-                    blocked = True
+                if lemma in stopwords:
                     break
-                if pos is Pos.NOUN:
+                if pos is noun:
                     has_noun = True
-                if end - start >= 1 and has_noun:
-                    found.add(Ngram(survivors[start:end + 1]))
+                if end > start and has_noun:
+                    key = lemmas[start:end + 1]
+                    if key not in found:
+                        found[key] = survivors[start:end + 1]
         # windows that hit a stop word are abandoned at that point; windows
         # starting after the stop word are generated by later start values
     return found
 
 
+def enumerate_ngrams(post: Post, config: NgramConfig | None = None) -> set[Ngram]:
+    """All n-grams of one post under the filter rules, deduplicated."""
+    return {Ngram(words)
+            for words in _windows(post, config or NgramConfig()).values()}
+
+
+@collector_paused
 def build_index(corpus: Corpus,
                 config: NgramConfig | None = None) -> dict[Ngram, list[Occurrence]]:
     """Time-ordered occurrence lists per n-gram.
@@ -125,19 +144,28 @@ def build_index(corpus: Corpus,
     Occurrences are sorted by (timestamp, post_id); a single left-to-right
     pass then drops any occurrence whose blog equals the previous retained
     occurrence's blog, keeping the earliest of each same-blog run.  N-grams
-    with fewer than two retained occurrences are removed.
+    with fewer than two retained occurrences are removed.  Each n-gram keeps
+    the words of its first-seen window.
     """
     config = config or NgramConfig()
-    raw: dict[Ngram, list[Occurrence]] = {}
+    raw: dict[tuple[str, ...], tuple[tuple, list[Occurrence]]] = {}
     for post in corpus.posts:
-        for ngram in enumerate_ngrams(post, config):
-            raw.setdefault(ngram, []).append(
-                Occurrence(post.timestamp, post.blog_id, post.post_id))
+        occ = Occurrence(post.timestamp, post.blog_id, post.post_id)
+        for lemmas, words in _windows(post, config).items():
+            entry = raw.get(lemmas)
+            if entry is None:
+                raw[lemmas] = (words, [occ])
+            else:
+                entry[1].append(occ)
     index: dict[Ngram, list[Occurrence]] = {}
-    for ngram, occs in raw.items():
+    for words, occs in raw.values():
+        if len(occs) < 2:
+            continue
         occs.sort(key=lambda o: (o.timestamp, o.post_id))
-        index[ngram] = collapse_same_blog_runs(occs)
-    return {ng: occs for ng, occs in index.items() if len(occs) >= 2}
+        kept = collapse_same_blog_runs(occs)
+        if len(kept) >= 2:
+            index[Ngram(words)] = kept
+    return index
 
 
 def collapse_same_blog_runs(occs: list[Occurrence]) -> list[Occurrence]:

@@ -3,14 +3,21 @@
 Stages run in a fixed order (ingest, ngrams, bursts, topics, score, network,
 report); each writes its artifacts atomically (temp file + rename) to the
 working directory, so any suffix of the pipeline can be re-run without
-repeating earlier stages.  Within one `run_pipeline` call the corpus is
-parsed once, by the ingest stage or else by the first stage that needs it,
-and handed to the ngrams, score and network stages; every other input is
-read from the artifacts of the preceding stages.  A stage run on its own
-therefore reads `corpus.jsonl` and its other inputs from the working
-directory.  No stage draws random numbers, so re-running a stage with
-unchanged inputs and config reproduces its artifacts byte for byte, whatever
-the seed.
+repeating earlier stages.
+
+Within one `run_pipeline` call each stage hands its result to the stages
+after it in memory: the corpus (parsed once, by the ingest stage or else by
+the first stage that needs it) goes to the ngrams, score and network stages,
+the occurrence index to the bursts stage, the kept bursts to the topics
+stage and the topics to the score stage.  Every artifact is still written,
+and a result is released once no later stage of the call needs it.  A stage
+run on its own, or the first stage of a call that needs an input no earlier
+stage of the call produced, reads that input from the artifact in the
+working directory (`corpus.jsonl`, `index.jsonl`, `bursts.jsonl`,
+`topics.jsonl`).  The network and report stages always read
+`global_scores.csv`.  No stage draws random numbers, so re-running a stage
+with unchanged inputs and config reproduces its artifacts byte for byte,
+whatever the seed.
 """
 
 from __future__ import annotations
@@ -197,13 +204,6 @@ def stage_ingest(cfg: PipelineConfig, workdir: Path) -> Corpus:
     return corpus
 
 
-def _load_corpus_artifact(cfg: PipelineConfig, workdir: Path,
-                          stage: str) -> Corpus:
-    path = workdir / "corpus.jsonl"
-    _require(stage, path)
-    return load_corpus(path, _ingest_config(cfg))
-
-
 def _ngram_config(cfg: PipelineConfig) -> NgramConfig:
     if cfg.stopwords:
         return NgramConfig(max_len=cfg.max_ngram_len,
@@ -211,18 +211,22 @@ def _ngram_config(cfg: PipelineConfig) -> NgramConfig:
     return NgramConfig(max_len=cfg.max_ngram_len)
 
 
-def stage_ngrams(cfg: PipelineConfig, workdir: Path, corpus: Corpus) -> None:
+def stage_ngrams(cfg: PipelineConfig, workdir: Path,
+                 corpus: Corpus) -> dict[Ngram, list[Occurrence]]:
     index = build_index(corpus, _ngram_config(cfg))
     write_index_artifact(index, workdir / "index.jsonl")
     total = sum(len(v) for v in index.values())
     logger.info("[ngrams] %d n-grams kept, %d occurrences", len(index), total)
+    return index
 
 
-def stage_bursts(cfg: PipelineConfig, workdir: Path) -> None:
-    path = workdir / "index.jsonl"
-    _require("bursts", path)
-    index = read_index_artifact(path)
-    detected = detect_all(index, alpha=cfg.alpha, beta=cfg.beta_days * DAY)
+def stage_bursts(cfg: PipelineConfig, workdir: Path,
+                 index: dict[Ngram, list[Occurrence]]) -> list[Burst]:
+    # a burst's blogs are a subset of its n-gram's, so an n-gram with fewer
+    # than min_blogs blogs cannot yield a kept burst and is not examined
+    examined = {ngram: occs for ngram, occs in index.items()
+                if len({o.blog_id for o in occs}) >= cfg.min_blogs}
+    detected = detect_all(examined, alpha=cfg.alpha, beta=cfg.beta_days * DAY)
     filters = FilterConfig(min_blogs=cfg.min_blogs,
                            min_mean_gap=cfg.min_mean_gap_hours * HOUR,
                            max_mean_gap=cfg.max_mean_gap_days * DAY,
@@ -230,18 +234,18 @@ def stage_bursts(cfg: PipelineConfig, workdir: Path) -> None:
                            max_total_duration=cfg.max_total_burst_days * DAY)
     kept = filter_bursts(detected, filters)
     write_bursts_artifact(kept, workdir / "bursts.jsonl")
-    n_detected = sum(len(v) for v in detected.values())
-    logger.info("[bursts] %d detected, %d kept after filters", n_detected,
-                len(kept))
+    logger.info("[bursts] %d n-grams examined, %d bursts detected, %d kept "
+                "after filters", len(examined),
+                sum(len(v) for v in detected.values()), len(kept))
+    return kept
 
 
-def stage_topics(cfg: PipelineConfig, workdir: Path) -> None:
-    path = workdir / "bursts.jsonl"
-    _require("topics", path)
-    bursts = read_bursts_artifact(path)
+def stage_topics(cfg: PipelineConfig, workdir: Path,
+                 bursts: list[Burst]) -> list[Topic]:
     topics = merge_bursts(bursts, keep_singletons=cfg.keep_singletons)
     write_topics_artifact(topics, workdir / "topics.jsonl")
     logger.info("[topics] %d topics from %d bursts", len(topics), len(bursts))
+    return topics
 
 
 def _scoring_config(cfg: PipelineConfig) -> scoring.ScoringConfig:
@@ -249,10 +253,8 @@ def _scoring_config(cfg: PipelineConfig) -> scoring.ScoringConfig:
                                  variant=cfg.likelihood_variant)
 
 
-def stage_score(cfg: PipelineConfig, workdir: Path, corpus: Corpus) -> None:
-    topics_path = workdir / "topics.jsonl"
-    _require("score", topics_path)
-    topics = read_topics_artifact(topics_path)
+def stage_score(cfg: PipelineConfig, workdir: Path, corpus: Corpus,
+                topics: list[Topic]) -> None:
     config = _scoring_config(cfg)
     blogs = scoring.eligible_blogs(corpus, config.min_posts)
     shared = scoring.score_shared_dyads(corpus, topics, blogs, config)
@@ -380,7 +382,25 @@ _STAGE_FUNCS = {"ingest": stage_ingest, "ngrams": stage_ngrams,
                 "bursts": stage_bursts, "topics": stage_topics,
                 "score": stage_score, "network": stage_network,
                 "report": stage_report}
-_CORPUS_STAGES = ("ngrams", "score", "network")
+# the results a stage takes, in argument order after (cfg, workdir), and the
+# one it hands on
+_INPUTS = {"ngrams": ("corpus",), "bursts": ("index",), "topics": ("bursts",),
+           "score": ("corpus", "topics"), "network": ("corpus",)}
+_OUTPUT = {"ingest": "corpus", "ngrams": "index", "bursts": "bursts",
+           "topics": "topics"}
+
+
+def _read_input(name: str, cfg: PipelineConfig, workdir: Path, stage: str):
+    """A stage input no earlier stage of this run produced, from its artifact."""
+    path = workdir / f"{name}.jsonl"
+    _require(stage, path)
+    if name == "corpus":
+        return load_corpus(path, _ingest_config(cfg))
+    if name == "index":
+        return read_index_artifact(path)
+    if name == "bursts":
+        return read_bursts_artifact(path)
+    return read_topics_artifact(path)
 
 
 def run_pipeline(cfg: PipelineConfig, stages: Sequence[str] | None = None,
@@ -397,17 +417,19 @@ def run_pipeline(cfg: PipelineConfig, stages: Sequence[str] | None = None,
             print(f"  {f} = {getattr(cfg, f)}")
         return
     workdir.mkdir(parents=True, exist_ok=True)
-    corpus = None
-    for stage in selected:
+    held: dict[str, object] = {}
+    for i, stage in enumerate(selected):
         start, cpu_start = time.perf_counter(), time.process_time()
-        if stage == "ingest":
-            corpus = stage_ingest(cfg, workdir)
-        elif stage in _CORPUS_STAGES:
-            if corpus is None:
-                corpus = _load_corpus_artifact(cfg, workdir, stage)
-            _STAGE_FUNCS[stage](cfg, workdir, corpus)
-        else:
-            _STAGE_FUNCS[stage](cfg, workdir)
+        inputs = _INPUTS.get(stage, ())
+        for name in inputs:
+            if name not in held:
+                held[name] = _read_input(name, cfg, workdir, stage)
+        output = _STAGE_FUNCS[stage](cfg, workdir,
+                                     *(held[name] for name in inputs))
+        if stage in _OUTPUT:
+            held[_OUTPUT[stage]] = output
+        later = {name for s in selected[i + 1:] for name in _INPUTS.get(s, ())}
+        held = {name: value for name, value in held.items() if name in later}
         logger.debug("[%s] done in %.2f s (cpu %.2f s, peak rss %.1f MiB)",
                      stage, time.perf_counter() - start,
                      time.process_time() - cpu_start,  # ru_maxrss is in KiB

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from precursor.corpus import Corpus, Pos, Post, Token
-from precursor.ngrams import Ngram, Occurrence
+from precursor.corpus import CONTENT_POS, Corpus, Pos, Post, Token
+from precursor.ngrams import Ngram, NgramConfig, Occurrence
 from precursor.bursts import Burst
 from precursor.topics import Topic
 
@@ -129,6 +129,48 @@ def quad_gamma(a_topics, y_topics, c, variant="verbatim"):
     num = quad(lambda p: p * lik(p) / peak, 0.0, 1.0, **opts)[0]
     den = quad(lambda p: lik(p) / peak, 0.0, 1.0, **opts)[0]
     return num / den
+
+
+def brute_force_windows(post, config: NgramConfig):
+    """Every n-gram window of a post as its (lemma, pos) words, duplicates
+    included, in enumeration order: title chunks then body chunks, start
+    position, then length.  Straight from the rules: a chunk's content
+    tokens, any 2..max_len run of them with a noun and no stop word."""
+    for stream in (post.title_tokens, post.body_tokens):
+        for _, chunk in itertools.groupby(stream, key=lambda t: t.chunk):
+            words = [(t.lemma, t.pos) for t in chunk if t.pos in CONTENT_POS]
+            for start in range(len(words)):
+                for end in range(start + 2,
+                                 min(start + config.max_len, len(words)) + 1):
+                    window = tuple(words[start:end])
+                    if (not any(lemma in config.stopwords for lemma, _ in window)
+                            and any(pos is Pos.NOUN for _, pos in window)):
+                        yield window
+
+
+def brute_force_index(corpus, config: NgramConfig):
+    """build_index through a set of Ngram per post and a dict keyed by Ngram.
+
+    Ngram objects are equal when their lemmas are, so the first one added
+    for a lemma sequence (the first post's, and in it the first window's)
+    is the key that keeps its words.
+    """
+    raw: dict[Ngram, list[Occurrence]] = {}
+    for p in corpus.posts:
+        found: set[Ngram] = set()
+        for window in brute_force_windows(p, config):
+            found.add(Ngram(window))
+        for ngram in found:
+            raw.setdefault(ngram, []).append(
+                Occurrence(p.timestamp, p.blog_id, p.post_id))
+    index = {}
+    for ngram, occs in raw.items():
+        occs.sort(key=lambda o: (o.timestamp, o.post_id))
+        kept = [o for k, o in enumerate(occs)
+                if k == 0 or o.blog_id != occs[k - 1].blog_id]
+        if len(kept) >= 2:
+            index[ngram] = kept
+    return index
 
 
 def _scan_merge(bursts):

@@ -1,9 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from precursor.corpus import (DAY, EmptyCorpus, IngestConfig, MalformedRecord,
-                              NonMonotonicWindow, Pos, load_corpus, post_count)
+                              NonMonotonicWindow, Pos, Token,
+                              corpus_from_records, load_corpus, post_count)
+from precursor.pipeline import write_corpus_artifact
 
 from conftest import corpus_of, post, tok
 
@@ -158,3 +163,89 @@ class TestPostCount:
             left = post_count(self.corpus, "a", 10, mid)
             right = post_count(self.corpus, "a", mid + 1, 30)
             assert left + right == post_count(self.corpus, "a", 10, 30)
+
+
+LEMMAS = ("Cat", " dog ", "été", "", "2", "sat")
+TAGS = ("NOUN", "VERB", "ADJ", "NUM", "OTHER", "noun", "XX")
+token_arrays = st.lists(
+    st.tuples(st.sampled_from(LEMMAS), st.sampled_from(TAGS), st.integers(0, 3)),
+    max_size=6).map(lambda raw: [{"l": lemma, "p": tag, "c": chunk}
+                                 for lemma, tag, chunk
+                                 in sorted(raw, key=lambda t: t[2])])
+# None leaves the field out of the record
+text_fields = st.one_of(st.none(), st.just([]), token_arrays)
+bounds = st.one_of(st.none(), st.integers(0, 20))
+
+
+@st.composite
+def records_and_configs(draw):
+    records = []
+    for i, (blog, ts, title, body, links) in enumerate(draw(st.lists(st.tuples(
+            st.sampled_from("abc"), st.integers(0, 20), text_fields, text_fields,
+            st.lists(st.sampled_from(("a", "b", "c", "elsewhere")), max_size=4)),
+            min_size=1, max_size=8))):
+        record = {"post_id": f"p{i}", "blog_id": blog, "timestamp": ts,
+                  "links": links}
+        for name, tokens in (("title", title), ("body", body)):
+            if tokens is not None:
+                record[name] = tokens
+        records.append(record)
+    lo, hi = draw(bounds), draw(bounds)
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    config = IngestConfig(window_start=lo, window_end=hi,
+                          keep_external_links=draw(st.booleans()),
+                          assume_nouns=draw(st.booleans()))
+    return records, config
+
+
+def round_trip_cases(corpus) -> set[str]:
+    posts, report = corpus.posts, corpus.report
+    cases = {
+        "post without title or body tokens": any(
+            not p.title_tokens and not p.body_tokens for p in posts),
+        "title and body tokens": any(
+            p.title_tokens and p.body_tokens for p in posts),
+        "several chunks": any(
+            len({t.chunk for t in p.body_tokens}) > 1 for p in posts),
+        "self link dropped": report.self_links > 0,
+        "external link dropped": report.external_links > 0,
+        "external link kept": any(
+            p.out_links - corpus.blogs for p in posts),
+        "empty lemma dropped": report.empty_lemma_tokens > 0,
+        "unknown tag coerced": report.pos_warnings > 0,
+    }
+    return {case for case, holds in cases.items() if holds}
+
+
+def test_written_corpus_loads_back_equal():
+    covered = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+
+        @settings(max_examples=150, deadline=None)
+        @given(records_and_configs())
+        def check(case):
+            records, config = case
+            try:
+                corpus = corpus_from_records(enumerate(records, start=1), config)
+            except EmptyCorpus:
+                reject()
+            write_corpus_artifact(corpus, path)
+            written = path.read_bytes()
+            reloaded = load_corpus(path, config)
+            assert reloaded.posts == corpus.posts
+            assert reloaded.blogs == corpus.blogs
+            assert reloaded.window == corpus.window
+            assert all(type(t) is Token for p in reloaded.posts
+                       for t in p.title_tokens + p.body_tokens)
+            write_corpus_artifact(reloaded, path)
+            assert path.read_bytes() == written
+            covered.update(round_trip_cases(corpus))
+
+        check()
+    assert covered == {"post without title or body tokens",
+                       "title and body tokens", "several chunks",
+                       "self link dropped", "external link dropped",
+                       "external link kept", "empty lemma dropped",
+                       "unknown tag coerced"}

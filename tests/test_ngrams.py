@@ -1,12 +1,18 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from precursor.corpus import Pos
 from precursor.ngrams import (Ngram, NgramConfig, Occurrence, build_index,
                               collapse_same_blog_runs, default_stopwords,
                               enumerate_ngrams, load_stopwords)
+from precursor.pipeline import write_index_artifact
 
-from conftest import corpus_of, ngram_of, post, tok
+from conftest import (brute_force_index, brute_force_windows, corpus_of,
+                      ngram_of, post, tok)
 
 
 def lemma_sets(ngrams):
@@ -66,6 +72,13 @@ class TestEnumerate:
         assert lemma_sets(enumerate_ngrams(post("p1", "a", 0, body=body),
                                            CFG)) == {"un deux"}
 
+    def test_duplicate_keeps_the_tags_of_its_first_window(self):
+        body = [tok("mot", "VERB", 0), tok("clé", "NOUN", 0),
+                tok("mot", "NOUN", 1), tok("clé", "NOUN", 1)]
+        found = enumerate_ngrams(post("p1", "a", 0, body=body), CFG)
+        assert [n.words for n in found] == [(("mot", Pos.VERB),
+                                             ("clé", Pos.NOUN))]
+
 
 class TestNgramIdentity:
     def test_equality_ignores_pos(self):
@@ -75,6 +88,11 @@ class TestNgramIdentity:
 
     def test_inequality(self):
         assert ngram_of("a", "b") != ngram_of("b", "a")
+
+    def test_lemmas_are_built_once(self):
+        ngram = Ngram((("mot", Pos.NOUN), ("clé", Pos.NOUN)))
+        assert ngram.lemmas == ("mot", "clé")
+        assert ngram.lemmas is ngram.lemmas
 
 
 class TestStopwords:
@@ -151,3 +169,84 @@ class TestIndexProperties:
                     assert a.blog_id != b.blog_id
                     assert a.timestamp <= b.timestamp
                 assert all(lo <= o.timestamp <= hi for o in occs)
+
+
+VOCAB = ("w0", "w1", "w2")
+TAGS = ("NOUN", "NOUN", "VERB", "NUM", "OTHER")
+
+
+token_streams = st.lists(
+    st.tuples(st.sampled_from(VOCAB), st.sampled_from(TAGS), st.integers(0, 2)),
+    max_size=8).map(lambda raw: [tok(lemma, tag, chunk) for lemma, tag, chunk
+                                 in sorted(raw, key=lambda t: t[2])])
+
+
+@st.composite
+def corpora_and_configs(draw):
+    posts = [post(f"p{i}", blog, ts, title=title, body=body)
+             for i, (blog, ts, title, body) in enumerate(draw(st.lists(
+                 st.tuples(st.sampled_from("abc"), st.integers(0, 9),
+                           token_streams, token_streams),
+                 min_size=1, max_size=10)))]
+    config = NgramConfig(max_len=draw(st.integers(2, 5)), stopwords=frozenset(
+        draw(st.sets(st.sampled_from(VOCAB), max_size=1))))
+    return corpus_of(posts), config
+
+
+def index_coverage(corpus, config, index) -> set[str]:
+    """Which of the cases the index property must meet this example has."""
+    first_taggings, taggings_in_one_post, posts = {}, set(), {}
+    for p in corpus.posts:
+        here = {}
+        for words in brute_force_windows(p, config):
+            here.setdefault(tuple(lemma for lemma, _ in words), []).append(words)
+        for lemmas, windows in here.items():
+            first_taggings.setdefault(lemmas, set()).add(windows[0])
+            posts.setdefault(lemmas, []).append(p)
+            if len(set(windows)) > 1:
+                taggings_in_one_post.add(lemmas)
+    kept = {n.lemmas: occs for n, occs in index.items()}
+    cases = {
+        "kept n-gram tagged differently in another post": any(
+            len(first_taggings[lemmas]) > 1 for lemmas in kept),
+        "kept n-gram tagged two ways in one post": any(
+            lemmas in taggings_in_one_post for lemmas in kept),
+        "same-blog run collapsed": any(
+            len(occs) < len(posts[lemmas]) for lemmas, occs in kept.items()),
+        "n-gram dropped by the collapse": any(
+            lemmas not in kept and len(found) > 1
+            and len({p.blog_id for p in found}) == 1
+            for lemmas, found in posts.items()),
+    }
+    return {case for case, holds in cases.items() if holds}
+
+
+INDEX_CASES = {"kept n-gram tagged differently in another post",
+               "kept n-gram tagged two ways in one post",
+               "same-blog run collapsed", "n-gram dropped by the collapse"}
+
+
+def index_table(index):
+    """The index with each n-gram's words made part of what is compared."""
+    return {ngram.lemmas: (ngram.words, occs) for ngram, occs in index.items()}
+
+
+def test_index_equals_brute_force_index():
+    covered = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        fast_path, slow_path = Path(tmp) / "fast.jsonl", Path(tmp) / "slow.jsonl"
+
+        @settings(max_examples=200, deadline=None)
+        @given(corpora_and_configs())
+        def check(case):
+            corpus, config = case
+            index = build_index(corpus, config)
+            expected = brute_force_index(corpus, config)
+            assert index_table(index) == index_table(expected)
+            write_index_artifact(index, fast_path)
+            write_index_artifact(expected, slow_path)
+            assert fast_path.read_bytes() == slow_path.read_bytes()
+            covered.update(index_coverage(corpus, config, index))
+
+        check()
+    assert covered == INDEX_CASES

@@ -4,18 +4,22 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from precursor import cli
 from precursor.cli import main
 from precursor.config import PipelineConfig, build_config, parse_config_file
-from precursor.corpus import IngestConfig, corpus_from_records, load_corpus
-from precursor.ngrams import build_index
-from precursor.bursts import detect_all, filter_bursts
+from precursor.corpus import (DAY, HOUR, IngestConfig, corpus_from_records,
+                              load_corpus)
+from precursor.ngrams import Occurrence, build_index, collapse_same_blog_runs
+from precursor.bursts import FilterConfig, detect_all, filter_bursts
 from precursor.pipeline import (STAGES, StageError, read_bursts_artifact,
                                 read_index_artifact, read_topics_artifact,
                                 run_pipeline, run_synth, write_bursts_artifact,
@@ -23,6 +27,8 @@ from precursor.pipeline import (STAGES, StageError, read_bursts_artifact,
 from precursor.synth import SynthSpec, blog_ids, generate, leader_follower_spec
 from precursor.topics import merge_bursts
 from precursor import pipeline, synth
+
+from conftest import ngram_of
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +367,106 @@ class TestCorpusParsedOnce:
         assert (r.out_of_window > 0) == (window != (None, None))
 
 
+@pytest.fixture
+def artifact_reads(monkeypatch):
+    """How often the index, bursts and topics artifacts are read, by file."""
+    reads = Counter()
+    for name in ("read_index_artifact", "read_bursts_artifact",
+                 "read_topics_artifact"):
+        def counting(path, real=getattr(pipeline, name)):
+            reads[Path(path).name] += 1
+            return real(path)
+        monkeypatch.setattr(pipeline, name, counting)
+    return reads
+
+
+@pytest.mark.usefixtures("restore_log_level")
+class TestInMemoryHandoff:
+    def test_full_run_reads_no_stage_artifact(self, small_corpus_file, tmp_path,
+                                              artifact_reads):
+        run_all(small_corpus_file, tmp_path / "full")
+        assert artifact_reads == {}
+
+    def test_stage_run_alone_reads_its_input_once(
+            self, small_corpus_file, tmp_path, artifact_reads):
+        workdir = run_all(small_corpus_file, tmp_path / "w")
+        before = artifact_bytes(workdir)
+        assert main(["run", "--workdir", str(workdir), "--stages", "bursts"]) == 0
+        assert artifact_reads == {"index.jsonl": 1}
+        artifact_reads.clear()
+        assert main(["run", "--workdir", str(workdir),
+                     "--stages", "bursts,topics,score"]) == 0
+        assert artifact_reads == {"index.jsonl": 1}
+        artifact_reads.clear()
+        assert main(["run", "--workdir", str(workdir),
+                     "--stages", "score,network"]) == 0
+        assert artifact_reads == {"topics.jsonl": 1}
+        artifact_reads.clear()
+        assert main(["run", "--workdir", str(workdir),
+                     "--stages", "topics,network"]) == 0
+        assert artifact_reads == {"bursts.jsonl": 1}
+        assert artifact_bytes(workdir) == before
+
+
+BLOGS = tuple(f"b{i}" for i in range(8))
+
+
+clusters = st.lists(st.tuples(st.integers(0, 40),  # days since the last one
+                               st.lists(st.integers(HOUR, 2 * DAY),
+                                        min_size=2, max_size=12)),
+                     min_size=1, max_size=4)
+
+
+@st.composite
+def occurrence_indexes(draw):
+    """Indexes shaped as build_index makes them (time-ordered, no same-blog
+    runs, two or more occurrences), with occurrences in clusters hours
+    apart, so that some bursts pass the default filters."""
+    index = {}
+    for k in range(draw(st.integers(1, 6))):
+        times, t = [], 0
+        for days, gaps in draw(clusters):
+            t += days * DAY
+            for gap in gaps:
+                t += gap
+                times.append(t)
+        pool = BLOGS[:draw(st.integers(2, len(BLOGS)))]
+        blogs = draw(st.lists(st.sampled_from(pool), min_size=len(times),
+                              max_size=len(times)))
+        occs = collapse_same_blog_runs([Occurrence(t, b, f"n{k}p{i}") for i, (t, b)
+                                        in enumerate(zip(times, blogs))])
+        if len(occs) >= 2:
+            index[ngram_of(f"w{k}", "x")] = occs
+    return index
+
+
+def test_pruned_bursts_stage_keeps_what_full_detection_keeps():
+    """The bursts stage examines only n-grams with min_blogs blogs or more
+    and keeps exactly the bursts that detection over every n-gram keeps."""
+    covered = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        @settings(max_examples=150, deadline=None)
+        @given(occurrence_indexes(), st.integers(1, 6))
+        def check(index, min_blogs):
+            cfg = PipelineConfig(workdir=tmp, min_blogs=min_blogs)
+            kept = pipeline.stage_bursts(cfg, Path(tmp), index)
+            detected = detect_all(index)
+            assert kept == filter_bursts(detected, FilterConfig(min_blogs=min_blogs))
+            assert read_bursts_artifact(Path(tmp) / "bursts.jsonl") == kept
+            pruned = [n for n, occs in index.items()
+                      if len({o.blog_id for o in occs}) < min_blogs]
+            capped = [n for n, bursts in detected.items()
+                      if sum(b.duration for b in bursts) > 30 * DAY]
+            covered.update(case for case, holds in (
+                ("bursts kept", kept), ("n-grams pruned", pruned),
+                ("kept next to pruned", kept and pruned),
+                ("n-gram over the total-duration cap", capped)) if holds)
+
+        check()
+    assert covered == {"bursts kept", "n-grams pruned", "kept next to pruned",
+                       "n-gram over the total-duration cap"}
+
+
 class TestSynthRunner:
     def test_spec_file_to_corpus(self, tmp_path):
         spec = {"n_blogs": 8, "window_days": 30, "base_rate": 0.5, "seed": 2,
@@ -404,6 +510,24 @@ class TestCli:
         assert main(["run", "--workdir", str(tmp_path / "void"),
                      "--stages", "score"]) == 1
         assert "[score]" in capsys.readouterr().err
+
+    def test_stage_names_may_have_spaces(self, small_corpus_file, tmp_path):
+        workdir = tmp_path / "spaced"
+        assert main(["run", "--input", str(small_corpus_file), "--workdir",
+                     str(workdir), "--stages", " ingest , ngrams"]) == 0
+        assert (workdir / "index.jsonl").exists()
+        assert not (workdir / "bursts.jsonl").exists()
+
+    @pytest.mark.parametrize("stages, position", [
+        ("ingest,", 2), (",ngrams", 1), ("ingest, ,ngrams", 2)])
+    def test_empty_stage_entry_is_named(self, small_corpus_file, tmp_path,
+                                        capsys, stages, position):
+        workdir = tmp_path / "empty"
+        assert main(["run", "--input", str(small_corpus_file), "--workdir",
+                     str(workdir), "--stages", stages]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --stages {stages!r}: entry {position} is empty\n")
+        assert not workdir.exists()
 
     def test_synth_subcommand(self, tmp_path):
         spec = {"n_blogs": 6, "window_days": 20, "base_rate": 0.5, "seed": 1,
