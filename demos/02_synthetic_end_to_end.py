@@ -33,11 +33,15 @@ with open(out / "run" / "topics.jsonl") as fh:
     n_topics = sum(1 for _ in fh)
 print("\ndetected topics:", n_topics)
 
+# the file lists only the dyads that share a topic; any other eligible pair
+# has the fixed row below
+no_shared_topic = {"a_size": "0", "y_size": "0", "gamma": "0.5",
+                   "pr_h": "0.0", "omega": "0.0"}
 with open(out / "run" / "dyadic_scores.csv") as fh:
     rows = {(r["b"], r["b2"]): r for r in csv.DictReader(fh)}
 
-fwd = rows[("blog_000", "blog_001")]
-rev = rows[("blog_001", "blog_000")]
+fwd = rows.get(("blog_000", "blog_001"), no_shared_topic)
+rev = rows.get(("blog_001", "blog_000"), no_shared_topic)
 print("\nplanted direction  gamma=%.3f omega=%.4f (|A|=%s, |Y|=%s)"
       % (float(fwd["gamma"]), float(fwd["omega"]), fwd["a_size"],
          fwd["y_size"]))

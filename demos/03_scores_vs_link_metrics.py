@@ -17,7 +17,7 @@ from precursor.corpus import IngestConfig, corpus_from_records
 from precursor.network import build_graph, in_degrees, pagerank
 from precursor.ngrams import build_index
 from precursor.scoring import (ScoringConfig, eligible_blogs, global_scores,
-                               score_all_dyads)
+                               score_shared_dyads)
 from precursor.topics import merge_bursts
 
 spec = synth.leader_follower_spec(n_blogs=16, n_topics=10, window_days=55,
@@ -26,8 +26,8 @@ records, _ = synth.generate(spec)
 corpus = corpus_from_records(enumerate(records, 1), IngestConfig())
 
 topics = merge_bursts(filter_bursts(detect_all(build_index(corpus))))
-scores = score_all_dyads(corpus, topics, ScoringConfig())
 blogs = eligible_blogs(corpus, 7)
+scores = score_shared_dyads(corpus, topics, blogs, ScoringConfig())
 pl = global_scores(scores, blogs)
 
 graph = build_graph(corpus)

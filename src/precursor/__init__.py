@@ -20,7 +20,7 @@ from .bursts import (Burst, FilterConfig, NoSplit, burst_ratio, detect_bursts,
 from .topics import Topic, is_generalization, merge_bursts
 from .scoring import (DyadContext, DyadScore, ScoringConfig, chance_prob,
                       gamma, global_scores, likelihood, likelihood_sampled,
-                      omega, pr_h, score_all_dyads)
+                      omega, pr_h, score_shared_dyads)
 from .network import CitationGraph, build_graph, in_degree, pagerank
 from .analysis import (ClassPartition, binned_summary, classify, corner_lists,
                        hexbin, significance_table, wilcoxon_rank_sum)

@@ -29,7 +29,9 @@ class PipelineConfig:
     window_end: int | None = None
     assume_nouns: bool = _key(False,
                               "treat every token as a noun (untagged corpora)")
-    keep_external_links: bool = False
+    keep_external_links: bool = _key(
+        False, "keep links to blogs that never post in the corpus (they "
+               "join the citation graph as nodes)")
     # ngrams
     max_ngram_len: int = 5
     stopwords: str | None = _key(None,

@@ -132,8 +132,26 @@ def _parse_timestamp(raw, line: int) -> int:
     raise MalformedRecord(line, f"bad timestamp {raw!r}")
 
 
-def _parse_tokens(raw, line: int, config: IngestConfig,
-                  report: LoadReport) -> tuple[Token, ...]:
+def _normalise_token(lemma: str, tag: str, chunk: int,
+                     config: IngestConfig) -> tuple[Token | None, bool]:
+    """The token for raw (lemma, tag, chunk) values, None for an empty lemma,
+    and whether the tag was coerced to OTHER."""
+    lemma = lemma.strip().lower()
+    if not lemma:
+        return None, False
+    if config.assume_nouns:
+        return Token(lemma, Pos.NOUN, chunk), False
+    pos = _POS_BY_NAME.get(tag.upper())
+    if pos is None:
+        return Token(lemma, Pos.OTHER, chunk), True
+    return Token(lemma, pos, chunk), False
+
+
+def _parse_tokens(raw, line: int, config: IngestConfig, report: LoadReport,
+                  table: dict) -> tuple[Token, ...]:
+    """Tokens of one title or body; `table` maps raw (lemma, tag, chunk)
+    values to their `_normalise_token` result, so one `Token` is shared by
+    every occurrence of a distinct token."""
     if raw is None:
         return ()
     if not isinstance(raw, list):
@@ -143,23 +161,24 @@ def _parse_tokens(raw, line: int, config: IngestConfig,
     for item in raw:
         if not isinstance(item, dict):
             raise MalformedRecord(line, "token object expected")
-        lemma = str(item.get("l", "")).strip().lower()
-        if not lemma:
+        try:
+            key = (str(item.get("l", "")), str(item.get("p", "")),
+                   int(item.get("c", 0)))
+        except (TypeError, ValueError, OverflowError):
+            raise MalformedRecord(
+                line, f"bad chunk index {item.get('c')!r}") from None
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = _normalise_token(*key, config)
+        token, coerced = entry
+        if token is None:
             report.empty_lemma_tokens += 1
             continue
-        if config.assume_nouns:
-            pos = Pos.NOUN
-        else:
-            tag = str(item.get("p", "")).upper()
-            pos = _POS_BY_NAME.get(tag)
-            if pos is None:
-                pos = Pos.OTHER
-                report.pos_warnings += 1
-        chunk = int(item.get("c", 0))
-        if prev_chunk is not None and chunk < prev_chunk:
+        report.pos_warnings += coerced
+        if prev_chunk is not None and token.chunk < prev_chunk:
             raise MalformedRecord(line, "chunk indices must be non-decreasing")
-        prev_chunk = chunk
-        tokens.append(Token(lemma, pos, chunk))
+        prev_chunk = token.chunk
+        tokens.append(token)
     return tuple(tokens)
 
 
@@ -214,6 +233,7 @@ def corpus_from_records(records: Iterable[tuple[int, dict]],
     report = LoadReport()
     parsed: list[tuple[Post, list[str]]] = []
     seen_ids: set[str] = set()
+    token_table: dict = {}
     for line_no, record in records:
         report.records_read += 1
         post_id = record.get("post_id")
@@ -228,8 +248,10 @@ def corpus_from_records(records: Iterable[tuple[int, dict]],
             raise MalformedRecord(line_no, f"duplicate post_id {post_id!r}")
         seen_ids.add(post_id)
         ts = _parse_timestamp(record["timestamp"], line_no)
-        title = _parse_tokens(record.get("title"), line_no, config, report)
-        body = _parse_tokens(record.get("body"), line_no, config, report)
+        title = _parse_tokens(record.get("title"), line_no, config, report,
+                              token_table)
+        body = _parse_tokens(record.get("body"), line_no, config, report,
+                             token_table)
         links = record.get("links") or []
         if not isinstance(links, list):
             raise MalformedRecord(line_no, "links array expected")

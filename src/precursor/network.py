@@ -1,7 +1,9 @@
 """Blog citation graph and structural popularity metrics.
 
 The graph is built from post-level citation links (self-links were already
-dropped at ingest).  In-degree counts distinct citing blogs; PageRank runs
+dropped at ingest).  Its nodes are the corpus blogs and every cited blog,
+so links kept to blogs outside the corpus (`keep_external_links`) add
+nodes too.  In-degree counts distinct citing blogs; PageRank runs
 on the binarized edge set with uniform teleport and uniform redistribution
 of dangling mass.
 """
@@ -27,7 +29,7 @@ class NotConverged(RuntimeWarning):
 
 @dataclass
 class CitationGraph:
-    nodes: tuple[str, ...]  # sorted blog ids
+    nodes: tuple[str, ...]  # sorted ids of the corpus and cited blogs
     weights: Counter = field(default_factory=Counter)  # (src, dst) -> posts citing
 
     def edges(self) -> list[tuple[str, str, int]]:
@@ -39,7 +41,9 @@ def build_graph(corpus: Corpus) -> CitationGraph:
     for post in corpus.posts:
         for target in post.out_links:
             weights[(post.blog_id, target)] += 1
-    return CitationGraph(nodes=tuple(sorted(corpus.blogs)), weights=weights)
+    cited = {target for _, target in weights}
+    return CitationGraph(nodes=tuple(sorted(corpus.blogs | cited)),
+                         weights=weights)
 
 
 def in_degree(graph: CitationGraph, blog: str) -> int:

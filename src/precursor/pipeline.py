@@ -18,6 +18,10 @@ working directory (`corpus.jsonl`, `index.jsonl`, `bursts.jsonl`,
 `global_scores.csv`.  No stage draws random numbers, so re-running a stage
 with unchanged inputs and config reproduces its artifacts byte for byte,
 whatever the seed.
+
+`dyadic_scores.csv` lists only the ordered pairs of eligible blogs that
+share a topic (|A| > 0), in (b, b2) order.  Every absent eligible pair has
+the fixed row a_size = y_size = 0, gamma = 0.5, pr_h = 0.0, omega = 0.0.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ import logging
 import os
 import resource
 import time
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import analysis, network, scoring, svg, synth
 from .bursts import Burst, FilterConfig, detect_all, filter_bursts
 from .config import PipelineConfig
-from .corpus import DAY, HOUR, Corpus, IngestConfig, Pos, Post, load_corpus
+from .corpus import DAY, HOUR, Corpus, IngestConfig, Pos, Token, load_corpus
 from .ngrams import Ngram, NgramConfig, Occurrence, build_index, load_stopwords
 from .topics import Topic, merge_bursts
 
@@ -64,19 +69,34 @@ def _require(stage: str, *paths: Path) -> None:
 
 # ---------------------------------------------------------------- artifacts
 
-def _post_record(post: Post) -> dict:
-    def toks(tokens):
-        return [{"l": t.lemma, "p": t.pos.value, "c": t.chunk} for t in tokens]
-    return {"post_id": post.post_id, "blog_id": post.blog_id,
-            "timestamp": post.timestamp, "title": toks(post.title_tokens),
-            "body": toks(post.body_tokens), "links": sorted(post.out_links)}
+class _TokenJson(dict):
+    """A token's JSON object, encoded on first use and kept for the rest."""
+
+    def __missing__(self, token: Token) -> str:
+        text = self[token] = '{"c": %d, "l": %s, "p": %s}' % (
+            token.chunk, encode_basestring(token.lemma),
+            encode_basestring(token.pos.value))
+        return text
 
 
 def write_corpus_artifact(corpus: Corpus, path: Path) -> None:
+    """One line per post, in corpus order, holding its ids, timestamp,
+    title and body tokens ({"c": chunk, "l": lemma, "p": tag}) and sorted
+    links, as `json.dumps(..., sort_keys=True, ensure_ascii=False)` writes
+    them.  Each distinct token's object is encoded once."""
+    line = ('{"blog_id": %s, "body": [%s], "links": [%s], "post_id": %s, '
+            '"timestamp": %d, "title": [%s]}\n')
+    fragments = _TokenJson().__getitem__
+    join = ", ".join
+
     def writer(fh):
         for post in corpus.posts:
-            fh.write(json.dumps(_post_record(post), sort_keys=True,
-                                ensure_ascii=False) + "\n")
+            fh.write(line % (
+                encode_basestring(post.blog_id),
+                join(map(fragments, post.body_tokens)),
+                join(map(encode_basestring, sorted(post.out_links))),
+                encode_basestring(post.post_id), post.timestamp,
+                join(map(fragments, post.title_tokens))))
     _atomic_write(path, writer)
 
 
@@ -261,7 +281,7 @@ def stage_score(cfg: PipelineConfig, workdir: Path, corpus: Corpus,
     _write_csv(workdir / "dyadic_scores.csv",
                ["b", "b2", "a_size", "y_size", "gamma", "pr_h", "omega"],
                ([s.b, s.b2, s.a_size, s.y_size, s.gamma, s.pr_h, s.omega]
-                for s in scoring.all_dyads(blogs, shared)))
+                for s in shared))
     pl = scoring.global_scores(shared, blogs)
     _write_csv(workdir / "global_scores.csv", ["blog_id", "P", "L"],
                [[b, pl[b][0], pl[b][1]] for b in blogs])

@@ -35,10 +35,11 @@ over all eligible dyads.
 
 Only co-participating dyads (|A| > 0) are computed, from one pass over the
 topics (`score_shared_dyads`), so the work grows with the number of such
-dyads rather than with the square of the number of blogs.  Every other dyad
-is fixed by definition at gamma = 0.5 (the flat prior's mean), Pr(H) = 0 and
-omega = 0.  `build_dyad_context`, `pr_h` and `score_dyad` compute one dyad
-at a time and serve as the reference.
+dyads rather than with the square of the number of blogs, and only they are
+listed in `dyadic_scores.csv`.  Every absent eligible pair has by definition
+the fixed row |A| = |Y| = 0, gamma = 0.5 (the flat prior's mean), Pr(H) = 0
+and omega = 0.  `build_dyad_context`, `pr_h` and `score_dyad` compute one
+dyad at a time and serve as the reference.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -305,29 +306,6 @@ def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
                                 y_size=len(y_topics), gamma=g, pr_h=h,
                                 omega=omega(g, h)))
     return scores
-
-
-def all_dyads(blogs: Sequence[str],
-              shared: Iterable[DyadScore]) -> Iterator[DyadScore]:
-    """Every ordered pair of `blogs` in (b, b2) order: the scores in `shared`,
-    and the fixed no-shared-topic row (gamma 0.5, Pr(H) 0, omega 0) for
-    every other pair."""
-    by_pair = {(s.b, s.b2): s for s in shared}
-    for b in blogs:
-        for b2 in blogs:
-            if b != b2:
-                yield by_pair.get((b, b2)) or DyadScore(
-                    b=b, b2=b2, a_size=0, y_size=0, gamma=0.5, pr_h=0.0,
-                    omega=0.0)
-
-
-def score_all_dyads(corpus: Corpus, topics: Sequence[Topic],
-                    config: ScoringConfig | None = None) -> list[DyadScore]:
-    """Score every ordered pair of eligible blogs, in (b, b2) order."""
-    config = config or ScoringConfig()
-    blogs = eligible_blogs(corpus, config.min_posts)
-    return list(all_dyads(blogs, score_shared_dyads(corpus, topics, blogs,
-                                                    config)))
 
 
 def global_scores(dyad_scores: Sequence[DyadScore],

@@ -9,6 +9,7 @@ code with.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -129,6 +130,17 @@ def quad_gamma(a_topics, y_topics, c, variant="verbatim"):
     num = quad(lambda p: p * lik(p) / peak, 0.0, 1.0, **opts)[0]
     den = quad(lambda p: lik(p) / peak, 0.0, 1.0, **opts)[0]
     return num / den
+
+
+def reference_corpus_line(post: Post) -> str:
+    """A post's `corpus.jsonl` line: one dict per token and per post, encoded
+    by `json.dumps` with sorted keys."""
+    def toks(tokens):
+        return [{"l": t.lemma, "p": t.pos.value, "c": t.chunk} for t in tokens]
+    record = {"post_id": post.post_id, "blog_id": post.blog_id,
+              "timestamp": post.timestamp, "title": toks(post.title_tokens),
+              "body": toks(post.body_tokens), "links": sorted(post.out_links)}
+    return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def brute_force_windows(post, config: NgramConfig):

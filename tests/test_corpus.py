@@ -10,7 +10,7 @@ from precursor.corpus import (DAY, EmptyCorpus, IngestConfig, MalformedRecord,
                               corpus_from_records, load_corpus, post_count)
 from precursor.pipeline import write_corpus_artifact
 
-from conftest import corpus_of, post, tok
+from conftest import corpus_of, post, reference_corpus_line, tok
 
 
 def write_lines(path, records):
@@ -128,6 +128,40 @@ class TestLoadCorpus:
                                       {"l": "y", "p": "NOUN", "c": 0}])])
         with pytest.raises(MalformedRecord):
             load_corpus(path)
+
+    def test_repeated_token_is_one_object_counted_each_time(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        raw = [{"l": " Mot", "p": "XYZ", "c": 0}, {"l": "", "p": "NOUN", "c": 0},
+               {"l": "chat", "p": "noun", "c": 1}]
+        write_lines(path, [rec("p1", "a", 10, body=raw),
+                           rec("p2", "b", 20, body=[raw[1], raw[0], raw[2]])])
+        corpus = load_corpus(path)
+        (mot, chat), (mot2, chat2) = (p.body_tokens for p in corpus.posts)
+        assert mot == Token("mot", Pos.OTHER, 0) and mot is mot2
+        assert chat == Token("chat", Pos.NOUN, 1) and chat is chat2
+        assert corpus.report.pos_warnings == 2
+        assert corpus.report.empty_lemma_tokens == 2
+
+    def test_decreasing_chunk_of_a_seen_token_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_lines(path, [rec("p1", "a", 10,
+                                body=[{"l": "y", "p": "NOUN", "c": 0}]),
+                           rec("p2", "a", 20,
+                               body=[{"l": "x", "p": "NOUN", "c": 1},
+                                     {"l": "y", "p": "NOUN", "c": 0}])])
+        with pytest.raises(MalformedRecord) as err:
+            load_corpus(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("chunk", ["one", None, [1]])
+    def test_bad_chunk_index_reports_line(self, tmp_path, chunk):
+        path = tmp_path / "c.jsonl"
+        write_lines(path, [rec("p1", "a", 10),
+                           rec("p2", "a", 20,
+                               body=[{"l": "", "p": "NOUN", "c": chunk}])])
+        with pytest.raises(MalformedRecord, match="chunk") as err:
+            load_corpus(path)
+        assert err.value.line == 2
 
     def test_deterministic(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -249,3 +283,66 @@ def test_written_corpus_loads_back_equal():
                        "self link dropped", "external link dropped",
                        "external link kept", "empty lemma dropped",
                        "unknown tag coerced"}
+
+
+# characters JSON escapes, or that only ensure_ascii would escape
+TRICKY = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é",
+                          "\u2028", "\u2029", "漢", "\U0001f600", " "])
+json_text = st.text(st.one_of(TRICKY, st.characters(
+    blacklist_categories=("Cs",))), max_size=6)
+
+
+@st.composite
+def written_corpora(draw):
+    """Posts with ids, lemmas and links drawn from JSON-tricky text; the
+    lemmas come from a small pool, so tokens repeat across posts."""
+    lemmas = draw(st.lists(json_text, min_size=1, max_size=4))
+    tokens = st.lists(st.tuples(st.sampled_from(lemmas), st.sampled_from(Pos),
+                                st.integers(0, 3)), max_size=5).map(
+        lambda raw: [Token(*t) for t in sorted(raw, key=lambda t: t[2])])
+    return corpus_of([
+        post(f"{draw(json_text)}#{i}", draw(json_text),
+             draw(st.integers(-2 ** 40, 2 ** 40)), body=draw(tokens),
+             title=draw(tokens), links=set(draw(st.lists(json_text,
+                                                         max_size=4))))
+        for i in range(draw(st.integers(1, 6)))])
+
+
+def written_cases(corpus) -> set[str]:
+    posts = corpus.posts
+    texts = "".join(p.post_id + p.blog_id + "".join(p.out_links) + "".join(
+        t.lemma for t in p.title_tokens + p.body_tokens) for p in posts)
+    cases = {
+        "empty title or body": any(
+            not p.title_tokens or not p.body_tokens for p in posts),
+        "several chunks": any(
+            len({t.chunk for t in p.body_tokens}) > 1 for p in posts),
+        "no links": any(not p.out_links for p in posts),
+        "several links": any(len(p.out_links) > 1 for p in posts),
+        "repeated token": any(
+            len(p.body_tokens) > len(set(p.body_tokens)) for p in posts),
+    }
+    cases.update({f"text with {c!r}": c in texts
+                  for c in ('"', "\\", "\x00", "\u2028", "é")})
+    return {case for case, holds in cases.items() if holds}
+
+
+def test_written_corpus_lines_equal_the_json_dumps_reference():
+    covered = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+
+        @settings(max_examples=200, deadline=None)
+        @given(written_corpora())
+        def check(corpus):
+            write_corpus_artifact(corpus, path)
+            assert path.read_text(encoding="utf-8") == "".join(
+                reference_corpus_line(p) for p in corpus.posts)
+            covered.update(written_cases(corpus))
+
+        check()
+    assert covered == {"empty title or body", "several chunks", "no links",
+                       "several links", "repeated token",
+                       "text with '\"'", "text with '\\\\'",
+                       "text with '\\x00'", "text with '\\u2028'",
+                       "text with 'é'"}

@@ -76,6 +76,19 @@ class TestPageRank:
             for blog in graph.nodes:
                 assert ranks[blog] == pytest.approx(expected[blog], abs=1e-8)
 
+    def test_external_target_is_a_node(self):
+        # "outside" is cited but never posts, as under keep_external_links
+        graph = build_graph(corpus_of([
+            post("p1", "a", 1, links={"outside", "b"}),
+            post("p2", "b", 2, links={"a"}), post("p3", "c", 3)]))
+        assert graph.nodes == ("a", "b", "c", "outside")
+        assert in_degrees(graph)["outside"] == 1
+        ranks = pagerank(graph)
+        expected = pagerank_linear(graph)
+        assert sum(ranks.values()) == pytest.approx(1.0, abs=1e-9)
+        for blog in graph.nodes:
+            assert ranks[blog] == pytest.approx(expected[blog], abs=1e-8)
+
     def test_relabeling_invariance(self):
         links = {"a": ["b", "c"], "b": ["c"], "c": ["a"]}
         renamed = {"x": ["y", "z"], "y": ["z"], "z": ["x"]}

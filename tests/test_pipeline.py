@@ -41,6 +41,13 @@ def small_corpus_file(tmp_path_factory):
     return path
 
 
+def eligible_from_artifact(workdir, min_posts=7):
+    """Blogs with at least min_posts lines in the workdir's corpus.jsonl."""
+    with open(workdir / "corpus.jsonl", encoding="utf-8") as fh:
+        counts = Counter(json.loads(line)["blog_id"] for line in fh)
+    return sorted(b for b, n in counts.items() if n >= min_posts)
+
+
 def run_all(corpus_file, workdir, jobs=1, seed=1):
     cfg = PipelineConfig(input=str(corpus_file), workdir=str(workdir),
                          seed=seed, jobs=jobs)
@@ -268,6 +275,23 @@ class TestRunPipeline:
         w2 = run_all(small_corpus_file, tmp_path / "s2", seed=2)
         for name in ("dyadic_scores.csv", "global_scores.csv"):
             assert (w1 / name).read_bytes() == (w2 / name).read_bytes()
+
+    def test_dyadic_scores_list_exactly_the_coparticipating_pairs(
+            self, small_corpus_file, tmp_path):
+        workdir = run_all(small_corpus_file, tmp_path / "sparse")
+        eligible = set(eligible_from_artifact(workdir))
+        expected = set()
+        with open(workdir / "topics.jsonl", encoding="utf-8") as fh:
+            for line in fh:
+                members = eligible & set(json.loads(line)["participations"])
+                expected |= {(b, b2) for b in members for b2 in members
+                             if b != b2}
+        rows = (workdir / "dyadic_scores.csv").read_text().splitlines()
+        assert rows[0] == "b,b2,a_size,y_size,gamma,pr_h,omega"
+        pairs = [tuple(row.split(",")[:2]) for row in rows[1:]]
+        assert pairs == sorted(expected)
+        # the fixture has eligible pairs both with and without shared topics
+        assert 0 < len(expected) < len(eligible) * (len(eligible) - 1)
 
     def test_dry_run_writes_nothing(self, small_corpus_file, tmp_path, capsys):
         workdir = tmp_path / "dry"
@@ -529,6 +553,20 @@ class TestCli:
             f"error: --stages {stages!r}: entry {position} is empty\n")
         assert not workdir.exists()
 
+    def test_kept_external_link_joins_the_graph(self, tmp_path):
+        corpus_file = tmp_path / "c.jsonl"
+        corpus_file.write_text(
+            '{"post_id": "p1", "blog_id": "a", "timestamp": 100, '
+            '"links": ["outside"]}\n'
+            '{"post_id": "p2", "blog_id": "b", "timestamp": 200, '
+            '"links": ["a"]}\n')
+        workdir = tmp_path / "ext"
+        assert main(["run", "--input", str(corpus_file), "--workdir",
+                     str(workdir), "--keep-external-links",
+                     "--min-posts", "1"]) == 0
+        edges = (workdir / "graph_edges.csv").read_text().splitlines()
+        assert edges == ["source,target,count", "a,outside,1", "b,a,1"]
+
     def test_synth_subcommand(self, tmp_path):
         spec = {"n_blogs": 6, "window_days": 20, "base_rate": 0.5, "seed": 1,
                 "topics": []}
@@ -576,9 +614,11 @@ class TestCli:
         score_line, = [line for line in precursor_messages(caplog, logging.INFO)
                        if line.startswith("[score]")]
         rows = (tmp_path / "v3" / "dyadic_scores.csv").read_text().splitlines()
-        n_shared = sum(1 for row in rows[1:] if row.split(",")[2] != "0")
-        assert score_line.startswith(f"[score] {len(rows) - 1} dyads scored")
-        assert score_line.endswith(f"({n_shared} with shared topics)")
+        eligible = eligible_from_artifact(tmp_path / "v3")
+        assert score_line.startswith(
+            f"[score] {len(eligible) * (len(eligible) - 1)} dyads scored "
+            f"over {len(eligible)} eligible blogs")
+        assert score_line.endswith(f"({len(rows) - 1} with shared topics)")
 
     def test_out_of_range_flag_fails_before_any_stage(
             self, small_corpus_file, tmp_path, capsys):

@@ -9,7 +9,7 @@ from precursor.scoring import (DegenerateLikelihood, DyadContext, DyadScore,
                                chance_prob, build_dyad_context, eligible_blogs,
                                gamma, global_scores, likelihood,
                                likelihood_sampled, omega, pr_h, score_dyad,
-                               score_all_dyads, score_shared_dyads)
+                               score_shared_dyads)
 
 from conftest import (brute_force_likelihood, burst_of, corpus_of, grid_gamma,
                       post, quad_gamma, split_polynomial, topic_of)
@@ -338,8 +338,9 @@ class TestGlobalScores:
     def test_blog_without_topics_scores_zero(self):
         corpus, topics = scored_corpus()
         config = ScoringConfig(min_posts=7)
-        scores = score_all_dyads(corpus, topics, config)
-        result = global_scores(scores, eligible_blogs(corpus, 7))
+        blogs = eligible_blogs(corpus, 7)
+        scores = score_shared_dyads(corpus, topics, blogs, config)
+        result = global_scores(scores, blogs)
         assert result["c"] == (0.0, 0.0)
 
 
@@ -370,8 +371,9 @@ class TestScoreDyads:
     def test_deterministic_across_runs(self):
         corpus, topics = scored_corpus()
         config = ScoringConfig()
-        first = score_all_dyads(corpus, topics, config)
-        second = score_all_dyads(corpus, topics, config)
+        blogs = eligible_blogs(corpus, config.min_posts)
+        first = score_shared_dyads(corpus, topics, blogs, config)
+        second = score_shared_dyads(corpus, topics, blogs, config)
         assert first == second
 
 
@@ -432,7 +434,10 @@ class TestSparseScoring:
         blogs = eligible_blogs(corpus, config.min_posts)
         expected = [score_dyad(corpus, topics, b, b2, config)
                     for b in blogs for b2 in blogs if b != b2]
-        assert score_all_dyads(corpus, topics, config) == expected
+        # a dyad without a shared topic has the fixed row, by definition
+        assert all(s == DyadScore(b=s.b, b2=s.b2, a_size=0, y_size=0,
+                                  gamma=0.5, pr_h=0.0, omega=0.0)
+                   for s in expected if s.a_size == 0)
         shared = score_shared_dyads(corpus, topics, blogs, config)
         assert shared == [s for s in expected if s.a_size > 0]
         assert global_scores(shared, blogs) == global_scores(expected, blogs)
