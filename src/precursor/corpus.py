@@ -21,6 +21,14 @@ from functools import wraps
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
+# One record and one token object as `json.dumps(..., sort_keys=True,
+# ensure_ascii=False)` writes them, for writers that emit the keys in order:
+# each %s takes a `json.encoder.encode_basestring` string, or a ", "-joined
+# list of such strings or of filled token objects.
+RECORD_LINE = ('{"blog_id": %s, "body": [%s], "links": [%s], "post_id": %s, '
+               '"timestamp": %d, "title": [%s]}\n')
+TOKEN_OBJECT = '{"c": %d, "l": %s, "p": %s}'
+
 # All durations are integer seconds; a "month" is fixed at 30 days so that
 # the duration filters are deterministic.
 HOUR = 3600
@@ -120,7 +128,10 @@ def _parse_timestamp(raw, line: int) -> int:
     if isinstance(raw, bool):
         raise MalformedRecord(line, f"bad timestamp {raw!r}")
     if isinstance(raw, (int, float)):
-        return int(raw)
+        try:
+            return int(raw)
+        except (ValueError, OverflowError):  # NaN, or an infinity
+            raise MalformedRecord(line, f"bad timestamp {raw!r}") from None
     if isinstance(raw, str):
         try:
             dt = datetime.fromisoformat(raw.replace("Z", "+00:00"))

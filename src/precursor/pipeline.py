@@ -39,7 +39,8 @@ from typing import Callable, Iterable, Sequence
 from . import analysis, network, scoring, svg, synth
 from .bursts import Burst, FilterConfig, detect_all, filter_bursts
 from .config import PipelineConfig
-from .corpus import DAY, HOUR, Corpus, IngestConfig, Pos, Token, load_corpus
+from .corpus import (DAY, HOUR, RECORD_LINE, TOKEN_OBJECT, Corpus,
+                     IngestConfig, Pos, Token, load_corpus)
 from .ngrams import Ngram, NgramConfig, Occurrence, build_index, load_stopwords
 from .topics import Topic, merge_bursts
 
@@ -69,14 +70,22 @@ def _require(stage: str, *paths: Path) -> None:
 
 # ---------------------------------------------------------------- artifacts
 
-class _TokenJson(dict):
-    """A token's JSON object, encoded on first use and kept for the rest."""
+class _Encoded(dict):
+    """Each key's JSON text, made by `encode` on first use and kept for the
+    rest of one artifact write."""
 
-    def __missing__(self, token: Token) -> str:
-        text = self[token] = '{"c": %d, "l": %s, "p": %s}' % (
-            token.chunk, encode_basestring(token.lemma),
-            encode_basestring(token.pos.value))
+    def __init__(self, encode: Callable[..., str]):
+        super().__init__()
+        self.encode = encode
+
+    def __missing__(self, key) -> str:
+        text = self[key] = self.encode(key)
         return text
+
+
+def _token_text(token: Token) -> str:
+    return TOKEN_OBJECT % (token.chunk, encode_basestring(token.lemma),
+                           encode_basestring(token.pos.value))
 
 
 def write_corpus_artifact(corpus: Corpus, path: Path) -> None:
@@ -84,14 +93,12 @@ def write_corpus_artifact(corpus: Corpus, path: Path) -> None:
     title and body tokens ({"c": chunk, "l": lemma, "p": tag}) and sorted
     links, as `json.dumps(..., sort_keys=True, ensure_ascii=False)` writes
     them.  Each distinct token's object is encoded once."""
-    line = ('{"blog_id": %s, "body": [%s], "links": [%s], "post_id": %s, '
-            '"timestamp": %d, "title": [%s]}\n')
-    fragments = _TokenJson().__getitem__
+    fragments = _Encoded(_token_text).__getitem__
     join = ", ".join
 
     def writer(fh):
         for post in corpus.posts:
-            fh.write(line % (
+            fh.write(RECORD_LINE % (
                 encode_basestring(post.blog_id),
                 join(map(fragments, post.body_tokens)),
                 join(map(encode_basestring, sorted(post.out_links))),
@@ -120,12 +127,27 @@ def _occ_json(occ: Occurrence) -> list:
     return [occ.timestamp, occ.blog_id, occ.post_id]
 
 
+def _occurrence_text(occ: Occurrence) -> str:
+    return "[%d, %s, %s]" % (occ.timestamp, encode_basestring(occ.blog_id),
+                             encode_basestring(occ.post_id))
+
+
 def write_index_artifact(index: dict[Ngram, list[Occurrence]], path: Path) -> None:
+    """One line per n-gram, in lemma order, holding its lemmas, its
+    occurrences ([timestamp, blog, post]) and its tags, as
+    `json.dumps(..., sort_keys=True, ensure_ascii=False)` writes them.
+    Each distinct occurrence (`build_index` shares one per post) is encoded
+    once."""
+    line = '{"lemmas": [%s], "occurrences": [%s], "pos": [%s]}\n'
+    occurrences = _Encoded(_occurrence_text).__getitem__
+    tags = {pos: encode_basestring(pos.value) for pos in Pos}
+    join = ", ".join
+
     def writer(fh):
         for ngram in sorted(index, key=lambda n: n.lemmas):
-            record = _ngram_json(ngram)
-            record["occurrences"] = [_occ_json(o) for o in index[ngram]]
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+            fh.write(line % (join(map(encode_basestring, ngram.lemmas)),
+                             join(map(occurrences, index[ngram])),
+                             join([tags[pos] for _, pos in ngram.words])))
     _atomic_write(path, writer)
 
 

@@ -15,15 +15,37 @@ matches their relative posting volumes ("precedence by chance").
 
 Noise posts arrive per blog as exponential inter-arrival processes over a
 disjoint vocabulary and never form topics at desk scale.
+
+Three generators, seeded [seed, 1], [seed, 2] and [seed, 3], draw the
+planted schedules, the noise posts and the links.  The order of draws on
+each is what makes a seed reproduce a corpus, so it is fixed:
+
+- Topics, per topic in spec order: a led topic shuffles its followers; a
+  leaderless one draws one uniform per entry position (the rate-weighted
+  entry order).  Then one integer for the offset of the first interior
+  slot, and one after each interior slot for the gap to the next.
+- Noise, per blog in id order: all its arrival times first (an exponential
+  per arrival; with rate_ramp > 0 a thinning uniform before each next
+  exponential), then per noise post and per chunk (two chunks): the chunk
+  length `integers(3, 6)`, its lemmas `choice(noise_vocab, length,
+  replace=False)`, then one uniform per lemma for its tag.
+- Links, per record in (timestamp, post_id) order: one uniform against
+  link_prob; for a linked record, one uniform against 0.25 for a second
+  link, then `choice(n_blogs - 1, n_links, replace=False)` over the other
+  blogs in id order.
+
+A weighted draw (a tag or an entry position) is the one uniform that
+`Generator.choice(..., p=weights)` would draw, mapped through the same CDF.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 
 import numpy as np
 
-from .corpus import DAY, HOUR
+from .corpus import DAY, HOUR, RECORD_LINE, TOKEN_OBJECT
 
 MIN_PARTICIPANTS = 4
 
@@ -100,6 +122,15 @@ def _validate_topic(spec: SynthSpec, topic: PlantedTopic) -> None:
         raise InfeasibleSpec("topic interval outside the observation window")
 
 
+def _cdf(p) -> np.ndarray:
+    """The CDF `Generator.choice(len(p), p=p)` draws from: it maps a uniform
+    u to index `cdf.searchsorted(u, side="right")`.  Drawing through it
+    skips choice's validation of p, and a CDF built once serves every draw."""
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _entry_order(participants: tuple[str, ...], rates: list[float],
                  rng: np.random.Generator) -> list[str]:
     """Rate-weighted sampling without replacement (Plackett-Luce order)."""
@@ -107,8 +138,8 @@ def _entry_order(participants: tuple[str, ...], rates: list[float],
     weights = list(rates)
     order = []
     while remaining:
-        w = np.array(weights) / sum(weights)
-        idx = int(rng.choice(len(remaining), p=w))
+        cdf = _cdf(np.array(weights) / sum(weights))
+        idx = int(cdf.searchsorted(rng.random(), side="right"))
         order.append(remaining.pop(idx))
         weights.pop(idx)
     return order
@@ -190,17 +221,37 @@ def _noise_times(rate: float, window: float, ramp: float,
     return times
 
 
+_NOISE_TAGS = ("NOUN", "VERB", "ADJ", "NUM", "OTHER")
+_NOISE_TAG_CDF = _cdf([0.55, 0.2, 0.15, 0.03, 0.07])
+
+
 def _noise_tokens(vocab: list[str], rng: np.random.Generator) -> list[dict]:
     tokens = []
-    pos_choices = ["NOUN", "VERB", "ADJ", "NUM", "OTHER"]
-    pos_weights = [0.55, 0.2, 0.15, 0.03, 0.07]
     for chunk in range(2):
         n = int(rng.integers(3, 6))
         lemmas = rng.choice(len(vocab), size=min(n, len(vocab)), replace=False)
-        for li in lemmas:
-            pos = pos_choices[int(rng.choice(5, p=pos_weights))]
-            tokens.append({"l": vocab[int(li)], "p": pos, "c": chunk})
+        tags = _NOISE_TAG_CDF.searchsorted(rng.random(len(lemmas)), side="right")
+        for li, tag in zip(lemmas.tolist(), tags.tolist()):
+            tokens.append({"l": vocab[li], "p": _NOISE_TAGS[tag], "c": chunk})
     return tokens
+
+
+def _add_links(records: list[dict], blogs: list[str], link_prob: float,
+               rng: np.random.Generator) -> None:
+    """Give each record, with probability link_prob, one or (a quarter of
+    the time) two links to other blogs, drawn without replacement."""
+    # index i among the other blogs is blogs[i + (i >= own)], own being the
+    # index of the record's blog
+    position = {blog: i for i, blog in enumerate(blogs)}
+    n_others = len(blogs) - 1
+    for record in records:
+        if rng.random() < link_prob:
+            n_links = 1 + int(rng.random() < 0.25)
+            own = position[record["blog_id"]]
+            chosen = rng.choice(n_others, size=min(n_links, n_others),
+                                replace=False)
+            record["links"] = sorted(blogs[i + (i >= own)]
+                                     for i in chosen.tolist())
 
 
 def generate(spec: SynthSpec) -> tuple[list[dict], GroundTruth]:
@@ -276,23 +327,26 @@ def generate(spec: SynthSpec) -> tuple[list[dict], GroundTruth]:
             })
 
     records.sort(key=lambda r: (r["timestamp"], r["post_id"]))
-    for record in records:
-        if rng_links.random() < spec.link_prob:
-            n_links = 1 + int(rng_links.random() < 0.25)
-            others = [b for b in blogs if b != record["blog_id"]]
-            chosen = rng_links.choice(len(others), size=min(n_links, len(others)),
-                                      replace=False)
-            record["links"] = sorted(others[int(i)] for i in chosen)
-
+    _add_links(records, blogs, spec.link_prob, rng_links)
     return records, GroundTruth(topics=truth_topics, pairs=sorted(set(pairs)))
 
 
 def write_corpus(records: list[dict], path) -> None:
-    import json
+    """One corpus line per record, as `json.dumps(record, sort_keys=True,
+    ensure_ascii=False)` writes it."""
+    join = ", ".join
+
+    def tokens(objs: list[dict]) -> str:
+        return join([TOKEN_OBJECT % (t["c"], encode_basestring(t["l"]),
+                                     encode_basestring(t["p"])) for t in objs])
+
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
+        for r in records:
+            fh.write(RECORD_LINE % (
+                encode_basestring(r["blog_id"]), tokens(r["body"]),
+                join(map(encode_basestring, r["links"])),
+                encode_basestring(r["post_id"]), r["timestamp"],
+                tokens(r["title"])))
 
 
 def leader_follower_spec(n_blogs: int = 20, n_topics: int = 30,

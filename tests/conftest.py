@@ -13,6 +13,7 @@ import json
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from precursor.corpus import CONTENT_POS, Corpus, Pos, Post, Token
 from precursor.ngrams import Ngram, NgramConfig, Occurrence
@@ -141,6 +142,65 @@ def reference_corpus_line(post: Post) -> str:
               "timestamp": post.timestamp, "title": toks(post.title_tokens),
               "body": toks(post.body_tokens), "links": sorted(post.out_links)}
     return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def reference_index_line(ngram: Ngram, occurrences) -> str:
+    """An n-gram's `index.jsonl` line: one dict per n-gram and one list per
+    occurrence, encoded by `json.dumps` with sorted keys."""
+    record = {"lemmas": list(ngram.lemmas),
+              "pos": [pos.value for _, pos in ngram.words],
+              "occurrences": [[o.timestamp, o.blog_id, o.post_id]
+                              for o in occurrences]}
+    return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+# characters JSON escapes, or that only ensure_ascii would escape
+TRICKY = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é",
+                          "\u2028", "\u2029", "漢", "\U0001f600", " "])
+json_text = st.text(st.one_of(TRICKY, st.characters(
+    blacklist_categories=("Cs",))), max_size=6)
+#: characters a property over a JSON writer should have met
+JSON_ODD = ('"', "\\", "\x00", "\u2028", "é")
+
+
+# ---------------------------------------------------- generator references
+
+def reference_noise_tokens(vocab: list[str], rng) -> list[dict]:
+    """A noise post's tokens with one `rng.choice(5, p=...)` per tag."""
+    tokens = []
+    pos_choices = ["NOUN", "VERB", "ADJ", "NUM", "OTHER"]
+    pos_weights = [0.55, 0.2, 0.15, 0.03, 0.07]
+    for chunk in range(2):
+        n = int(rng.integers(3, 6))
+        lemmas = rng.choice(len(vocab), size=min(n, len(vocab)), replace=False)
+        for li in lemmas:
+            pos = pos_choices[int(rng.choice(5, p=pos_weights))]
+            tokens.append({"l": vocab[int(li)], "p": pos, "c": chunk})
+    return tokens
+
+
+def reference_entry_order(participants, rates, rng) -> list[str]:
+    """Plackett-Luce order with one `rng.choice(k, p=...)` per position."""
+    remaining = list(participants)
+    weights = list(rates)
+    order = []
+    while remaining:
+        w = np.array(weights) / sum(weights)
+        idx = int(rng.choice(len(remaining), p=w))
+        order.append(remaining.pop(idx))
+        weights.pop(idx)
+    return order
+
+
+def reference_add_links(records, blogs, link_prob, rng) -> None:
+    """Links drawn by index into a fresh list of every other blog."""
+    for record in records:
+        if rng.random() < link_prob:
+            n_links = 1 + int(rng.random() < 0.25)
+            others = [b for b in blogs if b != record["blog_id"]]
+            chosen = rng.choice(len(others), size=min(n_links, len(others)),
+                                replace=False)
+            record["links"] = sorted(others[int(i)] for i in chosen)
 
 
 def brute_force_windows(post, config: NgramConfig):

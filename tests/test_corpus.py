@@ -10,7 +10,8 @@ from precursor.corpus import (DAY, EmptyCorpus, IngestConfig, MalformedRecord,
                               corpus_from_records, load_corpus, post_count)
 from precursor.pipeline import write_corpus_artifact
 
-from conftest import corpus_of, post, reference_corpus_line, tok
+from conftest import (corpus_of, json_text, post, reference_corpus_line,
+                      tok)
 
 
 def write_lines(path, records):
@@ -163,6 +164,17 @@ class TestLoadCorpus:
             load_corpus(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_timestamp_reports_line(self, tmp_path, raw):
+        # json.loads reads NaN and the infinities, and 1e400 as infinity
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"post_id": "p1", "blog_id": "a", "timestamp": 1}\n'
+                        '{"post_id": "p2", "blog_id": "a", "timestamp": %s}\n'
+                        % raw)
+        with pytest.raises(MalformedRecord, match="bad timestamp") as err:
+            load_corpus(path)
+        assert err.value.line == 2
+
     def test_deterministic(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_lines(path, [rec("p2", "b", 20, links=["a"]), rec("p1", "a", 10)])
@@ -283,13 +295,6 @@ def test_written_corpus_loads_back_equal():
                        "self link dropped", "external link dropped",
                        "external link kept", "empty lemma dropped",
                        "unknown tag coerced"}
-
-
-# characters JSON escapes, or that only ensure_ascii would escape
-TRICKY = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é",
-                          "\u2028", "\u2029", "漢", "\U0001f600", " "])
-json_text = st.text(st.one_of(TRICKY, st.characters(
-    blacklist_categories=("Cs",))), max_size=6)
 
 
 @st.composite

@@ -16,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 from precursor import cli
 from precursor.cli import main
 from precursor.config import PipelineConfig, build_config, parse_config_file
-from precursor.corpus import (DAY, HOUR, IngestConfig, corpus_from_records,
-                              load_corpus)
-from precursor.ngrams import Occurrence, build_index, collapse_same_blog_runs
+from precursor.corpus import (DAY, HOUR, IngestConfig, Pos,
+                              corpus_from_records, load_corpus)
+from precursor.ngrams import (Ngram, Occurrence, build_index,
+                              collapse_same_blog_runs)
 from precursor.bursts import FilterConfig, detect_all, filter_bursts
 from precursor.pipeline import (STAGES, StageError, read_bursts_artifact,
                                 read_index_artifact, read_topics_artifact,
@@ -28,7 +29,7 @@ from precursor.synth import SynthSpec, blog_ids, generate, leader_follower_spec
 from precursor.topics import merge_bursts
 from precursor import pipeline, synth
 
-from conftest import ngram_of
+from conftest import JSON_ODD, json_text, ngram_of, reference_index_line
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +229,44 @@ class TestArtifacts:
         tpath = tmp_path / "topics.jsonl"
         write_topics_artifact(topics, tpath)
         assert read_topics_artifact(tpath) == topics
+
+
+@st.composite
+def odd_indexes(draw):
+    """Indexes whose lemmas and ids are drawn from a small pool of
+    JSON-tricky text; as in `build_index`, every n-gram of a post shares
+    that post's one `Occurrence`."""
+    text = st.sampled_from(draw(st.lists(json_text, min_size=1, max_size=5)))
+    posts = draw(st.lists(st.builds(Occurrence, st.integers(-2 ** 40, 2 ** 40),
+                                    text, text), min_size=1, max_size=6))
+    keys = draw(st.lists(st.lists(text, min_size=1, max_size=3).map(tuple),
+                         unique=True, max_size=6))
+    return {Ngram(tuple((lemma, draw(st.sampled_from(Pos)))
+                        for lemma in lemmas)):
+            draw(st.lists(st.sampled_from(posts), max_size=4))
+            for lemmas in keys}
+
+
+def test_written_index_lines_equal_the_json_dumps_reference():
+    covered = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.jsonl"
+
+        @settings(max_examples=200, deadline=None)
+        @given(odd_indexes())
+        def check(index):
+            write_index_artifact(index, path)
+            assert path.read_text(encoding="utf-8") == "".join(
+                reference_index_line(ngram, index[ngram])
+                for ngram in sorted(index, key=lambda n: n.lemmas))
+            assert read_index_artifact(path) == index
+            text = "".join("".join(ngram.lemmas) + "".join(
+                o.blog_id + o.post_id for o in occs)
+                for ngram, occs in index.items())
+            covered.update(c for c in JSON_ODD if c in text)
+
+        check()
+    assert covered == set(JSON_ODD)
 
 
 class TestRunPipeline:
@@ -552,6 +591,19 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: --stages {stages!r}: entry {position} is empty\n")
         assert not workdir.exists()
+
+    @pytest.mark.parametrize("raw, shown", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])
+    def test_non_finite_timestamp_exits_one_naming_its_line(
+            self, tmp_path, capsys, raw, shown):
+        corpus_file = tmp_path / "c.jsonl"
+        corpus_file.write_text(
+            '{"post_id": "p1", "blog_id": "a", "timestamp": 100}\n'
+            '{"post_id": "p2", "blog_id": "b", "timestamp": %s}\n' % raw)
+        assert main(["run", "--input", str(corpus_file), "--workdir",
+                     str(tmp_path / "w")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: line 2: bad timestamp {shown}\n")
 
     def test_kept_external_link_joins_the_graph(self, tmp_path):
         corpus_file = tmp_path / "c.jsonl"

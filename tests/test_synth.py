@@ -1,13 +1,24 @@
+import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from precursor import synth
 from precursor.corpus import DAY, HOUR, IngestConfig, corpus_from_records
 from precursor.bursts import FilterConfig, detect_all, filter_bursts
 from precursor.ngrams import build_index
 from precursor.synth import (GroundTruth, InfeasibleSpec, PlantedTopic,
                              SynthSpec, blog_ids, generate,
-                             leader_follower_spec, rate_asymmetry_spec)
+                             leader_follower_spec, rate_asymmetry_spec,
+                             write_corpus)
 from precursor.topics import merge_bursts
+
+from conftest import (JSON_ODD, json_text, reference_add_links, reference_entry_order,
+                      reference_noise_tokens)
 
 
 def topic(participants, leader=None, duration=6.0, words=("t000a", "t000b")):
@@ -148,3 +159,86 @@ class TestPresets:
         assert len(shared) == 1
         assert all(t.leader is None for t in spec.topics)
         assert spec.rate_multipliers == {"blog_000": 5.0}
+
+
+def generate_recorded(spec, monkeypatch):
+    """generate(spec), and the final state of each generator it made."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", recording)
+        records, truth = generate(spec)
+    return records, truth, [rng.bit_generator.state for rng in made]
+
+
+REFERENCE_SPECS = {
+    "leader_follower": lambda seed: leader_follower_spec(seed=seed),
+    "rate_asymmetry": lambda seed: rate_asymmetry_spec(seed=seed),
+    "rate_ramp": lambda seed: replace(leader_follower_spec(seed=seed),
+                                      rate_ramp=1.5),
+    "noise_vocab_3": lambda seed: replace(leader_follower_spec(seed=seed),
+                                          noise_vocab=3),
+}
+
+
+class TestDrawsMatchReferences:
+    """The CDF-lookup tag and entry draws and the index-shifted link targets
+    consume the same numbers as one `choice(..., p=...)` per draw and a
+    fresh list of the other blogs per linked record."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_SPECS))
+    def test_generate_equals_reference_draws(self, kind, seed, monkeypatch):
+        spec = REFERENCE_SPECS[kind](seed)
+        records, truth, states = generate_recorded(spec, monkeypatch)
+        monkeypatch.setattr(synth, "_noise_tokens", reference_noise_tokens)
+        monkeypatch.setattr(synth, "_entry_order", reference_entry_order)
+        monkeypatch.setattr(synth, "_add_links", reference_add_links)
+        assert generate_recorded(spec, monkeypatch) == (records, truth, states)
+        assert len(states) == 3
+        assert any(len(r["links"]) == 2 for r in records)
+        if kind == "rate_asymmetry":
+            assert all(t["leader"] is None for t in truth.topics)
+        if kind == "noise_vocab_3":
+            noise = [r for r in records if "n" in r["post_id"]]
+            assert noise and all(len(r["body"]) == 6 for r in noise)
+
+
+@st.composite
+def synth_records(draw):
+    """Records shaped as `generate` makes them, every string drawn from a
+    small pool of JSON-tricky text."""
+    text = st.sampled_from(draw(st.lists(json_text, min_size=1, max_size=5)))
+    tokens = st.lists(st.fixed_dictionaries(
+        {"l": text, "p": text, "c": st.integers(0, 3)}), max_size=4)
+    return draw(st.lists(st.fixed_dictionaries(
+        {"post_id": text, "blog_id": text,
+         "timestamp": st.integers(-2 ** 40, 2 ** 40), "title": tokens,
+         "body": tokens, "links": st.lists(text, max_size=3)}), max_size=5))
+
+
+def test_written_corpus_lines_equal_json_dumps():
+    covered = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+
+        @settings(max_examples=200, deadline=None)
+        @given(synth_records())
+        def check(recs):
+            write_corpus(recs, path)
+            assert path.read_text(encoding="utf-8") == "".join(
+                json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n"
+                for r in recs)
+            text = "".join(
+                r["post_id"] + r["blog_id"] + "".join(r["links"]) + "".join(
+                    t["l"] + t["p"] for t in r["title"] + r["body"])
+                for r in recs)
+            covered.update(c for c in JSON_ODD if c in text)
+
+        check()
+    assert covered == set(JSON_ODD)
