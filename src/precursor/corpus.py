@@ -7,6 +7,12 @@ objects: lemma, part-of-speech tag, chunk index) and ``links`` (array of
 cited blog ids).  The loader normalizes lemmas to lowercase, coerces unknown
 part-of-speech tags to OTHER, drops self-links and (by default) links to
 blogs that never post in the corpus, and sorts posts by (timestamp, post_id).
+
+Tokens are looked up in a table keyed by their raw ``(l, p, c)`` values, so
+a repeated token costs one dict lookup and every occurrence shares one
+`Token`.  Only raw values of exactly (str, str, int) are entered: JSON
+``1``, ``1.0`` and ``true`` are one dict key but give different lemmas, so
+any other value is converted on every occurrence.
 """
 
 from __future__ import annotations
@@ -108,6 +114,9 @@ class LoadReport:
 
 @dataclass
 class Corpus:
+    """Posts, put in (timestamp, post_id) order on construction:
+    `posts_by_blog` and `ngrams.build_index` rely on that order."""
+
     posts: tuple[Post, ...]
     blogs: frozenset[str]
     window: tuple[int, int]
@@ -115,6 +124,8 @@ class Corpus:
     _blog_times: dict[str, list[int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        self.posts = tuple(sorted(self.posts,
+                                  key=lambda p: (p.timestamp, p.post_id)))
         if not self._blog_times:
             for p in self.posts:
                 self._blog_times.setdefault(p.blog_id, []).append(p.timestamp)
@@ -143,54 +154,31 @@ def _parse_timestamp(raw, line: int) -> int:
     raise MalformedRecord(line, f"bad timestamp {raw!r}")
 
 
-def _normalise_token(lemma: str, tag: str, chunk: int,
-                     config: IngestConfig) -> tuple[Token | None, bool]:
+def _token_entry(raw: tuple, line: int, config: IngestConfig,
+                 table: dict) -> tuple[Token | None, bool]:
     """The token for raw (lemma, tag, chunk) values, None for an empty lemma,
-    and whether the tag was coerced to OTHER."""
-    lemma = lemma.strip().lower()
-    if not lemma:
-        return None, False
-    if config.assume_nouns:
-        return Token(lemma, Pos.NOUN, chunk), False
-    pos = _POS_BY_NAME.get(tag.upper())
-    if pos is None:
-        return Token(lemma, Pos.OTHER, chunk), True
-    return Token(lemma, pos, chunk), False
-
-
-def _parse_tokens(raw, line: int, config: IngestConfig, report: LoadReport,
-                  table: dict) -> tuple[Token, ...]:
-    """Tokens of one title or body; `table` maps raw (lemma, tag, chunk)
-    values to their `_normalise_token` result, so one `Token` is shared by
-    every occurrence of a distinct token."""
-    if raw is None:
-        return ()
-    if not isinstance(raw, list):
-        raise MalformedRecord(line, "token array expected")
-    tokens = []
-    prev_chunk = None
-    for item in raw:
-        if not isinstance(item, dict):
-            raise MalformedRecord(line, "token object expected")
-        try:
-            key = (str(item.get("l", "")), str(item.get("p", "")),
-                   int(item.get("c", 0)))
-        except (TypeError, ValueError, OverflowError):
-            raise MalformedRecord(
-                line, f"bad chunk index {item.get('c')!r}") from None
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = _normalise_token(*key, config)
-        token, coerced = entry
-        if token is None:
-            report.empty_lemma_tokens += 1
-            continue
-        report.pos_warnings += coerced
-        if prev_chunk is not None and token.chunk < prev_chunk:
-            raise MalformedRecord(line, "chunk indices must be non-decreasing")
-        prev_chunk = token.chunk
-        tokens.append(token)
-    return tuple(tokens)
+    and whether the tag was coerced to OTHER.  The entry is kept in `table`
+    under the raw values only when they are exactly (str, str, int): 1, 1.0
+    and True are one dict key but normalise to different lemmas."""
+    lemma, tag, chunk = raw
+    try:
+        index = int(chunk)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedRecord(line, f"bad chunk index {chunk!r}") from None
+    text = str(lemma).strip().lower()
+    if not text:
+        entry = None, False
+    elif config.assume_nouns:
+        entry = Token(text, Pos.NOUN, index), False
+    else:
+        pos = _POS_BY_NAME.get(str(tag).upper())
+        if pos is None:
+            entry = Token(text, Pos.OTHER, index), True
+        else:
+            entry = Token(text, pos, index), False
+    if type(lemma) is str and type(tag) is str and type(chunk) is int:
+        table[raw] = entry
+    return entry
 
 
 def iter_records(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -241,12 +229,14 @@ def corpus_from_records(records: Iterable[tuple[int, dict]],
         raise NonMonotonicWindow(
             f"window start {config.window_start} > end {config.window_end}")
 
-    report = LoadReport()
-    parsed: list[tuple[Post, list[str]]] = []
+    records_read = pos_warnings = empty_lemma_tokens = 0
+    out_of_window = self_links = external_links = 0
+    # (post_id, blog_id, timestamp, title, body, links) per record
+    parsed: list[tuple] = []
     seen_ids: set[str] = set()
-    token_table: dict = {}
+    table: dict = {}
     for line_no, record in records:
-        report.records_read += 1
+        records_read += 1
         post_id = record.get("post_id")
         blog_id = record.get("blog_id")
         if not post_id or not isinstance(post_id, str):
@@ -259,56 +249,75 @@ def corpus_from_records(records: Iterable[tuple[int, dict]],
             raise MalformedRecord(line_no, f"duplicate post_id {post_id!r}")
         seen_ids.add(post_id)
         ts = _parse_timestamp(record["timestamp"], line_no)
-        title = _parse_tokens(record.get("title"), line_no, config, report,
-                              token_table)
-        body = _parse_tokens(record.get("body"), line_no, config, report,
-                             token_table)
+        streams = []
+        for raw in (record.get("title"), record.get("body")):
+            if raw is None:
+                streams.append(())
+                continue
+            if not isinstance(raw, list):
+                raise MalformedRecord(line_no, "token array expected")
+            tokens = []
+            prev_chunk = None
+            for item in raw:
+                if not isinstance(item, dict):
+                    raise MalformedRecord(line_no, "token object expected")
+                key = (item.get("l", ""), item.get("p", ""), item.get("c", 0))
+                try:
+                    token, coerced = table[key]
+                except (KeyError, TypeError):  # unseen, or a list value
+                    token, coerced = _token_entry(key, line_no, config, table)
+                if token is None:
+                    empty_lemma_tokens += 1
+                    continue
+                pos_warnings += coerced
+                if prev_chunk is not None and token.chunk < prev_chunk:
+                    raise MalformedRecord(
+                        line_no, "chunk indices must be non-decreasing")
+                prev_chunk = token.chunk
+                tokens.append(token)
+            streams.append(tuple(tokens))
         links = record.get("links") or []
         if not isinstance(links, list):
             raise MalformedRecord(line_no, "links array expected")
-        post = Post(post_id=post_id, blog_id=blog_id, timestamp=ts,
-                    title_tokens=title, body_tokens=body)
-        parsed.append((post, [str(x) for x in links]))
+        parsed.append((post_id, blog_id, ts, *streams, links))
 
     if config.window_start is not None or config.window_end is not None:
         lo = config.window_start if config.window_start is not None else min(
-            (p.timestamp for p, _ in parsed), default=0)
+            (p[2] for p in parsed), default=0)
         hi = config.window_end if config.window_end is not None else max(
-            (p.timestamp for p, _ in parsed), default=0)
-        kept = []
-        for post, links in parsed:
-            if lo <= post.timestamp <= hi:
-                kept.append((post, links))
-            else:
-                report.out_of_window += 1
+            (p[2] for p in parsed), default=0)
+        kept = [p for p in parsed if lo <= p[2] <= hi]
+        out_of_window = len(parsed) - len(kept)
         parsed = kept
         window = (lo, hi)
+    elif parsed:
+        times = [p[2] for p in parsed]
+        window = (min(times), max(times))
     else:
-        if parsed:
-            times = [p.timestamp for p, _ in parsed]
-            window = (min(times), max(times))
-        else:
-            window = (0, 0)
+        window = (0, 0)
 
     if not parsed:
         raise EmptyCorpus("no valid posts")
 
-    blogs = frozenset(p.blog_id for p, _ in parsed)
+    blogs = frozenset(p[1] for p in parsed)
+    keep_external = config.keep_external_links
     posts = []
-    for post, links in parsed:
+    for post_id, blog_id, ts, title, body, links in parsed:
         cleaned = set()
-        for target in links:
-            if target == post.blog_id:
-                report.self_links += 1
-            elif target not in blogs and not config.keep_external_links:
-                report.external_links += 1
+        for target in map(str, links):
+            if target == blog_id:
+                self_links += 1
+            elif target not in blogs and not keep_external:
+                external_links += 1
             else:
                 cleaned.add(target)
-        posts.append(Post(post.post_id, post.blog_id, post.timestamp,
-                          post.title_tokens, post.body_tokens,
+        posts.append(Post(post_id, blog_id, ts, title, body,
                           frozenset(cleaned)))
-    posts.sort(key=lambda p: (p.timestamp, p.post_id))
-    report.posts_loaded = len(posts)
+    report = LoadReport(records_read=records_read, posts_loaded=len(posts),
+                        pos_warnings=pos_warnings,
+                        empty_lemma_tokens=empty_lemma_tokens,
+                        out_of_window=out_of_window, self_links=self_links,
+                        external_links=external_links)
     return Corpus(posts=tuple(posts), blogs=blogs, window=window, report=report)
 
 

@@ -73,23 +73,23 @@ def pagerank(graph: CitationGraph, damping: float = DAMPING,
     if n == 0:
         return {}
     index = {b: i for i, b in enumerate(nodes)}
-    out_neighbors: list[list[int]] = [[] for _ in range(n)]
-    for (src, dst) in sorted(graph.weights):
-        out_neighbors[index[src]].append(index[dst])
+    edges = np.array([(index[s], index[d]) for s, d in sorted(graph.weights)],
+                     np.int64).reshape(-1, 2)
+    src, dst = edges[:, 0], edges[:, 1]
+    out_degree = np.bincount(src, minlength=n)
+    dangling = out_degree == 0
 
     rank = np.full(n, 1.0 / n)
     teleport = (1.0 - damping) / n
     for _ in range(max_iter):
+        # np.add.at adds one share at a time in sorted edge order, and cumsum
+        # sums the dangling mass node by node (np.sum is pairwise), so every
+        # sum is taken in the order of a loop over the nodes
         nxt = np.full(n, teleport)
-        dangling = 0.0
-        for i, targets in enumerate(out_neighbors):
-            if targets:
-                share = damping * rank[i] / len(targets)
-                for j in targets:
-                    nxt[j] += share
-            else:
-                dangling += rank[i]
-        nxt += damping * dangling / n
+        share = damping * rank / np.maximum(out_degree, 1)
+        np.add.at(nxt, dst, share[src])
+        mass = np.cumsum(rank[dangling])[-1] if dangling.any() else 0.0
+        nxt += damping * mass / n
         if np.abs(nxt - rank).sum() < tol:
             rank = nxt
             break

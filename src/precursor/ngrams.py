@@ -7,25 +7,54 @@ is kept only if it contains at least one noun and none of its lemmas is a
 stop word.  Each post contributes at most one occurrence per n-gram.
 
 An n-gram's identity is its lemma tuple: two windows with the same lemmas
-and different part-of-speech tags are one n-gram.  The occurrence index is
-built in a table keyed by that tuple, so a window costs tuple slices and
-dict lookups, and an `Ngram` is built only for an n-gram that is kept.  The
-words (lemma and tag pairs) an n-gram carries are those of its first-seen
-window: the first post in corpus order that has the lemma tuple, and in
-that post the first window in enumeration order (title chunks, then body
-chunks; start, then end position).
+and different part-of-speech tags are one n-gram.  The index maps every
+n-gram with two or more retained occurrences to its time-ordered occurrence
+list, with runs of consecutive same-blog occurrences collapsed to the
+earliest one, so that a burst can only be sustained by several blogs.
 
-The index maps every surviving n-gram to its time-ordered occurrence list,
-with runs of consecutive same-blog occurrences collapsed to the earliest
-one, so that a burst can only be sustained by several blogs.
+Windows are arrays, not objects (`_Windows`):
+
+- The tokens of every post, title then body, are laid end to end once.
+  Each token object gets a code, and its lemma, chunk value, tag and
+  stop-word status are read once per distinct object (the loader shares
+  one `Token` per distinct token, so there are few).
+- A segment, one chunk value inside one title or body, starts where a
+  token's chunk value differs from its neighbour's or a title or body
+  begins.  Chunk values are only compared, never cast, so any integers
+  work.
+- Only content tokens are kept, and a window is named by the content
+  position it starts at and its length.  The windows of length L are those
+  of length L-1 grown by the next token, when that token is in the same
+  segment and is not a stop word.  Each gets the dense rank of (its rank at
+  length L-1, the next lemma), so equal ranks mean equal lemma tuples.
+- Cost: one stable sort per length, over at most one window per content
+  token.  Enumeration stops at the first length with no valid window,
+  since every valid window holds a valid window one token shorter.
+
+After the sort, the windows of one n-gram are adjacent and in corpus
+order.  So the first of them is its first-seen window, whose words (lemma
+and tag pairs) the n-gram carries: the first post in corpus order with the
+lemma tuple, and in that post the window that starts first.  The
+occurrence list keeps each window whose blog differs from the previous
+window's, which drops a post's second window of an n-gram and collapses
+same-blog runs in one pass.  `Ngram` objects and occurrence lists are
+built only for the n-grams kept.
+
+This relies on the `Corpus` order invariant: posts are sorted by
+(timestamp, post_id), so corpus order is occurrence order.  The index
+lists n-grams in the order of their first-seen windows (start, then
+length).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain, count
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from .corpus import CONTENT_POS, Corpus, Pos, Post, collector_paused
 
@@ -88,52 +117,98 @@ class NgramConfig:
     stopwords: frozenset[str] = field(default_factory=default_stopwords)
 
 
-def _chunks(post: Post) -> Iterable[tuple[tuple[str, Pos], ...]]:
-    # title chunks and body chunks are enumerated independently
-    for stream in (post.title_tokens, post.body_tokens):
-        current: list[tuple[str, Pos]] = []
-        current_idx = None
-        for tok in stream:
-            if current_idx is not None and tok.chunk != current_idx:
-                if current:
-                    yield tuple(current)
-                current = []
-            current_idx = tok.chunk
-            if tok.pos in CONTENT_POS:
-                current.append((tok.lemma, tok.pos))
-        if current:
-            yield tuple(current)
+class _Windows:
+    """The windows of some posts, as arrays over their content tokens in
+    corpus order (title, then body, of each post)."""
+
+    def __init__(self, posts: tuple[Post, ...], config: NgramConfig):
+        self.max_len = config.max_len
+        streams = [s for p in posts for s in (p.title_tokens, p.body_tokens)]
+        sizes = np.fromiter(map(len, streams), np.int64, count=len(streams))
+        flat = list(chain.from_iterable(streams))
+        n = len(flat)
+        # each token object's code is the position of its first occurrence,
+        # then its rank among the distinct objects
+        first: dict[int, int] = {}
+        code = np.fromiter(map(first.setdefault, map(id, flat), count()),
+                           np.int64, count=n)
+        tokens = [flat[i] for i in first.values()]
+        k = len(tokens)
+        dense = np.zeros(n, np.int64)
+        dense[np.fromiter(first.values(), np.int64, count=k)] = np.arange(k)
+        code = dense[code]
+
+        def per_token(values, dtype=np.int64) -> np.ndarray:
+            # one value per distinct token, read at every position
+            return np.fromiter(values, dtype, count=k)[code]
+
+        # equal lemmas, and equal chunk values, share the code of the first
+        # distinct token that has them
+        lemmas: dict[str, int] = {}
+        chunks: dict = {}
+        lemma = per_token(map(lemmas.setdefault, [t.lemma for t in tokens],
+                              count()))
+        chunk = per_token(map(chunks.setdefault, [t.chunk for t in tokens],
+                              count()))
+        content = per_token((t.pos in CONTENT_POS for t in tokens), bool)
+        new_segment = np.ones(n, bool)
+        new_segment[1:] = chunk[1:] != chunk[:-1]
+        offsets = np.cumsum(sizes) - sizes
+        new_segment[offsets[offsets < n]] = True
+        self.segment = np.cumsum(new_segment)[content]
+        self.lemma = lemma[content]
+        self.noun = per_token((t.pos is Pos.NOUN for t in tokens), bool)[content]
+        self.stop = per_token((t.lemma in config.stopwords for t in tokens),
+                              bool)[content]
+        self.post = np.repeat(np.arange(len(posts)),
+                              sizes[0::2] + sizes[1::2])[content]
+        self.code = code[content]
+        self.words = [(t.lemma, t.pos) for t in tokens]
+        self.radix = max(k, 1)  # lemma codes are below it
+
+    def by_length(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """For each length L from 2: the start of every valid window of
+        length L and its rank (equal ranks, equal lemma tuples), ordered by
+        rank and, within a rank, by start."""
+        n, segment, stop, noun = (len(self.lemma), self.segment, self.stop,
+                                  self.noun)
+        start = np.flatnonzero(~stop)
+        rank, has_noun = self.lemma[start], noun[start]
+        for length in range(2, self.max_len + 1):
+            end = start + (length - 1)
+            grows = end < n
+            grows[grows] = ((segment[end[grows]] == segment[start[grows]])
+                            & ~stop[end[grows]])
+            start, end = start[grows], end[grows]
+            has_noun = has_noun[grows] | noun[end]
+            key = rank[grows] * self.radix + self.lemma[end]
+            order = np.argsort(key, kind="stable")
+            rank = np.empty_like(key)
+            rank[order] = np.cumsum(_heads(key[order])) - 1
+            valid = order[has_noun[order]]
+            if not len(valid):
+                return
+            yield length, start[valid], rank[valid]
+
+    def ngrams(self, starts: np.ndarray, length: int) -> list[Ngram]:
+        """The n-grams of the windows of one length at these starts."""
+        rows = self.code[starts[:, None] + np.arange(length)].tolist()
+        word = self.words.__getitem__
+        return [Ngram(tuple(map(word, row))) for row in rows]
 
 
-def _windows(post: Post, config: NgramConfig
-             ) -> dict[tuple[str, ...], tuple[tuple[str, Pos], ...]]:
-    """The post's n-grams as lemma tuple -> words of its first window."""
-    found: dict[tuple[str, ...], tuple[tuple[str, Pos], ...]] = {}
-    stopwords, max_len, noun = config.stopwords, config.max_len, Pos.NOUN
-    for survivors in _chunks(post):
-        lemmas = tuple(lemma for lemma, _ in survivors)
-        n = len(survivors)
-        for start in range(n - 1):
-            has_noun = False
-            for end in range(start, min(start + max_len, n)):
-                lemma, pos = survivors[end]
-                if lemma in stopwords:
-                    break
-                if pos is noun:
-                    has_noun = True
-                if end > start and has_noun:
-                    key = lemmas[start:end + 1]
-                    if key not in found:
-                        found[key] = survivors[start:end + 1]
-        # windows that hit a stop word are abandoned at that point; windows
-        # starting after the stop word are generated by later start values
-    return found
+def _heads(values: np.ndarray) -> np.ndarray:
+    """True where a run of equal values starts."""
+    head = np.ones(len(values), bool)
+    head[1:] = values[1:] != values[:-1]
+    return head
 
 
 def enumerate_ngrams(post: Post, config: NgramConfig | None = None) -> set[Ngram]:
     """All n-grams of one post under the filter rules, deduplicated."""
-    return {Ngram(words)
-            for words in _windows(post, config or NgramConfig()).values()}
+    windows = _Windows((post,), config or NgramConfig())
+    return {ngram for length, starts, rank in windows.by_length()
+            for ngram in windows.ngrams(starts[_heads(rank)], length)}
 
 
 @collector_paused
@@ -148,31 +223,31 @@ def build_index(corpus: Corpus,
     the words of its first-seen window.
     """
     config = config or NgramConfig()
-    raw: dict[tuple[str, ...], tuple[tuple, list[Occurrence]]] = {}
-    for post in corpus.posts:
-        occ = Occurrence(post.timestamp, post.blog_id, post.post_id)
-        for lemmas, words in _windows(post, config).items():
-            entry = raw.get(lemmas)
-            if entry is None:
-                raw[lemmas] = (words, [occ])
-            else:
-                entry[1].append(occ)
-    index: dict[Ngram, list[Occurrence]] = {}
-    for words, occs in raw.values():
-        if len(occs) < 2:
-            continue
-        occs.sort(key=lambda o: (o.timestamp, o.post_id))
-        kept = collapse_same_blog_runs(occs)
-        if len(kept) >= 2:
-            index[Ngram(words)] = kept
-    return index
-
-
-def collapse_same_blog_runs(occs: list[Occurrence]) -> list[Occurrence]:
-    """Keep the earliest occurrence of each consecutive same-blog run."""
-    kept: list[Occurrence] = []
-    for occ in occs:
-        if kept and kept[-1].blog_id == occ.blog_id:
-            continue
-        kept.append(occ)
-    return kept
+    posts = corpus.posts
+    windows = _Windows(posts, config)
+    blogs: dict[str, int] = {}
+    blog_of = np.fromiter(map(blogs.setdefault, [p.blog_id for p in posts],
+                              count()), np.int64, count=len(posts))
+    occurrence = [Occurrence(p.timestamp, p.blog_id, p.post_id) for p in posts]
+    first_seen, ngrams, occurrences = [], [], []
+    for length, starts, rank in windows.by_length():
+        post = windows.post[starts]
+        head = _heads(rank)
+        group = np.cumsum(head) - 1
+        # a window whose blog is the previous window's is a second window
+        # of one post or a later post of one same-blog run
+        blog = blog_of[post]
+        kept = head.copy()
+        kept[1:] |= blog[1:] != blog[:-1]
+        sizes = np.bincount(group[kept])
+        many = sizes >= 2
+        kept &= many[group]
+        firsts = starts[head][many]
+        first_seen.append(firsts * (config.max_len + 1) + length)
+        ngrams += windows.ngrams(firsts, length)
+        occs = [occurrence[p] for p in post[kept].tolist()]
+        ends = np.cumsum(sizes[many]).tolist()
+        occurrences += [occs[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    order = (np.argsort(np.concatenate(first_seen)).tolist()
+             if first_seen else [])
+    return {ngrams[i]: occurrences[i] for i in order}

@@ -15,7 +15,10 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from precursor.corpus import CONTENT_POS, Corpus, Pos, Post, Token
+from precursor.corpus import (_POS_BY_NAME, _parse_timestamp, CONTENT_POS,
+                              Corpus, EmptyCorpus, IngestConfig, LoadReport,
+                              MalformedRecord, NonMonotonicWindow, Pos, Post,
+                              Token)
 from precursor.ngrams import Ngram, NgramConfig, Occurrence
 from precursor.bursts import Burst
 from precursor.topics import Topic
@@ -90,8 +93,9 @@ def grid_gamma(a_topics, y_topics, c, n_grid: int = 2001, variant="verbatim"):
     """Deterministic gamma by trapezoidal quadrature on a fine p grid."""
     ps = np.linspace(0.0, 1.0, n_grid)
     lam = brute_force_likelihood(ps, a_topics, y_topics, c, variant)
-    num = np.trapezoid(lam * ps, ps)
-    den = np.trapezoid(lam, ps)
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2
+    num = trapezoid(lam * ps, ps)
+    den = trapezoid(lam, ps)
     return num / den
 
 
@@ -152,6 +156,113 @@ def reference_index_line(ngram: Ngram, occurrences) -> str:
               "occurrences": [[o.timestamp, o.blog_id, o.post_id]
                               for o in occurrences]}
     return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def _reference_tokens(raw, line, config, report):
+    """Tokens of one title or body, each raw value converted before use."""
+    if raw is None:
+        return ()
+    if not isinstance(raw, list):
+        raise MalformedRecord(line, "token array expected")
+    tokens = []
+    prev_chunk = None
+    for item in raw:
+        if not isinstance(item, dict):
+            raise MalformedRecord(line, "token object expected")
+        try:
+            lemma, tag, chunk = (str(item.get("l", "")), str(item.get("p", "")),
+                                 int(item.get("c", 0)))
+        except (TypeError, ValueError, OverflowError):
+            raise MalformedRecord(
+                line, f"bad chunk index {item.get('c')!r}") from None
+        lemma = lemma.strip().lower()
+        if not lemma:
+            report.empty_lemma_tokens += 1
+            continue
+        if config.assume_nouns:
+            token = Token(lemma, Pos.NOUN, chunk)
+        else:
+            pos = _POS_BY_NAME.get(tag.upper())
+            if pos is None:
+                report.pos_warnings += 1
+                pos = Pos.OTHER
+            token = Token(lemma, pos, chunk)
+        if prev_chunk is not None and token.chunk < prev_chunk:
+            raise MalformedRecord(line, "chunk indices must be non-decreasing")
+        prev_chunk = token.chunk
+        tokens.append(token)
+    return tuple(tokens)
+
+
+def reference_corpus_from_records(records, config=None) -> Corpus:
+    """corpus_from_records with a `LoadReport` updated in place, one `Post`
+    per record rebuilt after link cleaning, and no token table."""
+    config = config or IngestConfig()
+    if (config.window_start is not None and config.window_end is not None
+            and config.window_start > config.window_end):
+        raise NonMonotonicWindow(
+            f"window start {config.window_start} > end {config.window_end}")
+    report = LoadReport()
+    parsed = []
+    seen_ids = set()
+    for line_no, record in records:
+        report.records_read += 1
+        post_id = record.get("post_id")
+        blog_id = record.get("blog_id")
+        if not post_id or not isinstance(post_id, str):
+            raise MalformedRecord(line_no, "missing post_id")
+        if not blog_id or not isinstance(blog_id, str):
+            raise MalformedRecord(line_no, "missing blog_id")
+        if "timestamp" not in record:
+            raise MalformedRecord(line_no, "missing timestamp")
+        if post_id in seen_ids:
+            raise MalformedRecord(line_no, f"duplicate post_id {post_id!r}")
+        seen_ids.add(post_id)
+        ts = _parse_timestamp(record["timestamp"], line_no)
+        title = _reference_tokens(record.get("title"), line_no, config, report)
+        body = _reference_tokens(record.get("body"), line_no, config, report)
+        links = record.get("links") or []
+        if not isinstance(links, list):
+            raise MalformedRecord(line_no, "links array expected")
+        parsed.append((Post(post_id=post_id, blog_id=blog_id, timestamp=ts,
+                            title_tokens=title, body_tokens=body),
+                       [str(x) for x in links]))
+    if config.window_start is not None or config.window_end is not None:
+        lo = config.window_start if config.window_start is not None else min(
+            (p.timestamp for p, _ in parsed), default=0)
+        hi = config.window_end if config.window_end is not None else max(
+            (p.timestamp for p, _ in parsed), default=0)
+        kept = []
+        for p, links in parsed:
+            if lo <= p.timestamp <= hi:
+                kept.append((p, links))
+            else:
+                report.out_of_window += 1
+        parsed = kept
+        window = (lo, hi)
+    elif parsed:
+        times = [p.timestamp for p, _ in parsed]
+        window = (min(times), max(times))
+    else:
+        window = (0, 0)
+    if not parsed:
+        raise EmptyCorpus("no valid posts")
+    blogs = frozenset(p.blog_id for p, _ in parsed)
+    posts = []
+    for p, links in parsed:
+        cleaned = set()
+        for target in links:
+            if target == p.blog_id:
+                report.self_links += 1
+            elif target not in blogs and not config.keep_external_links:
+                report.external_links += 1
+            else:
+                cleaned.add(target)
+        posts.append(Post(p.post_id, p.blog_id, p.timestamp, p.title_tokens,
+                          p.body_tokens, frozenset(cleaned)))
+    posts.sort(key=lambda p: (p.timestamp, p.post_id))
+    report.posts_loaded = len(posts)
+    return Corpus(posts=tuple(posts), blogs=blogs, window=window, report=report)
 
 
 # characters JSON escapes, or that only ensure_ascii would escape
@@ -242,6 +353,75 @@ def brute_force_index(corpus, config: NgramConfig):
                 if k == 0 or o.blog_id != occs[k - 1].blog_id]
         if len(kept) >= 2:
             index[ngram] = kept
+    return index
+
+
+def reference_collapse(occs):
+    """Keep the earliest occurrence of each consecutive same-blog run."""
+    kept = []
+    for occ in occs:
+        if kept and kept[-1].blog_id == occ.blog_id:
+            continue
+        kept.append(occ)
+    return kept
+
+
+def _reference_chunks(post):
+    # title chunks and body chunks are enumerated independently
+    for stream in (post.title_tokens, post.body_tokens):
+        current = []
+        current_idx = None
+        for t in stream:
+            if current_idx is not None and t.chunk != current_idx:
+                if current:
+                    yield tuple(current)
+                current = []
+            current_idx = t.chunk
+            if t.pos in CONTENT_POS:
+                current.append((t.lemma, t.pos))
+        if current:
+            yield tuple(current)
+
+
+def _reference_windows(post, config: NgramConfig):
+    """The post's n-grams as lemma tuple -> words of its first window."""
+    found = {}
+    for survivors in _reference_chunks(post):
+        lemmas = tuple(lemma for lemma, _ in survivors)
+        n = len(survivors)
+        for start in range(n - 1):
+            has_noun = False
+            for end in range(start, min(start + config.max_len, n)):
+                lemma, pos = survivors[end]
+                if lemma in config.stopwords:
+                    break
+                if pos is Pos.NOUN:
+                    has_noun = True
+                if end > start and has_noun:
+                    key = lemmas[start:end + 1]
+                    if key not in found:
+                        found[key] = survivors[start:end + 1]
+    return found
+
+
+def reference_build_index(corpus, config: NgramConfig):
+    """build_index as a loop over posts, chunks and windows into a table keyed
+    by lemma tuple, in the table's first-seen order."""
+    raw = {}
+    for p in corpus.posts:
+        occ = Occurrence(p.timestamp, p.blog_id, p.post_id)
+        for lemmas, words in _reference_windows(p, config).items():
+            entry = raw.get(lemmas)
+            if entry is None:
+                raw[lemmas] = (words, [occ])
+            else:
+                entry[1].append(occ)
+    index = {}
+    for words, occs in raw.values():
+        occs.sort(key=lambda o: (o.timestamp, o.post_id))
+        kept = reference_collapse(occs)
+        if len(kept) >= 2:
+            index[Ngram(words)] = kept
     return index
 
 
@@ -361,6 +541,36 @@ def pagerank_linear(graph, damping: float = 0.85) -> dict[str, float]:
     b = np.full(n, (1.0 - damping) / n)
     rank = np.linalg.solve(a, b)
     return {node: float(rank[index[node]]) for node in nodes}
+
+
+def reference_pagerank(graph, damping: float = 0.85, tol: float = 1e-10,
+                       max_iter: int = 200) -> dict[str, float]:
+    """Power-iteration PageRank as a loop over each node's sorted targets,
+    summing the dangling mass node by node."""
+    nodes = graph.nodes
+    n = len(nodes)
+    index = {b: i for i, b in enumerate(nodes)}
+    out_neighbors = [[] for _ in range(n)]
+    for (src, dst) in sorted(graph.weights):
+        out_neighbors[index[src]].append(index[dst])
+    rank = np.full(n, 1.0 / n)
+    teleport = (1.0 - damping) / n
+    for _ in range(max_iter):
+        nxt = np.full(n, teleport)
+        dangling = 0.0
+        for i, targets in enumerate(out_neighbors):
+            if targets:
+                share = damping * rank[i] / len(targets)
+                for j in targets:
+                    nxt[j] += share
+            else:
+                dangling += rank[i]
+        nxt += damping * dangling / n
+        if np.abs(nxt - rank).sum() < tol:
+            rank = nxt
+            break
+        rank = nxt
+    return {b: float(rank[index[b]]) for b in nodes}
 
 
 def wilcoxon_enumeration(x, y) -> float:

@@ -5,13 +5,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from precursor.corpus import (DAY, EmptyCorpus, IngestConfig, MalformedRecord,
-                              NonMonotonicWindow, Pos, Token,
+from precursor.corpus import (DAY, Corpus, EmptyCorpus, IngestConfig,
+                              MalformedRecord, NonMonotonicWindow, Pos, Token,
                               corpus_from_records, load_corpus, post_count)
 from precursor.pipeline import write_corpus_artifact
 
-from conftest import (corpus_of, json_text, post, reference_corpus_line,
-                      tok)
+from conftest import (corpus_of, json_text, post, reference_corpus_from_records,
+                      reference_corpus_line, tok)
 
 
 def write_lines(path, records):
@@ -192,6 +192,14 @@ class TestPostCount:
     def test_strict_interior(self):
         assert post_count(self.corpus, "a", 11, 29) == 1
 
+    def test_posts_given_out_of_order_are_sorted(self):
+        corpus = Corpus(posts=(post("p2", "a", 20), post("p1", "a", 20),
+                               post("p0", "b", 10), post("p3", "a", 5)),
+                        blogs=frozenset("ab"), window=(5, 20))
+        assert [p.post_id for p in corpus.posts] == ["p3", "p0", "p1", "p2"]
+        assert corpus.posts_by_blog("a") == [5, 20, 20]
+        assert post_count(corpus, "a", 0, 10) == 1
+
     def test_unknown_blog_is_zero(self):
         assert post_count(self.corpus, "nobody", 0, 100) == 0
 
@@ -351,3 +359,108 @@ def test_written_corpus_lines_equal_the_json_dumps_reference():
                        "text with '\"'", "text with '\\\\'",
                        "text with '\\x00'", "text with '\\u2028'",
                        "text with 'é'"}
+
+
+# raw token values: JSON strings, numbers and booleans that are equal dict
+# keys but convert differently (1, 1.0 and True), lists, and huge chunks
+RAW = {"l": ["Cat", " dog ", "", "1", 1, 1.0, True, ["cat"]],
+       "p": ["NOUN", "verb", "XX", 1, True],
+       "c": [0, 1, 1, 1.0, True, -3, 2 ** 70, -2 ** 70, 1e300]}
+# one fault a record may have, with the values that make it
+FAULTS = {"post_id": ["", 7], "blog_id": ["", 5],
+          "timestamp": [1.5, True, float("nan"), "2020-01-01T00:00:00Z", "bad"],
+          "links": [None, "a", ["a", 3]], "title": [None, "cat"],
+          "token": ["cat", 3, None], "chunk": [2.5, float("nan"),
+                                              float("inf"), "x"]}
+
+
+@st.composite
+def raw_token_arrays(draw):
+    tokens = []
+    for _ in range(draw(st.integers(0, 5))):
+        item = {key: draw(st.sampled_from(values))
+                for key, values in RAW.items()}
+        for key in draw(st.sets(st.sampled_from("lpc"), max_size=1)):
+            del item[key]
+        tokens.append(item)
+    return sorted(tokens, key=lambda t: t.get("c", 0))
+
+
+@st.composite
+def raw_records(draw, fault):
+    """Loadable records; with a fault, the last one has it, so that the
+    records before it load and the fault is met."""
+    records = []
+    n = draw(st.integers(2 if fault == "duplicate" else 1, 5))
+    for i in range(n):
+        record = {"post_id": f"p{i}", "blog_id": draw(st.sampled_from("ab")),
+                  "timestamp": draw(st.sampled_from(range(0, 21, 4))),
+                  "links": draw(st.sampled_from([[], ["a"], ["b", "c"]])),
+                  "title": draw(raw_token_arrays()),
+                  "body": draw(raw_token_arrays())}
+        records.append(record)
+    tokens = record[draw(st.sampled_from(["title", "body"]))]
+    if fault == "duplicate":
+        record["post_id"] = "p0"
+    elif fault == "missing":
+        del record[draw(st.sampled_from(sorted(record)))]
+    elif fault == "decreasing":
+        tokens += [{"l": "late", "c": 2 ** 71}, {"l": "early", "c": -2 ** 71}]
+    elif fault in ("token", "chunk"):
+        bad = draw(st.sampled_from(FAULTS[fault]))
+        tokens.insert(draw(st.integers(0, len(tokens))),
+                      bad if fault == "token" else {"l": "x", "c": bad})
+    elif fault is not None:
+        record[fault] = draw(st.sampled_from(FAULTS[fault]))
+    lo, hi = draw(bounds), draw(bounds)
+    config = IngestConfig(window_start=lo, window_end=hi,
+                          keep_external_links=draw(st.booleans()),
+                          assume_nouns=draw(st.booleans()))
+    return records, config
+
+
+def load_outcome(load, records, config):
+    """The corpus a loader returns, or the class and details of its error."""
+    try:
+        return load(enumerate(records, start=1), config)
+    except MalformedRecord as exc:
+        return MalformedRecord, exc.line, exc.reason
+    except (EmptyCorpus, NonMonotonicWindow) as exc:
+        return type(exc), str(exc)
+
+
+def raw_load_cases(records) -> set[str]:
+    values = [(item.get("l", ""), item.get("p", ""), item.get("c", 0))
+              for r in records for field in ("title", "body")
+              for item in r.get(field) or ()]
+    exact = {raw for raw in values
+             if tuple(map(type, raw)) == (str, str, int)}
+    cases = {f"{type(v).__name__} value" for raw in values for v in raw}
+    if any(raw in exact and tuple(map(type, raw)) != (str, str, int)
+           for raw in values if not isinstance(raw[0], list)):
+        cases.add("raw value equal to a cached one of other types")
+    return cases
+
+
+@pytest.mark.parametrize("fault", [None, "decreasing", "duplicate", "missing",
+                                   *FAULTS])
+def test_loader_equals_reference_on_raw_records(fault):
+    covered = set()
+
+    @settings(max_examples=150 if fault is None else 15, deadline=None)
+    @given(raw_records(fault))
+    def check(case):
+        records, config = case
+        outcome = load_outcome(corpus_from_records, records, config)
+        expected = load_outcome(reference_corpus_from_records, records, config)
+        assert outcome == expected
+        if not isinstance(outcome, tuple):
+            assert outcome.report == expected.report
+            assert all(type(t.chunk) is int for p in outcome.posts
+                       for t in p.title_tokens + p.body_tokens)
+            covered.update(raw_load_cases(records))
+
+    check()
+    if fault is None:
+        assert {"bool value", "float value", "list value",
+                "raw value equal to a cached one of other types"} <= covered

@@ -4,7 +4,7 @@ import pytest
 from precursor.network import (NotConverged, build_graph, in_degree,
                                in_degrees, pagerank)
 
-from conftest import corpus_of, pagerank_linear, post
+from conftest import corpus_of, pagerank_linear, post, reference_pagerank
 
 
 def graph_from_links(links: dict[str, list[str]], extra_blogs=()):
@@ -88,6 +88,25 @@ class TestPageRank:
         assert sum(ranks.values()) == pytest.approx(1.0, abs=1e-9)
         for blog in graph.nodes:
             assert ranks[blog] == pytest.approx(expected[blog], abs=1e-8)
+
+    def test_equals_the_node_loop_to_the_bit(self):
+        # dangling nodes, and targets that never post (kept external links)
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 7, 30):
+            names = [f"b{i:02d}" for i in range(size)]
+            targets = names + ["outside_x", "outside_y"]
+            posts = [post(f"s{i}", b, i) for i, b in enumerate(names)]
+            for i in range(3 * size):
+                src = names[int(rng.integers(size))]
+                links = {t for t in targets
+                         if t != src and rng.random() < 0.15}
+                posts.append(post(f"p{i}", src, size + i, links=links))
+            graph = build_graph(corpus_of(posts))
+            assert "outside_x" in graph.nodes
+            assert pagerank(graph) == reference_pagerank(graph)
+            with pytest.warns(NotConverged):
+                early = pagerank(graph, damping=0.5, max_iter=3)
+            assert early == reference_pagerank(graph, damping=0.5, max_iter=3)
 
     def test_relabeling_invariance(self):
         links = {"a": ["b", "c"], "b": ["c"], "c": ["a"]}

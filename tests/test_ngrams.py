@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from precursor.corpus import Pos
 from precursor.ngrams import (Ngram, NgramConfig, Occurrence, build_index,
-                              collapse_same_blog_runs, default_stopwords,
-                              enumerate_ngrams, load_stopwords)
+                              default_stopwords, enumerate_ngrams,
+                              load_stopwords)
 from precursor.pipeline import write_index_artifact
 
 from conftest import (brute_force_index, brute_force_windows, corpus_of,
-                      ngram_of, post, tok)
+                      ngram_of, post, reference_build_index, reference_collapse,
+                      tok)
 
 
 def lemma_sets(ngrams):
@@ -136,8 +137,8 @@ class TestBuildIndex:
         for _ in range(50):
             occs = [Occurrence(int(t), f"b{rng.integers(3)}", f"p{i}")
                     for i, t in enumerate(sorted(rng.integers(0, 100, 12)))]
-            once = collapse_same_blog_runs(occs)
-            assert collapse_same_blog_runs(once) == once
+            once = reference_collapse(occs)
+            assert reference_collapse(once) == once
 
 
 class TestIndexProperties:
@@ -175,20 +176,29 @@ VOCAB = ("w0", "w1", "w2")
 TAGS = ("NOUN", "NOUN", "VERB", "NUM", "OTHER")
 
 
+# chunk values in any order, negative, and beyond 64 bits; equal values
+# next to each other form one chunk
+CHUNKS = (-3, 0, 1, 2 ** 70, 2 ** 70 + 1, -2 ** 70)
 token_streams = st.lists(
-    st.tuples(st.sampled_from(VOCAB), st.sampled_from(TAGS), st.integers(0, 2)),
-    max_size=8).map(lambda raw: [tok(lemma, tag, chunk) for lemma, tag, chunk
-                                 in sorted(raw, key=lambda t: t[2])])
+    st.tuples(st.sampled_from(CHUNKS), st.lists(
+        st.tuples(st.sampled_from(VOCAB), st.sampled_from(TAGS)), max_size=8)),
+    max_size=3).map(lambda segments: [tok(lemma, tag, chunk)
+                                      for chunk, words in segments
+                                      for lemma, tag in words])
 
 
 @st.composite
 def corpora_and_configs(draw):
+    """Posts whose titles and bodies are often copied from other posts, so
+    that long n-grams recur."""
+    pool = draw(st.lists(token_streams, min_size=1, max_size=3))
+    streams = st.one_of(token_streams, st.sampled_from(pool))
     posts = [post(f"p{i}", blog, ts, title=title, body=body)
              for i, (blog, ts, title, body) in enumerate(draw(st.lists(
                  st.tuples(st.sampled_from("abc"), st.integers(0, 9),
-                           token_streams, token_streams),
-                 min_size=1, max_size=10)))]
-    config = NgramConfig(max_len=draw(st.integers(2, 5)), stopwords=frozenset(
+                           streams, streams),
+                 min_size=1, max_size=8)))]
+    config = NgramConfig(max_len=draw(st.integers(1, 8)), stopwords=frozenset(
         draw(st.sets(st.sampled_from(VOCAB), max_size=1))))
     return corpus_of(posts), config
 
@@ -206,7 +216,16 @@ def index_coverage(corpus, config, index) -> set[str]:
             if len(set(windows)) > 1:
                 taggings_in_one_post.add(lemmas)
     kept = {n.lemmas: occs for n, occs in index.items()}
+    chunks = [[t.chunk for t in s] for p in corpus.posts
+              for s in (p.title_tokens, p.body_tokens)]
     cases = {
+        "chunk value beyond 64 bits": any(abs(c) >= 2 ** 63
+                                          for s in chunks for c in s),
+        "negative chunk value": any(c < 0 for s in chunks for c in s),
+        "decreasing chunk values": any(a > b for s in chunks
+                                       for a, b in zip(s, s[1:])),
+        "kept n-gram longer than 5": any(len(n) > 5 for n in index),
+        "max_len 1": config.max_len == 1,
         "kept n-gram tagged differently in another post": any(
             len(first_taggings[lemmas]) > 1 for lemmas in kept),
         "kept n-gram tagged two ways in one post": any(
@@ -221,9 +240,19 @@ def index_coverage(corpus, config, index) -> set[str]:
     return {case for case, holds in cases.items() if holds}
 
 
-INDEX_CASES = {"kept n-gram tagged differently in another post",
+INDEX_CASES = {"chunk value beyond 64 bits", "negative chunk value",
+               "decreasing chunk values", "kept n-gram longer than 5",
+               "max_len 1", "kept n-gram tagged differently in another post",
                "kept n-gram tagged two ways in one post",
                "same-blog run collapsed", "n-gram dropped by the collapse"}
+
+
+def first_windows(p, config):
+    """Lemma tuple -> words of its first window in the post."""
+    found = {}
+    for words in brute_force_windows(p, config):
+        found.setdefault(tuple(lemma for lemma, _ in words), words)
+    return found
 
 
 def index_table(index):
@@ -236,13 +265,20 @@ def test_index_equals_brute_force_index():
     with tempfile.TemporaryDirectory() as tmp:
         fast_path, slow_path = Path(tmp) / "fast.jsonl", Path(tmp) / "slow.jsonl"
 
-        @settings(max_examples=200, deadline=None)
+        @settings(max_examples=300, deadline=None)
         @given(corpora_and_configs())
         def check(case):
             corpus, config = case
             index = build_index(corpus, config)
             expected = brute_force_index(corpus, config)
             assert index_table(index) == index_table(expected)
+            # in the order of first-seen windows, as the loop built it
+            assert [(n.words, occs) for n, occs in index.items()] == [
+                (n.words, occs) for n, occs
+                in reference_build_index(corpus, config).items()]
+            for p in corpus.posts:
+                assert {n.lemmas: n.words for n in enumerate_ngrams(p, config)
+                        } == first_windows(p, config)
             write_index_artifact(index, fast_path)
             write_index_artifact(expected, slow_path)
             assert fast_path.read_bytes() == slow_path.read_bytes()

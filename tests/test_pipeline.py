@@ -18,8 +18,7 @@ from precursor.cli import main
 from precursor.config import PipelineConfig, build_config, parse_config_file
 from precursor.corpus import (DAY, HOUR, IngestConfig, Pos,
                               corpus_from_records, load_corpus)
-from precursor.ngrams import (Ngram, Occurrence, build_index,
-                              collapse_same_blog_runs)
+from precursor.ngrams import Ngram, Occurrence, build_index
 from precursor.bursts import FilterConfig, detect_all, filter_bursts
 from precursor.pipeline import (STAGES, StageError, read_bursts_artifact,
                                 read_index_artifact, read_topics_artifact,
@@ -29,7 +28,8 @@ from precursor.synth import SynthSpec, blog_ids, generate, leader_follower_spec
 from precursor.topics import merge_bursts
 from precursor import pipeline, synth
 
-from conftest import JSON_ODD, json_text, ngram_of, reference_index_line
+from conftest import (JSON_ODD, json_text, ngram_of, reference_collapse,
+                      reference_index_line)
 
 
 @pytest.fixture(scope="module")
@@ -496,8 +496,8 @@ def occurrence_indexes(draw):
         pool = BLOGS[:draw(st.integers(2, len(BLOGS)))]
         blogs = draw(st.lists(st.sampled_from(pool), min_size=len(times),
                               max_size=len(times)))
-        occs = collapse_same_blog_runs([Occurrence(t, b, f"n{k}p{i}") for i, (t, b)
-                                        in enumerate(zip(times, blogs))])
+        occs = reference_collapse([Occurrence(t, b, f"n{k}p{i}") for i, (t, b)
+                                   in enumerate(zip(times, blogs))])
         if len(occs) >= 2:
             index[ngram_of(f"w{k}", "x")] = occs
     return index
@@ -604,6 +604,29 @@ class TestCli:
                      str(tmp_path / "w")]) == 1
         assert capsys.readouterr().err == (
             f"error: line 2: bad timestamp {shown}\n")
+
+    def test_chunk_indices_beyond_64_bits_index_as_small_ones(self, tmp_path):
+        def corpus_with_chunks(first, second):
+            lines = []
+            for i in range(12):
+                body = [{"l": lemma, "p": "NOUN", "c": chunk} for lemma, chunk
+                        in (("alpha", first), ("beta", first),
+                            ("gamma", second), ("delta", second))]
+                lines.append(json.dumps({
+                    "post_id": f"p{i}", "blog_id": f"b{i % 3}",
+                    "timestamp": 1000 + 3600 * i, "body": body}) + "\n")
+            return "".join(lines)
+
+        index = {}
+        for name, chunks in (("wide", (-3, 10 ** 20)), ("small", (0, 1))):
+            corpus_file = tmp_path / f"{name}.jsonl"
+            corpus_file.write_text(corpus_with_chunks(*chunks))
+            assert main(["run", "--input", str(corpus_file), "--workdir",
+                         str(tmp_path / name)]) == 0
+            index[name] = (tmp_path / name / "index.jsonl").read_text()
+        assert index["wide"] == index["small"]
+        assert '"lemmas": ["alpha", "beta"]' in index["wide"]
+        assert '"beta", "gamma"' not in index["wide"]
 
     def test_kept_external_link_joins_the_graph(self, tmp_path):
         corpus_file = tmp_path / "c.jsonl"
