@@ -174,11 +174,32 @@ def binned_summary(scores: Mapping[str, float], metric: Mapping[str, float],
             out.append(BinSummary(b_lo, b_hi, 0, None, None, None, None, None, None))
             continue
         arr = np.array(bucket)
-        q1, med, q3 = np.percentile(arr, [25, 50, 75])  # linear interpolation
+        q1, med, q3 = _quartiles(sorted(bucket))
         out.append(BinSummary(b_lo, b_hi, len(bucket), float(arr.min()),
-                              float(q1), float(med), float(q3),
-                              float(arr.max()), float(arr.mean())))
+                              q1, med, q3, float(arr.max()),
+                              float(arr.mean())))
     return out
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """np.percentile(values, [25, 50, 75]) of sorted finite values, by the
+    same rule (numpy's default, "linear"): the q-quantile sits at index
+    (n-1)q, between a = values[floor] and b = the next value, at fraction
+    g, and is a + (b-a)g, or b - (b-a)(1-g) when g >= 0.5.
+
+    np.percentile is not called because it calls np.unique, whose first
+    call imports numpy.ma, and that import costs the report stage most of
+    its time.
+    """
+    last = len(values) - 1
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        at = last * q
+        lo = math.floor(at)
+        a, b = values[lo], values[min(lo + 1, last)]
+        g = at - lo
+        out.append(float(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ repeating earlier stages.
 Within one `run_pipeline` call each stage hands its result to the stages
 after it in memory: the corpus (parsed once, by the ingest stage or else by
 the first stage that needs it) goes to the ngrams, score and network stages,
-the occurrence index to the bursts stage, the kept bursts to the topics
-stage and the topics to the score stage.  Every artifact is still written,
-and a result is released once no later stage of the call needs it.  A stage
+the occurrence index to the bursts stage, the kept bursts with the JSON
+text of each (encoded once, for `bursts.jsonl`, and reused inside
+`topics.jsonl`) to the topics stage and the topics to the score stage.
+Every artifact is still written, and a result is released once no later
+stage of the call needs it.  A stage
 run on its own, or the first stage of a call that needs an input no earlier
 stage of the call produced, reads that input from the artifact in the
 working directory (`corpus.jsonl`, `index.jsonl`, `bursts.jsonl`,
@@ -114,17 +116,19 @@ def _ingest_config(cfg: PipelineConfig) -> IngestConfig:
                         assume_nouns=cfg.assume_nouns)
 
 
-def _ngram_json(ngram: Ngram) -> dict:
-    return {"lemmas": list(ngram.lemmas),
-            "pos": [pos.value for _, pos in ngram.words]}
+_TAGS = {pos: encode_basestring(pos.value) for pos in Pos}
+
+
+def _lemmas_text(ngram: Ngram) -> str:
+    return ", ".join(map(encode_basestring, ngram.lemmas))
+
+
+def _tags_text(ngram: Ngram) -> str:
+    return ", ".join([_TAGS[pos] for _, pos in ngram.words])
 
 
 def _ngram_from_json(obj: dict) -> Ngram:
     return Ngram(tuple(zip(obj["lemmas"], (Pos(p) for p in obj["pos"]))))
-
-
-def _occ_json(occ: Occurrence) -> list:
-    return [occ.timestamp, occ.blog_id, occ.post_id]
 
 
 def _occurrence_text(occ: Occurrence) -> str:
@@ -140,14 +144,13 @@ def write_index_artifact(index: dict[Ngram, list[Occurrence]], path: Path) -> No
     once."""
     line = '{"lemmas": [%s], "occurrences": [%s], "pos": [%s]}\n'
     occurrences = _Encoded(_occurrence_text).__getitem__
-    tags = {pos: encode_basestring(pos.value) for pos in Pos}
     join = ", ".join
 
     def writer(fh):
         for ngram in sorted(index, key=lambda n: n.lemmas):
-            fh.write(line % (join(map(encode_basestring, ngram.lemmas)),
+            fh.write(line % (_lemmas_text(ngram),
                              join(map(occurrences, index[ngram])),
-                             join([tags[pos] for _, pos in ngram.words])))
+                             _tags_text(ngram)))
     _atomic_write(path, writer)
 
 
@@ -161,14 +164,6 @@ def read_index_artifact(path: Path) -> dict[Ngram, list[Occurrence]]:
     return index
 
 
-def _burst_json(burst: Burst) -> dict:
-    record = _ngram_json(burst.ngram)
-    record["start"] = burst.start
-    record["end"] = burst.end
-    record["occurrences"] = [_occ_json(o) for o in burst.occurrences]
-    return record
-
-
 def _burst_from_json(obj: dict) -> Burst:
     return Burst(ngram=_ngram_from_json(obj), start=int(obj["start"]),
                  end=int(obj["end"]),
@@ -176,12 +171,36 @@ def _burst_from_json(obj: dict) -> Burst:
                                    for t, b, p in obj["occurrences"]))
 
 
-def write_bursts_artifact(bursts: Sequence[Burst], path: Path) -> None:
-    def writer(fh):
-        for burst in bursts:
-            fh.write(json.dumps(_burst_json(burst), sort_keys=True,
-                                ensure_ascii=False) + "\n")
-    _atomic_write(path, writer)
+_BURST = ('{"end": %d, "lemmas": [%s], "occurrences": [%s], "pos": [%s], '
+          '"start": %d}')
+
+
+def _encode_bursts(bursts: Sequence[Burst]) -> list[str]:
+    """Each burst's JSON object ({"end", "lemmas", "occurrences", "pos",
+    "start"}), as `json.dumps(..., sort_keys=True, ensure_ascii=False)`
+    writes it.  Each occurrence object (`build_index` shares one per post)
+    is encoded once."""
+    encoded: dict[int, str] = {}  # by id: the bursts keep each one alive
+    out = []
+    for burst in bursts:
+        occurrences = []
+        for occ in burst.occurrences:
+            text = encoded.get(id(occ))
+            if text is None:
+                text = encoded[id(occ)] = _occurrence_text(occ)
+            occurrences.append(text)
+        out.append(_BURST % (burst.end, _lemmas_text(burst.ngram),
+                             ", ".join(occurrences), _tags_text(burst.ngram),
+                             burst.start))
+    return out
+
+
+def write_bursts_artifact(bursts: Sequence[Burst], path: Path) -> list[str]:
+    """One line per burst, in the given order; returns the lines' JSON texts
+    (`_encode_bursts`) for `write_topics_artifact` to reuse."""
+    texts = _encode_bursts(bursts)
+    _atomic_write(path, lambda fh: fh.writelines(t + "\n" for t in texts))
+    return texts
 
 
 def read_bursts_artifact(path: Path) -> list[Burst]:
@@ -189,15 +208,37 @@ def read_bursts_artifact(path: Path) -> list[Burst]:
         return [_burst_from_json(json.loads(line)) for line in fh]
 
 
-def write_topics_artifact(topics: Sequence[Topic], path: Path) -> None:
+_TOPIC = ('{"bursts": [%s], "end": %d, "ngrams": [%s], "participations": {%s}, '
+          '"start": %d, "topic_id": %s}\n')
+_NGRAM = '{"lemmas": [%s], "pos": [%s]}'
+
+
+def write_topics_artifact(topics: Sequence[Topic], path: Path,
+                          encoded: Iterable[tuple[Burst, str]] = ()) -> None:
+    """One line per topic: its member bursts, end, n-grams, first
+    participation per blog (sorted by blog), start and id, as
+    `json.dumps(..., sort_keys=True, ensure_ascii=False)` writes them.
+
+    `encoded` pairs bursts with their `_encode_bursts` text, so that a burst
+    the bursts stage encoded is not encoded again; the rest are encoded
+    here.  Texts are looked up by object identity: every burst in `encoded`
+    is alive while it is read, so no other burst shares its id.
+    """
+    texts = {id(burst): text for burst, text in encoded}
+    missing = [b for topic in topics for b in topic.bursts
+               if id(b) not in texts]
+    texts.update(zip(map(id, missing), _encode_bursts(missing)))
+    join = ", ".join
+
     def writer(fh):
         for topic in topics:
-            record = {"topic_id": topic.topic_id,
-                      "ngrams": [_ngram_json(n) for n in topic.ngrams],
-                      "start": topic.start, "end": topic.end,
-                      "participations": dict(sorted(topic.participations.items())),
-                      "bursts": [_burst_json(b) for b in topic.bursts]}
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+            fh.write(_TOPIC % (
+                join([texts[id(b)] for b in topic.bursts]), topic.end,
+                join([_NGRAM % (_lemmas_text(n), _tags_text(n))
+                      for n in topic.ngrams]),
+                join(["%s: %d" % (encode_basestring(blog), first)
+                      for blog, first in sorted(topic.participations.items())]),
+                topic.start, encode_basestring(topic.topic_id)))
     _atomic_write(path, writer)
 
 
@@ -217,12 +258,14 @@ def read_topics_artifact(path: Path) -> list[Topic]:
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    """Floats as the shortest repr that reads back equal, also np.float64,
+    a float whose own repr under numpy 2 is "np.float64(...)"."""
     def writer(fh):
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(header)
         for row in rows:
             out.writerow(["" if v is None else
-                          (repr(v) if isinstance(v, float) else v)
+                          (repr(float(v)) if isinstance(v, float) else v)
                           for v in row])
     _atomic_write(path, writer)
 
@@ -263,7 +306,9 @@ def stage_ngrams(cfg: PipelineConfig, workdir: Path,
 
 
 def stage_bursts(cfg: PipelineConfig, workdir: Path,
-                 index: dict[Ngram, list[Occurrence]]) -> list[Burst]:
+                 index: dict[Ngram, list[Occurrence]]
+                 ) -> tuple[list[Burst], list[str]]:
+    """The kept bursts, and each one's JSON text for the topics stage."""
     # a burst's blogs are a subset of its n-gram's, so an n-gram with fewer
     # than min_blogs blogs cannot yield a kept burst and is not examined
     examined = {ngram: occs for ngram, occs in index.items()
@@ -275,17 +320,18 @@ def stage_bursts(cfg: PipelineConfig, workdir: Path,
                            min_duration=cfg.min_burst_days * DAY,
                            max_total_duration=cfg.max_total_burst_days * DAY)
     kept = filter_bursts(detected, filters)
-    write_bursts_artifact(kept, workdir / "bursts.jsonl")
+    texts = write_bursts_artifact(kept, workdir / "bursts.jsonl")
     logger.info("[bursts] %d n-grams examined, %d bursts detected, %d kept "
                 "after filters", len(examined),
                 sum(len(v) for v in detected.values()), len(kept))
-    return kept
+    return kept, texts
 
 
 def stage_topics(cfg: PipelineConfig, workdir: Path,
-                 bursts: list[Burst]) -> list[Topic]:
+                 encoded: tuple[list[Burst], list[str]]) -> list[Topic]:
+    bursts, texts = encoded
     topics = merge_bursts(bursts, keep_singletons=cfg.keep_singletons)
-    write_topics_artifact(topics, workdir / "topics.jsonl")
+    write_topics_artifact(topics, workdir / "topics.jsonl", zip(bursts, texts))
     logger.info("[topics] %d topics from %d bursts", len(topics), len(bursts))
     return topics
 
@@ -440,8 +486,8 @@ def _read_input(name: str, cfg: PipelineConfig, workdir: Path, stage: str):
         return load_corpus(path, _ingest_config(cfg))
     if name == "index":
         return read_index_artifact(path)
-    if name == "bursts":
-        return read_bursts_artifact(path)
+    if name == "bursts":  # no texts: the topics stage encodes each burst
+        return read_bursts_artifact(path), []
     return read_topics_artifact(path)
 
 

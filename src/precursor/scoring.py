@@ -33,13 +33,32 @@ The adjusted score omega multiplies gamma by the co-participation
 probability Pr(H); per-blog P and L are means of outgoing and incoming omega
 over all eligible dyads.
 
-Only co-participating dyads (|A| > 0) are computed, from one pass over the
-topics (`score_shared_dyads`), so the work grows with the number of such
-dyads rather than with the square of the number of blogs, and only they are
-listed in `dyadic_scores.csv`.  Every absent eligible pair has by definition
-the fixed row |A| = |Y| = 0, gamma = 0.5 (the flat prior's mean), Pr(H) = 0
-and omega = 0.  `build_dyad_context`, `pr_h` and `score_dyad` compute one
-dyad at a time and serve as the reference.
+Only co-participating dyads (|A| > 0) are computed, and only they are
+listed in `dyadic_scores.csv`, so the work grows with the number of such
+dyads rather than with the square of the number of blogs.  Every absent
+eligible pair has by definition the fixed row |A| = |Y| = 0, gamma = 0.5
+(the flat prior's mean), Pr(H) = 0 and omega = 0.
+
+`score_shared_dyads` scores them all at once:
+
+- One pass over the topics counts each participant's posts in each topic
+  interval once and lists the occurrences of the topics' bursts; array
+  operations pair the participants of each topic into (b, b2, topic)
+  entries in dyad order, and give each entry its C_r and precedence and
+  each dyad its distinct participating posts of b2 (Pr(H)).
+- `_gammas` runs the log-space split DP for every dyad together.  Dyads
+  are grouped into width classes, the dyads whose |Y|+1 rounds up to the
+  same power of two, and each class's DP fills one (dyads x width) buffer,
+  adding one topic of Y per step to every dyad that has one left.  Each
+  buffer thus holds fewer than 2 * sum(|Y|+1) floats over all classes,
+  where one rectangle for all D dyads would hold D * (max|Y|+1).
+- Each step does the same + and logaddexp per element, in the same order,
+  as a DP over one dyad, and each dyad keeps its own lgamma weights,
+  weighted mean and `DegenerateLikelihood` warning, so every gamma equals
+  the one-dyad computation bit for bit.
+
+`build_dyad_context`, `pr_h`, `score_dyad` and `gamma` (the kernel on one
+dyad) compute one dyad at a time and serve as the reference.
 """
 
 from __future__ import annotations
@@ -47,11 +66,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import count, repeat
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, post_count
+from .ngrams import _heads
 from .topics import Topic
 
 # Unused here: perfbench/tracing.py reads it at import and labels the gamma
@@ -155,24 +177,81 @@ def _variant_factors(ctx: DyadContext, variant: str):
     return z_fac, r_fac, base
 
 
-def _log_split_coefficients(ctx: DyadContext, variant: str) -> np.ndarray:
-    """log c_k: the log of the sum of split factors over splits with |Z| = k.
+def _gammas(a_sizes: Sequence[int], y_sizes: Sequence[int], c_y: np.ndarray,
+            base_zero: Sequence[bool], variant: str) -> list[float]:
+    """Exact gamma of several dyads at once.
 
-    The common factor base is left out, since gamma does not depend on it
-    (and its product underflows at large |A\\Y|).  The DP runs in log
-    space: past about a thousand topics of Y the c_k span more than the
-    float range, and the small ones can still carry gamma's largest weights.
+    Dyad d has |A| = a_sizes[d] >= 1 and |Y| = y_sizes[d]; c_y holds the
+    chance probabilities C_r of every dyad's Y, dyad after dyad, each in
+    topic order, and base_zero[d] says whether some C_r on A\\Y is 1.
+
+    The split coefficients come from one log-space DP per width class (the
+    dyads whose |Y|+1 rounds up to the same power of two), run on all of
+    the class's dyads at once: each step adds one topic of Y to every dyad
+    that has one left, with the same + and logaddexp per element as a DP
+    over one dyad.  The base factor prod_{A\\Y} (1-C_r) is left out, since
+    gamma does not depend on it (and its product underflows at large
+    |A\\Y|); the DP runs in log space because past about a thousand
+    topics of Y the c_k span more than the float range, and the small ones
+    can still carry gamma's largest weights.
     """
-    z_fac, r_fac, _ = _variant_factors(ctx, variant)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown likelihood variant {variant!r}")
+    y = np.asarray(y_sizes, dtype=np.int64)
     with np.errstate(divide="ignore"):
-        log_z, log_r = np.log(z_fac), np.log(r_fac)
-    log_c = np.zeros(1)
-    for lz, lr in zip(log_z.tolist(), log_r.tolist()):
-        nxt = np.empty(log_c.size + 1)
-        nxt[0], nxt[-1] = log_c[0] + lr, log_c[-1] + lz
-        np.logaddexp(log_c[1:] + lr, log_c[:-1] + lz, out=nxt[1:-1])
-        log_c = nxt
-    return log_c
+        log_r = np.log(c_y)
+        log_z = np.log(1.0 - c_y if variant == "verbatim"
+                       else np.ones_like(c_y))
+    first = np.cumsum(y) - y
+    width = np.array([1 << n.bit_length() for n in y.tolist()], dtype=np.int64)
+    log_c: list[np.ndarray] = [None] * y.size  # each dyad's row, by dyad
+    vanishes = np.zeros(y.size, dtype=bool)  # no finite log c_k
+    order = np.lexsort((-y, width))  # by class, then by |Y| descending
+    for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
+        ys, steps = y[group], int(y[group[0]])
+        # -inf (c_k = 0) past each row's end, so whole rows can be tested
+        rows = np.full((group.size, int(width[group[0]])), -np.inf)
+        rows[:, 0] = 0.0
+        if steps:
+            # step j's factors of each row, and the rows with a topic of Y
+            # left at step j: a prefix
+            at = np.minimum(first[group] + np.arange(steps)[:, None],
+                            c_y.size - 1)
+            lr, lz = log_r[at, None], log_z[at, None]
+            running = np.searchsorted(-ys, -np.arange(steps), side="left")
+            for j, n in enumerate(running.tolist()):
+                c, r, z = rows[:n], lr[j, :n], lz[j, :n]
+                inner = (c[:, 1:j + 1] + r, c[:, :j] + z)
+                np.add(c[:, j:j + 1], z, out=c[:, j + 1:j + 2])
+                c[:, :1] += r
+                np.logaddexp(*inner, out=c[:, 1:j + 1])
+        vanishes[group] = ~np.isfinite(rows).any(axis=1)
+        for d, n_y, row in zip(group.tolist(), ys.tolist(), rows):
+            log_c[d] = row[:n_y + 1]
+
+    log_factorial = np.array([math.lgamma(k + 1)
+                              for k in range(max(a_sizes, default=0) + 1)])
+    terms: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    out = []
+    for n_a, n_y, zero, empty, log_ck in zip(a_sizes, y.tolist(), base_zero,
+                                             vanishes.tolist(), log_c):
+        # base = prod_{A\Y} (1 - C_r) is zero exactly when some C_r there is 1
+        if zero or empty:
+            warnings.warn("likelihood vanishes for every p; returning 0.5",
+                          DegenerateLikelihood)
+            out.append(0.5)
+            continue
+        if (n_a, n_y) not in terms:
+            # log B(k+1, n-k+1) up to the constant -lgamma(n+2), which
+            # cancels, and the posterior means (k+1)/(n+2)
+            terms[n_a, n_y] = (log_factorial[:n_y + 1]
+                               + log_factorial[n_a - n_y:n_a + 1][::-1],
+                               np.arange(1, n_y + 2) / (n_a + 2))
+        log_beta, means = terms[n_a, n_y]
+        log_w = log_ck + log_beta
+        weights = np.exp(log_w - log_w.max())
+        out.append(float(weights @ means / weights.sum()))
+    return out
 
 
 def gamma(ctx: DyadContext, *, variant: str = "verbatim") -> float:
@@ -180,25 +259,16 @@ def gamma(ctx: DyadContext, *, variant: str = "verbatim") -> float:
 
     B(k+2, n-k+1) = B(k+1, n-k+1) * (k+1)/(n+2), so gamma is the mean of
     (k+1)/(n+2) under weights c_k * B(k+1, n-k+1), which are taken in log
-    space (lgamma) so that |A| in the thousands stays finite.
+    space (lgamma) so that |A| in the thousands stays finite.  This is the
+    `_gammas` kernel on one dyad.
     """
     n_a = len(ctx.a_topics)
     if n_a == 0:
         return 0.5  # no shared topic: the flat prior's mean
-    log_c = _log_split_coefficients(ctx, variant)
     in_y = set(ctx.y_topics)
-    # base = prod_{A\Y} (1 - C_r) is zero exactly when some C_r there is 1
-    if any(ctx.c[r] >= 1.0 for r in ctx.a_topics if r not in in_y) \
-            or not np.isfinite(log_c).any():
-        warnings.warn("likelihood vanishes for every p; returning 0.5",
-                      DegenerateLikelihood)
-        return 0.5
-    # log B(k+1, n-k+1) up to the constant -lgamma(n+2), which cancels
-    log_w = log_c + np.array([math.lgamma(k + 1) + math.lgamma(n_a - k + 1)
-                              for k in range(log_c.size)])
-    weights = np.exp(log_w - log_w.max())
-    means = np.arange(1, log_c.size + 1) / (n_a + 2)
-    return float(weights @ means / weights.sum())
+    c_y = np.array([ctx.c[r] for r in ctx.y_topics], dtype=np.float64)
+    zero = any(ctx.c[r] >= 1.0 for r in ctx.a_topics if r not in in_y)
+    return _gammas([n_a], [len(ctx.y_topics)], c_y, [zero], variant)[0]
 
 
 def pr_h(corpus: Corpus, topics: Sequence[Topic], b: str, b2: str) -> float:
@@ -258,52 +328,103 @@ def score_dyad(corpus: Corpus, topics: Sequence[Topic], b: str, b2: str,
                      omega=omega(g, h))
 
 
+def _expand(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions start, start+1, ..., start+length-1 of every range."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+
+
 def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
                        blogs: Sequence[str],
                        config: ScoringConfig) -> list[DyadScore]:
     """Scores of the ordered pairs of `blogs` that share a topic, in (b, b2) order.
 
-    One pass over the topics records, for each participant in `blogs`, its
-    post ids in the topic's bursts (for Pr(H)), and for each co-participating
-    ordered pair its shared topics in topic order.  The per-pair results
-    equal those of `build_dyad_context`, `gamma` and `pr_h` exactly.
+    A member row is one participant in `blogs` of a topic with two or more
+    of them, with its post count in the topic interval and the rank of its
+    first participation; member rows are in topic order.  The results equal
+    those of `build_dyad_context`, `gamma` and `pr_h` exactly.
     """
-    scored = set(blogs)
-    post_ids: dict[tuple[str, int], set[str]] = {}
-    shared: dict[tuple[str, str], list[int]] = {}
-    for i, topic in enumerate(topics):
-        members = [b for b in topic.participations if b in scored]
+    names = sorted(set(blogs))
+    code = {b: j for j, b in enumerate(names)}
+    m_blog, m_rank, m_posts, sizes = [], [], [], []
+    occs: list = []
+    occ_counts = []
+    for topic in topics:
+        first = topic.participations
+        members = [b for b in first if b in code]
         if len(members) < 2:
             continue
-        for b in members:
-            post_ids[b, i] = set()
+        rank = {t: r for r, t in enumerate(sorted({first[b] for b in members}))}
+        m_blog += [code[b] for b in members]
+        m_rank += [rank[first[b]] for b in members]
+        m_posts += [post_count(corpus, b, topic.start, topic.end)
+                    for b in members]
+        sizes.append(len(members))
+        before = len(occs)
         for burst in topic.bursts:
-            for occ in burst.occurrences:
-                if (occ.blog_id, i) in post_ids:
-                    post_ids[occ.blog_id, i].add(occ.post_id)
-        for b in members:
-            for b2 in members:
-                if b != b2:
-                    shared.setdefault((b, b2), []).append(i)
+            occs += burst.occurrences
+        occ_counts.append(len(occs) - before)
+    if not sizes:
+        return []
+
+    # every ordered pair of distinct members of one topic is an entry
+    sizes = np.array(sizes)
+    group_start = np.cumsum(sizes) - sizes
+    per_row = np.repeat(sizes, sizes)
+    left = np.repeat(np.arange(per_row.size), per_row)
+    right = _expand(np.repeat(group_start, sizes), per_row)
+    left, right = left[left != right], right[left != right]
+    blog = np.array(m_blog)
+    # member rows are in topic order, so this sorts by (b, b2, topic)
+    order = np.lexsort((left, blog[right], blog[left]))
+    left, right = left[order], right[order]
+    b, b2 = blog[left], blog[right]
+    head = _heads(b * len(names) + b2)
+    dyad = np.cumsum(head) - 1
+    n_dyads = int(dyad[-1]) + 1
+
+    rank, posts = np.array(m_rank), np.array(m_posts)
+    in_y = rank[left] < rank[right]  # strict precedence; ties carry no direction
+    both = posts[left] + posts[right]
+    c = np.where(both > 0, posts[left] / np.maximum(both, 1), 0.5)
+    a_size = np.bincount(dyad, minlength=n_dyads).tolist()
+    y_size = np.bincount(dyad[in_y], minlength=n_dyads).tolist()
+    zero = np.bincount(dyad[~in_y & (c >= 1.0)], minlength=n_dyads) > 0
+    gammas = _gammas(a_size, y_size, c[in_y], zero.tolist(), config.variant)
+
+    # post-topic incidence: the member row and post of each occurrence by a
+    # member, found by (topic group, blog)
+    occ_blog = np.fromiter(map(code.get, map(itemgetter(1), occs), repeat(-1)),
+                           np.int64, len(occs))
+    occ_key = (np.repeat(np.arange(sizes.size), occ_counts) * len(names)
+               + occ_blog)
+    member_key = np.repeat(np.arange(sizes.size), sizes) * len(names) + blog
+    by_key = np.argsort(member_key)
+    at = np.minimum(np.searchsorted(member_key[by_key], occ_key),
+                    by_key.size - 1)
+    hit = (occ_blog >= 0) & (member_key[by_key[at]] == occ_key)
+    post_code: dict[str, int] = {}
+    post = np.fromiter(map(post_code.setdefault, map(itemgetter(2), occs),
+                           count()), np.int64, len(occs))
+    inc_row, inc_post = by_key[at[hit]], post[hit]
+    # Pr(H): each dyad's distinct posts of b2 over the member rows of b2
+    inc_post = inc_post[np.argsort(inc_row)]
+    per_member = np.bincount(inc_row, minlength=per_row.size)
+    n = per_member[right]
+    key = (np.repeat(dyad, n) * max(len(occs), 1)
+           + inc_post[_expand((np.cumsum(per_member) - per_member)[right], n)])
+    key.sort()
+    participating = np.bincount(key[_heads(key)] // max(len(occs), 1),
+                                minlength=n_dyads).tolist()
 
     scores = []
-    for b, b2 in sorted(shared):
-        a_topics, y_topics, c = [], [], {}
-        participating: set[str] = set()
-        for i in shared[b, b2]:
-            topic = topics[i]
-            a_topics.append(topic.topic_id)
-            if topic.participations[b] < topic.participations[b2]:
-                y_topics.append(topic.topic_id)
-            c[topic.topic_id] = chance_prob(corpus, b, b2, topic)
-            participating |= post_ids[b2, i]
-        ctx = DyadContext(b=b, b2=b2, a_topics=tuple(a_topics),
-                          y_topics=tuple(y_topics), c=c)
-        g = gamma(ctx, variant=config.variant)
-        total = len(corpus.posts_by_blog(b2))
-        h = len(participating) / total if total else 0.0
-        scores.append(DyadScore(b=b, b2=b2, a_size=len(a_topics),
-                                y_size=len(y_topics), gamma=g, pr_h=h,
+    heads = np.flatnonzero(head)
+    for d, (j, j2) in enumerate(zip(b[heads].tolist(), b2[heads].tolist())):
+        total = len(corpus.posts_by_blog(names[j2]))
+        h = participating[d] / total if total else 0.0
+        g = gammas[d]
+        scores.append(DyadScore(b=names[j], b2=names[j2], a_size=a_size[d],
+                                y_size=y_size[d], gamma=g, pr_h=h,
                                 omega=omega(g, h)))
     return scores
 

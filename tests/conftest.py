@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from precursor.corpus import (_POS_BY_NAME, _parse_timestamp, CONTENT_POS,
                               Token)
 from precursor.ngrams import Ngram, NgramConfig, Occurrence
 from precursor.bursts import Burst
+from precursor.scoring import DegenerateLikelihood
 from precursor.topics import Topic
 
 
@@ -112,6 +114,35 @@ def split_polynomial(y_topics, c, variant="verbatim"):
     return coeffs
 
 
+def reference_gamma(ctx, variant: str = "verbatim") -> float:
+    """gamma of one dyad with its own log-space DP: one numpy step per topic
+    of Y, then the Beta-weighted mean of (k+1)/(n+2)."""
+    n_a = len(ctx.a_topics)
+    if n_a == 0:
+        return 0.5
+    c_y = np.array([ctx.c[r] for r in ctx.y_topics], dtype=np.float64)
+    z_fac = 1.0 - c_y if variant == "verbatim" else np.ones_like(c_y)
+    with np.errstate(divide="ignore"):
+        log_z, log_r = np.log(z_fac), np.log(c_y)
+    log_c = np.zeros(1)
+    for lz, lr in zip(log_z.tolist(), log_r.tolist()):
+        nxt = np.empty(log_c.size + 1)
+        nxt[0], nxt[-1] = log_c[0] + lr, log_c[-1] + lz
+        np.logaddexp(log_c[1:] + lr, log_c[:-1] + lz, out=nxt[1:-1])
+        log_c = nxt
+    in_y = set(ctx.y_topics)
+    if any(ctx.c[r] >= 1.0 for r in ctx.a_topics if r not in in_y) \
+            or not np.isfinite(log_c).any():
+        warnings.warn("likelihood vanishes for every p; returning 0.5",
+                      DegenerateLikelihood)
+        return 0.5
+    log_w = log_c + np.array([math.lgamma(k + 1) + math.lgamma(n_a - k + 1)
+                              for k in range(log_c.size)])
+    weights = np.exp(log_w - log_w.max())
+    means = np.arange(1, log_c.size + 1) / (n_a + 2)
+    return float(weights @ means / weights.sum())
+
+
 def quad_gamma(a_topics, y_topics, c, variant="verbatim"):
     """gamma by adaptive scipy quadrature of the split polynomial in p.
 
@@ -155,6 +186,34 @@ def reference_index_line(ngram: Ngram, occurrences) -> str:
               "pos": [pos.value for _, pos in ngram.words],
               "occurrences": [[o.timestamp, o.blog_id, o.post_id]
                               for o in occurrences]}
+    return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def _reference_burst_record(burst: Burst) -> dict:
+    return {"lemmas": list(burst.ngram.lemmas),
+            "pos": [pos.value for _, pos in burst.ngram.words],
+            "start": burst.start, "end": burst.end,
+            "occurrences": [[o.timestamp, o.blog_id, o.post_id]
+                            for o in burst.occurrences]}
+
+
+def reference_burst_line(burst: Burst) -> str:
+    """A burst's `bursts.jsonl` line: one dict per burst, encoded by
+    `json.dumps` with sorted keys."""
+    return json.dumps(_reference_burst_record(burst), sort_keys=True,
+                      ensure_ascii=False) + "\n"
+
+
+def reference_topic_line(topic: Topic) -> str:
+    """A topic's `topics.jsonl` line: one dict per topic holding its bursts'
+    dicts, encoded by `json.dumps` with sorted keys."""
+    record = {"topic_id": topic.topic_id,
+              "ngrams": [{"lemmas": list(n.lemmas),
+                          "pos": [pos.value for _, pos in n.words]}
+                         for n in topic.ngrams],
+              "start": topic.start, "end": topic.end,
+              "participations": dict(sorted(topic.participations.items())),
+              "bursts": [_reference_burst_record(b) for b in topic.bursts]}
     return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
 
 
@@ -499,6 +558,38 @@ def brute_force_merge(bursts, keep_singletons: bool = False) -> list[Topic]:
                   bursts=burst_list, participations=first)
             for seq, (start, end, ngrams, burst_list, first)
             in enumerate(topics, start=1)]
+
+
+def reference_detect_bursts(times, alpha: float, beta: float) -> np.ndarray:
+    """The greedy split of one n-gram as a loop of its own: each step
+    rescores every unset gap from theta and accepts the first best one."""
+    g = np.diff(np.asarray(times, dtype=np.float64))
+    n_gaps = g.size
+    theta = np.zeros(n_gaps, dtype=np.int64)
+    total = g.sum()
+    while True:
+        k = int(theta.sum())
+        s_in = float((g * theta).sum())
+        open_gaps = n_gaps - k
+        cur_intra = (total - s_in) / open_gaps if k > 0 and open_gaps > 0 else 0.0
+        cur_rho = (s_in / k) / cur_intra if k > 0 and cur_intra > 0 else 0.0
+        cur_min = g[theta == 1].min() if k > 0 else np.inf
+        v_inter = (s_in + g) / (k + 1)
+        rem = open_gaps - 1
+        if rem > 0:
+            v_intra = (total - s_in - g) / rem
+        else:
+            v_intra = np.zeros_like(g)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = np.where(v_intra > 0, v_inter / v_intra, 0.0)
+        m_int = np.minimum(cur_min, g)
+        score = np.where((rho < alpha) | (m_int < beta), 0.0, rho)
+        score[theta == 1] = -np.inf
+        best = int(np.argmax(score))
+        if score[best] > 0.0 and score[best] > cur_rho:
+            theta[best] = 1
+        else:
+            return theta
 
 
 def exhaustive_best_partition(times, alpha: float, beta: float):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from precursor.analysis import (binned_summary, classify, corner_lists,
                                 hexbin, hex_size_for, significance_table,
@@ -138,6 +139,20 @@ class TestBinnedSummary:
     def test_bin_count_validated(self):
         with pytest.raises(ValueError):
             binned_summary({}, {}, n_bins=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-1e300, 1e300),
+                              st.integers(0, 50).map(float)),
+                    min_size=1, max_size=40))
+    def test_quartiles_equal_numpy_percentile(self, values):
+        # integer-valued metrics (in-degrees) tie often; np.percentile, with
+        # numpy's default linear rule, is the oracle
+        scores = {f"b{i}": 0.0 for i in range(len(values))}
+        metric = {f"b{i}": v for i, v in enumerate(values)}
+        [summary] = binned_summary(scores, metric, n_bins=1)
+        expected = np.percentile(np.array(values), [25, 50, 75])
+        assert (summary.q1, summary.median, summary.q3) == \
+            tuple(expected.tolist())
 
 
 class TestHexbin:

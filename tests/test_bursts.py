@@ -4,12 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from precursor.corpus import DAY, HOUR
 from precursor.bursts import (Burst, FilterConfig, NoSplit, burst_passes,
-                              burst_ratio, detect_bursts, filter_bursts,
-                              inter_burst_mean, intra_burst_mean,
-                              min_inter_interval, segment_bursts)
+                              burst_ratio, detect_all, detect_bursts,
+                              filter_bursts, inter_burst_mean,
+                              intra_burst_mean, min_inter_interval,
+                              segment_bursts)
 from precursor.ngrams import Occurrence
 
-from conftest import burst_of, exhaustive_best_partition, ngram_of
+from conftest import (burst_of, exhaustive_best_partition, ngram_of,
+                      reference_detect_bursts)
 
 T_DAYS = [0, 1, 2, 10, 11, 12]
 T = [t * DAY for t in T_DAYS]
@@ -131,6 +133,86 @@ class TestDetect:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             detect_bursts([0])
+
+
+# gaps of a few hours inside clusters and of days between them, with ties
+gap_lists = st.lists(st.one_of(st.integers(0, 6 * HOUR),
+                               st.integers(DAY, 40 * DAY)),
+                     min_size=1, max_size=39)
+
+
+class TestLockstep:
+    """`detect_all` runs every n-gram's greedy split in one sweep; each
+    n-gram's result must equal the one-n-gram loop's exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gaps=gap_lists, t0=st.integers(-2 ** 40, 2 ** 40),
+           alpha=st.floats(0.5, 20.0), beta_days=st.floats(0.1, 20.0))
+    def test_detect_bursts_equals_the_loop(self, gaps, t0, alpha, beta_days):
+        times = np.cumsum([t0] + gaps).tolist()
+        beta = beta_days * DAY
+        theta = detect_bursts(times, alpha, beta)
+        assert theta.dtype == np.int64
+        assert theta.tolist() == \
+            reference_detect_bursts(times, alpha, beta).tolist()
+
+    def test_detect_all_equals_the_loop_per_ngram(self):
+        covered = set()
+
+        @settings(max_examples=300, deadline=None)
+        @given(ngram_gaps=st.lists(gap_lists, max_size=12),
+               t0=st.integers(0, 2 ** 40), alpha=st.floats(0.5, 20.0),
+               beta_days=st.floats(0.1, 20.0))
+        def check(ngram_gaps, t0, alpha, beta_days):
+            beta = beta_days * DAY
+            index = {}
+            for j, gaps in enumerate(ngram_gaps):
+                times = np.cumsum([t0] + gaps).tolist()
+                index[ngram_of(f"w{j}", "x")] = [
+                    Occurrence(t, f"b{i % 3}", f"p{j}_{i}")
+                    for i, t in enumerate(times)]
+            found = detect_all(index, alpha, beta)
+            assert list(found) == list(index)
+            splits = []
+            for ngram, occs in index.items():
+                theta = reference_detect_bursts([o.timestamp for o in occs],
+                                                alpha, beta)
+                assert found[ngram] == segment_bursts(ngram, occs, theta)
+                splits.append(int(theta.sum()))
+            covered.update(case for case, holds in (
+                ("empty index", not index),
+                ("several splits in one n-gram", max(splits, default=0) > 1),
+                ("split next to no split", splits and min(splits) == 0
+                 and max(splits) > 0),
+                ("tied times", any(0 in gaps for gaps in ngram_gaps)))
+                if holds)
+
+        check()
+        assert covered == {"empty index", "several splits in one n-gram",
+                           "split next to no split", "tied times"}
+
+    def test_a_split_that_only_ties_the_ratio_is_refused(self):
+        # after the split at the 4-day gap, splitting at the 3-day gap
+        # leaves rho at exactly 2.0, which is no strict improvement
+        times = np.cumsum([0] + [g * DAY for g in (2, 2, 2, 3, 1, 4)]).tolist()
+        expected = [0, 0, 0, 0, 0, 1]
+        assert reference_detect_bursts(times, 0.5, DAY).tolist() == expected
+        assert detect_bursts(times, 0.5, DAY).tolist() == expected
+        occs = [Occurrence(t, f"b{i}", f"p{i}") for i, t in enumerate(times)]
+        [(ngram, bursts)] = detect_all({ngram_of("a", "b"): occs}, 0.5,
+                                       DAY).items()
+        assert [len(b.occurrences) for b in bursts] == [6, 1]
+
+    def test_detect_all_rejects_what_detect_bursts_rejects(self):
+        one = {ngram_of("a", "b"): [Occurrence(0, "b0", "p0")]}
+        with pytest.raises(ValueError, match="two occurrence"):
+            detect_all(one)
+        backwards = {ngram_of("a", "b"): [Occurrence(5, "b0", "p0"),
+                                          Occurrence(3, "b1", "p1")]}
+        with pytest.raises(ValueError, match="ascending"):
+            detect_all(backwards)
+        with pytest.raises(ValueError, match="positive"):
+            detect_all({}, alpha=0.0)
 
 
 class TestSegment:

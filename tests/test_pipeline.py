@@ -10,6 +10,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,17 +20,18 @@ from precursor.config import PipelineConfig, build_config, parse_config_file
 from precursor.corpus import (DAY, HOUR, IngestConfig, Pos,
                               corpus_from_records, load_corpus)
 from precursor.ngrams import Ngram, Occurrence, build_index
-from precursor.bursts import FilterConfig, detect_all, filter_bursts
+from precursor.bursts import Burst, FilterConfig, detect_all, filter_bursts
 from precursor.pipeline import (STAGES, StageError, read_bursts_artifact,
                                 read_index_artifact, read_topics_artifact,
                                 run_pipeline, run_synth, write_bursts_artifact,
                                 write_index_artifact, write_topics_artifact)
 from precursor.synth import SynthSpec, blog_ids, generate, leader_follower_spec
-from precursor.topics import merge_bursts
+from precursor.topics import Topic, merge_bursts
 from precursor import pipeline, synth
 
-from conftest import (JSON_ODD, json_text, ngram_of, reference_collapse,
-                      reference_index_line)
+from conftest import (JSON_ODD, json_text, ngram_of, reference_burst_line,
+                      reference_collapse, reference_index_line,
+                      reference_topic_line)
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +233,18 @@ class TestArtifacts:
         assert read_topics_artifact(tpath) == topics
 
 
+def test_csv_floats_are_plain_numbers_whatever_their_type(tmp_path):
+    path = tmp_path / "scores.csv"
+    pipeline._write_csv(path, ["blog_id", "P", "n"],
+                        [["a", np.float64(0.77), np.int64(3)],
+                         ["b", np.float32(0.5), 7], ["c", 0.1 + 0.2, None]])
+    rows = pipeline.read_global_scores(path)
+    assert rows == [{"blog_id": "a", "P": "0.77", "n": "3"},
+                    {"blog_id": "b", "P": "0.5", "n": "7"},
+                    {"blog_id": "c", "P": repr(0.1 + 0.2), "n": ""}]
+    assert [float(r["P"]) for r in rows] == [0.77, 0.5, 0.1 + 0.2]
+
+
 @st.composite
 def odd_indexes(draw):
     """Indexes whose lemmas and ids are drawn from a small pool of
@@ -267,6 +281,61 @@ def test_written_index_lines_equal_the_json_dumps_reference():
 
         check()
     assert covered == set(JSON_ODD)
+
+
+@st.composite
+def odd_topics(draw):
+    """Topics over bursts whose lemmas, blogs, posts and topic ids are drawn
+    from a small pool of JSON-tricky text; a burst may sit in no topic."""
+    text = st.sampled_from(draw(st.lists(json_text, min_size=1, max_size=5)))
+    times = st.integers(-2 ** 40, 2 ** 40)
+    occurrence = st.builds(Occurrence, times, text, text)
+    bursts = draw(st.lists(st.builds(
+        Burst, st.lists(st.tuples(text, st.sampled_from(Pos)), min_size=1,
+                        max_size=3).map(lambda w: Ngram(tuple(w))),
+        times, times, st.lists(occurrence, max_size=4).map(tuple)),
+        max_size=6))
+    topics = [Topic(topic_id=draw(text), ngrams=tuple(b.ngram for b in group),
+                    start=draw(times), end=draw(times), bursts=tuple(group),
+                    participations=draw(st.dictionaries(text, times)))
+              for group in draw(st.lists(st.lists(st.sampled_from(bursts),
+                                                  max_size=3), max_size=4))
+              if group] if bursts else []
+    return bursts, topics
+
+
+def test_written_burst_and_topic_lines_equal_the_json_dumps_reference():
+    covered = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        bpath, tpath = Path(tmp) / "bursts.jsonl", Path(tmp) / "topics.jsonl"
+
+        @settings(max_examples=200, deadline=None)
+        @given(odd_topics(), st.booleans())
+        def check(case, reuse):
+            bursts, topics = case
+            texts = write_bursts_artifact(bursts, bpath)
+            assert bpath.read_text(encoding="utf-8") == "".join(
+                map(reference_burst_line, bursts))
+            assert read_bursts_artifact(bpath) == bursts
+            # with the bursts stage's texts, or encoding every burst itself
+            write_topics_artifact(topics, tpath,
+                                  zip(bursts, texts) if reuse else ())
+            assert tpath.read_text(encoding="utf-8") == "".join(
+                map(reference_topic_line, topics))
+            assert read_topics_artifact(tpath) == topics
+            text = "".join("".join(b.ngram.lemmas) + "".join(
+                o.blog_id + o.post_id for o in b.occurrences) for b in bursts)
+            text += "".join(t.topic_id + "".join(t.participations)
+                            for t in topics)
+            covered.update(c for c in JSON_ODD if c in text)
+            covered.update(case for case, holds in (
+                ("topics reuse texts", reuse and topics),
+                ("burst outside every topic", set(map(id, bursts)) - {
+                    id(b) for t in topics for b in t.bursts})) if holds)
+
+        check()
+    assert covered == set(JSON_ODD) | {"topics reuse texts",
+                                       "burst outside every topic"}
 
 
 class TestRunPipeline:
@@ -512,10 +581,13 @@ def test_pruned_bursts_stage_keeps_what_full_detection_keeps():
         @given(occurrence_indexes(), st.integers(1, 6))
         def check(index, min_blogs):
             cfg = PipelineConfig(workdir=tmp, min_blogs=min_blogs)
-            kept = pipeline.stage_bursts(cfg, Path(tmp), index)
+            kept, texts = pipeline.stage_bursts(cfg, Path(tmp), index)
             detected = detect_all(index)
             assert kept == filter_bursts(detected, FilterConfig(min_blogs=min_blogs))
-            assert read_bursts_artifact(Path(tmp) / "bursts.jsonl") == kept
+            path = Path(tmp) / "bursts.jsonl"
+            assert read_bursts_artifact(path) == kept
+            assert path.read_text(encoding="utf-8") == "".join(
+                text + "\n" for text in texts)
             pruned = [n for n, occs in index.items()
                       if len({o.blog_id for o in occs}) < min_blogs]
             capped = [n for n, bursts in detected.items()
@@ -747,3 +819,43 @@ def test_demo_runs(demo):
                           cwd=REPO, env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def run_in_child(args: list[str], hash_seed: int) -> bool:
+    """`precursor` with these arguments in a fresh interpreter under this
+    PYTHONHASHSEED, which must exit 0; whether numpy.ma was imported by
+    the end."""
+    code = ("import sys\nfrom precursor.cli import main\n"
+            f"status = main({args!r})\n"
+            "print('numpy.ma' in sys.modules)\nsys.exit(status)\n")
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1] == "True"
+
+
+def test_run_never_imports_numpy_ma(small_corpus_file, tmp_path):
+    # np.percentile and np.unique import numpy.ma, which costs the report
+    # stage most of its time on every workload
+    assert not run_in_child(["run", "-q", "--input", str(small_corpus_file),
+                             "--workdir", str(tmp_path / "w")], 0)
+
+
+def test_artifacts_do_not_depend_on_the_string_hash_seed(tmp_path):
+    """The batched kernels order n-grams and dyads through dicts and sets of
+    strings, whose iteration order follows PYTHONHASHSEED."""
+    records, _ = generate(leader_follower_spec(n_blogs=10, n_topics=12,
+                                               window_days=60, seed=2))
+    synth.write_corpus(records, tmp_path / "corpus.jsonl")
+    for seed in (0, 1):
+        run_in_child(["run", "-q", "--input", str(tmp_path / "corpus.jsonl"),
+                      "--workdir", str(tmp_path / f"hash{seed}")], seed)
+    first, second = (artifact_bytes(tmp_path / f"hash{seed}")
+                     for seed in (0, 1))
+    assert len(first) == 22
+    assert first == second
+    assert len(first["topics.jsonl"].splitlines()) > 1
+    assert len(first["dyadic_scores.csv"].splitlines()) > 1

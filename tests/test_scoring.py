@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from precursor.scoring import (DegenerateLikelihood, DyadContext, DyadScore,
                                ScoringConfig, VARIANTS,
@@ -12,7 +13,8 @@ from precursor.scoring import (DegenerateLikelihood, DyadContext, DyadScore,
                                score_shared_dyads)
 
 from conftest import (brute_force_likelihood, burst_of, corpus_of, grid_gamma,
-                      post, quad_gamma, split_polynomial, topic_of)
+                      post, quad_gamma, reference_gamma, split_polynomial,
+                      topic_of)
 
 
 def ctx_of(n_a, n_y, c_values, b="a", b2="b"):
@@ -267,6 +269,40 @@ class TestGamma:
         assert all(b >= a - 1e-12 for a, b in zip(gammas, gammas[1:]))
 
 
+def degenerate_warnings(call):
+    """call()'s result and the number of DegenerateLikelihood warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, sum(issubclass(w.category, DegenerateLikelihood)
+                       for w in caught)
+
+
+# chance probabilities with the exact ends, where a factor's log is -inf
+chance_or_end = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestGammaKernel:
+    """`gamma` is the batched `_gammas` kernel on one dyad; it must equal the
+    one-dyad DP of `conftest.reference_gamma` to the bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 7, 60, 400]),
+           st.floats(0.0, 1.0), st.sampled_from(VARIANTS),
+           st.lists(chance_or_end, max_size=3))
+    def test_equals_the_one_dyad_loop(self, seed, n_a, y_share, variant, ends):
+        rng = np.random.default_rng(seed)
+        c_values = rng.uniform(0.0, 1.0, n_a)
+        # exact 0s and 1s at random places, in A\Y or in Y
+        c_values[rng.integers(0, n_a, len(ends))] = ends
+        ctx = ctx_of(n_a, int(y_share * n_a), c_values)
+        got, n_warned = degenerate_warnings(lambda: gamma(ctx, variant=variant))
+        expected, n_expected = degenerate_warnings(
+            lambda: reference_gamma(ctx, variant))
+        assert got == expected
+        assert n_warned == n_expected
+
+
 def scored_corpus():
     """Corpus and one topic: blogs a, b share it; c stays outside."""
     posts = ([post(f"a{i}", "a", 100 + 10 * i) for i in range(10)]
@@ -401,6 +437,87 @@ def corpora_with_topics(draw):
                                {b: draw(st.integers(start, start + 3))
                                 for b in members}, bursts=bursts))
     return corpus, topics
+
+
+def many_topic_corpus(seed, n_blogs, n_topics, max_posts, share, lead):
+    """n_blogs blogs and n_topics topics, built from a seeded generator:
+    1..max_posts posts per blog at integer times in [0, 1000), topics over
+    short intervals, so that a blog often has no post in one (C_r = 1 or
+    0), and first participations a few seconds apart, so that ties occur.
+    Each blog joins a topic with probability `share`; with `lead`, blog b0
+    joins every topic and enters it strictly first, so its |Y| with each
+    other blog is their |A|."""
+    rng = np.random.default_rng(seed)
+    blogs = [f"b{i}" for i in range(n_blogs)]
+    posts = {b: [post(f"{b}_{k}", b, int(t)) for k, t in enumerate(
+                 rng.integers(0, 1000, int(rng.integers(1, max_posts + 1))))]
+             for b in blogs}
+    corpus = corpus_of([p for ps in posts.values() for p in ps])
+    topics = []
+    for j in range(n_topics):
+        members = [b for b in blogs
+                   if (lead and b == "b0") or rng.random() < share]
+        start = int(rng.integers(0, 950))
+        end = start + int(rng.integers(0, 50))
+        first = {b: start + (0 if lead and b == "b0" else
+                             int(rng.integers(1 if lead else 0, 3)))
+                 for b in members}
+        occurrences = [(p.timestamp, b, p.post_id) for b in members
+                       for p in (posts[b][int(k)] for k in rng.integers(
+                           0, len(posts[b]), 2))]
+        topics.append(topic_of(f"t{j:03d}", start, end, first, bursts=(
+            burst_of(("w", str(j)), start, end, occurrences),)))
+    return corpus, topics
+
+
+many_topic_corpora = st.builds(
+    many_topic_corpus, st.integers(0, 2 ** 32 - 1), st.integers(2, 5),
+    st.sampled_from([0, 1, 6, 60, 400]), st.sampled_from([4, 300]),
+    st.floats(0.2, 1.0), st.booleans())
+
+
+def reference_score(corpus, topics, b, b2, variant):
+    """One dyad's score from its context, `conftest.reference_gamma` and
+    `pr_h`."""
+    ctx = build_dyad_context(corpus, topics, b, b2)
+    g = reference_gamma(ctx, variant)
+    h = pr_h(corpus, topics, b, b2)
+    return DyadScore(b=b, b2=b2, a_size=len(ctx.a_topics),
+                     y_size=len(ctx.y_topics), gamma=g, pr_h=h,
+                     omega=omega(g, h))
+
+
+def test_batched_scores_equal_the_per_dyad_reference_at_large_y():
+    covered = set()
+
+    @settings(max_examples=40, deadline=None)
+    @given(many_topic_corpora, st.integers(1, 5), st.sampled_from(VARIANTS))
+    @example(many_topic_corpus(1, 3, 400, 300, 0.9, True), 1, "verbatim")
+    def check(case, min_posts, variant):
+        corpus, topics = case
+        blogs = eligible_blogs(corpus, min_posts)
+        config = ScoringConfig(min_posts=min_posts, variant=variant)
+        shared, n_warned = degenerate_warnings(
+            lambda: score_shared_dyads(corpus, topics, blogs, config))
+        pairs = [(b, b2) for b in blogs for b2 in blogs if b != b2
+                 if any(b in t.participations and b2 in t.participations
+                        for t in topics)]
+        expected, n_expected = degenerate_warnings(lambda: [
+            reference_score(corpus, topics, b, b2, variant) for b, b2 in pairs])
+        assert shared == expected
+        assert all(type(v) is float for s in shared
+                   for v in (s.gamma, s.pr_h, s.omega))
+        assert n_warned == n_expected
+        covered.update(case for case, holds in (
+            ("no shared dyad", not shared),
+            ("|Y| of 300 or more", any(s.y_size >= 300 for s in shared)),
+            ("degenerate dyad", n_warned),
+            ("degenerate next to scored", n_warned and any(
+                s.gamma != 0.5 for s in shared))) if holds)
+
+    check()
+    assert covered == {"no shared dyad", "|Y| of 300 or more",
+                       "degenerate dyad", "degenerate next to scored"}
 
 
 def sparse_fixture():
