@@ -13,7 +13,7 @@ from .corpus import (Corpus, CorpusError, EmptyCorpus, IngestConfig,
                      MalformedRecord, NonMonotonicWindow, Pos, Post, Token,
                      load_corpus, post_count)
 from .ngrams import (Ngram, NgramConfig, Occurrence, build_index,
-                     default_stopwords, enumerate_ngrams, load_stopwords)
+                     default_stopwords, load_stopwords)
 from .bursts import (Burst, FilterConfig, NoSplit, burst_ratio, detect_bursts,
                      filter_bursts, inter_burst_mean, intra_burst_mean,
                      min_inter_interval, segment_bursts)

@@ -17,10 +17,6 @@ import numpy as np
 CLASSES = ("pl", "Pl", "pL", "PL")
 
 
-class DegenerateSamples(Exception):
-    """Both samples are a single repeated value; the test is uninformative."""
-
-
 @dataclass(frozen=True)
 class ClassPartition:
     thresholds: tuple[float, float]  # (mean P, mean L)

@@ -8,7 +8,7 @@ Precedence: built-in defaults < config file < explicit CLI flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args, get_type_hints
 

@@ -204,13 +204,6 @@ def _heads(values: np.ndarray) -> np.ndarray:
     return head
 
 
-def enumerate_ngrams(post: Post, config: NgramConfig | None = None) -> set[Ngram]:
-    """All n-grams of one post under the filter rules, deduplicated."""
-    windows = _Windows((post,), config or NgramConfig())
-    return {ngram for length, starts, rank in windows.by_length()
-            for ngram in windows.ngrams(starts[_heads(rank)], length)}
-
-
 @collector_paused
 def build_index(corpus: Corpus,
                 config: NgramConfig | None = None) -> dict[Ngram, list[Occurrence]]:

@@ -8,18 +8,16 @@ repeating earlier stages.
 Within one `run_pipeline` call each stage hands its result to the stages
 after it in memory: the corpus (parsed once, by the ingest stage or else by
 the first stage that needs it) goes to the ngrams, score and network stages,
-the occurrence index to the bursts stage, the kept bursts with the JSON
-text of each (encoded once, for `bursts.jsonl`, and reused inside
-`topics.jsonl`) to the topics stage and the topics to the score stage.
-Every artifact is still written, and a result is released once no later
-stage of the call needs it.  A stage
-run on its own, or the first stage of a call that needs an input no earlier
-stage of the call produced, reads that input from the artifact in the
-working directory (`corpus.jsonl`, `index.jsonl`, `bursts.jsonl`,
-`topics.jsonl`).  The network and report stages always read
-`global_scores.csv`.  No stage draws random numbers, so re-running a stage
-with unchanged inputs and config reproduces its artifacts byte for byte,
-whatever the seed.
+the occurrence index to the bursts stage, the kept bursts to the topics
+stage and the topics to the score stage.  Each artifact is written from
+the result of its own stage alone, and a result is released once no later
+stage of the call needs it.  A stage run on its own, or the first stage of
+a call that needs an input no earlier stage of the call produced, reads
+that input from the artifact in the working directory (`corpus.jsonl`,
+`index.jsonl`, `bursts.jsonl`, `topics.jsonl`).  The network and report
+stages always read `global_scores.csv`.  No stage draws random numbers, so
+re-running a stage with unchanged inputs and config reproduces its
+artifacts byte for byte, whatever the seed.
 
 `dyadic_scores.csv` lists only the ordered pairs of eligible blogs that
 share a topic (|A| > 0), in (b, b2) order.  Every absent eligible pair has
@@ -34,6 +32,7 @@ import logging
 import os
 import resource
 import time
+from functools import cache
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -42,7 +41,7 @@ from . import analysis, network, scoring, svg, synth
 from .bursts import Burst, FilterConfig, detect_all, filter_bursts
 from .config import PipelineConfig
 from .corpus import (DAY, HOUR, RECORD_LINE, TOKEN_OBJECT, Corpus,
-                     IngestConfig, Pos, Token, load_corpus)
+                     IngestConfig, Pos, load_corpus)
 from .ngrams import Ngram, NgramConfig, Occurrence, build_index, load_stopwords
 from .topics import Topic, merge_bursts
 
@@ -58,9 +57,14 @@ class StageError(Exception):
 
 
 def _atomic_write(path: Path, writer: Callable) -> None:
+    """If `writer` raises, `path` is left as it was and no temp file stays."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer(fh)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            writer(fh)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -72,22 +76,7 @@ def _require(stage: str, *paths: Path) -> None:
 
 # ---------------------------------------------------------------- artifacts
 
-class _Encoded(dict):
-    """Each key's JSON text, made by `encode` on first use and kept for the
-    rest of one artifact write."""
-
-    def __init__(self, encode: Callable[..., str]):
-        super().__init__()
-        self.encode = encode
-
-    def __missing__(self, key) -> str:
-        text = self[key] = self.encode(key)
-        return text
-
-
-def _token_text(token: Token) -> str:
-    return TOKEN_OBJECT % (token.chunk, encode_basestring(token.lemma),
-                           encode_basestring(token.pos.value))
+_TAGS = {pos: encode_basestring(pos.value) for pos in Pos}
 
 
 def write_corpus_artifact(corpus: Corpus, path: Path) -> None:
@@ -95,7 +84,8 @@ def write_corpus_artifact(corpus: Corpus, path: Path) -> None:
     title and body tokens ({"c": chunk, "l": lemma, "p": tag}) and sorted
     links, as `json.dumps(..., sort_keys=True, ensure_ascii=False)` writes
     them.  Each distinct token's object is encoded once."""
-    fragments = _Encoded(_token_text).__getitem__
+    fragments = cache(lambda token: TOKEN_OBJECT % (
+        token.chunk, encode_basestring(token.lemma), _TAGS[token.pos]))
     join = ", ".join
 
     def writer(fh):
@@ -114,9 +104,6 @@ def _ingest_config(cfg: PipelineConfig) -> IngestConfig:
                         window_end=cfg.window_end,
                         keep_external_links=cfg.keep_external_links,
                         assume_nouns=cfg.assume_nouns)
-
-
-_TAGS = {pos: encode_basestring(pos.value) for pos in Pos}
 
 
 def _lemmas_text(ngram: Ngram) -> str:
@@ -143,7 +130,7 @@ def write_index_artifact(index: dict[Ngram, list[Occurrence]], path: Path) -> No
     Each distinct occurrence (`build_index` shares one per post) is encoded
     once."""
     line = '{"lemmas": [%s], "occurrences": [%s], "pos": [%s]}\n'
-    occurrences = _Encoded(_occurrence_text).__getitem__
+    occurrences = cache(_occurrence_text)
     join = ", ".join
 
     def writer(fh):
@@ -175,32 +162,21 @@ _BURST = ('{"end": %d, "lemmas": [%s], "occurrences": [%s], "pos": [%s], '
           '"start": %d}')
 
 
-def _encode_bursts(bursts: Sequence[Burst]) -> list[str]:
-    """Each burst's JSON object ({"end", "lemmas", "occurrences", "pos",
+def _burst_text(burst: Burst, occurrence_text: Callable) -> str:
+    """The burst's JSON object ({"end", "lemmas", "occurrences", "pos",
     "start"}), as `json.dumps(..., sort_keys=True, ensure_ascii=False)`
-    writes it.  Each occurrence object (`build_index` shares one per post)
-    is encoded once."""
-    encoded: dict[int, str] = {}  # by id: the bursts keep each one alive
-    out = []
-    for burst in bursts:
-        occurrences = []
-        for occ in burst.occurrences:
-            text = encoded.get(id(occ))
-            if text is None:
-                text = encoded[id(occ)] = _occurrence_text(occ)
-            occurrences.append(text)
-        out.append(_BURST % (burst.end, _lemmas_text(burst.ngram),
-                             ", ".join(occurrences), _tags_text(burst.ngram),
-                             burst.start))
-    return out
+    writes it."""
+    return _BURST % (burst.end, _lemmas_text(burst.ngram),
+                     ", ".join(map(occurrence_text, burst.occurrences)),
+                     _tags_text(burst.ngram), burst.start)
 
 
-def write_bursts_artifact(bursts: Sequence[Burst], path: Path) -> list[str]:
-    """One line per burst, in the given order; returns the lines' JSON texts
-    (`_encode_bursts`) for `write_topics_artifact` to reuse."""
-    texts = _encode_bursts(bursts)
-    _atomic_write(path, lambda fh: fh.writelines(t + "\n" for t in texts))
-    return texts
+def write_bursts_artifact(bursts: Sequence[Burst], path: Path) -> None:
+    """One line per burst, in the given order.  Each distinct occurrence
+    (`build_index` shares one per post) is encoded once."""
+    occurrences = cache(_occurrence_text)
+    _atomic_write(path, lambda fh: fh.writelines(
+        _burst_text(burst, occurrences) + "\n" for burst in bursts))
 
 
 def read_bursts_artifact(path: Path) -> list[Burst]:
@@ -213,27 +189,18 @@ _TOPIC = ('{"bursts": [%s], "end": %d, "ngrams": [%s], "participations": {%s}, '
 _NGRAM = '{"lemmas": [%s], "pos": [%s]}'
 
 
-def write_topics_artifact(topics: Sequence[Topic], path: Path,
-                          encoded: Iterable[tuple[Burst, str]] = ()) -> None:
+def write_topics_artifact(topics: Sequence[Topic], path: Path) -> None:
     """One line per topic: its member bursts, end, n-grams, first
     participation per blog (sorted by blog), start and id, as
     `json.dumps(..., sort_keys=True, ensure_ascii=False)` writes them.
-
-    `encoded` pairs bursts with their `_encode_bursts` text, so that a burst
-    the bursts stage encoded is not encoded again; the rest are encoded
-    here.  Texts are looked up by object identity: every burst in `encoded`
-    is alive while it is read, so no other burst shares its id.
-    """
-    texts = {id(burst): text for burst, text in encoded}
-    missing = [b for topic in topics for b in topic.bursts
-               if id(b) not in texts]
-    texts.update(zip(map(id, missing), _encode_bursts(missing)))
+    Each distinct occurrence is encoded once."""
+    occs = cache(_occurrence_text)
     join = ", ".join
 
     def writer(fh):
         for topic in topics:
             fh.write(_TOPIC % (
-                join([texts[id(b)] for b in topic.bursts]), topic.end,
+                join([_burst_text(b, occs) for b in topic.bursts]), topic.end,
                 join([_NGRAM % (_lemmas_text(n), _tags_text(n))
                       for n in topic.ngrams]),
                 join(["%s: %d" % (encode_basestring(blog), first)
@@ -306,9 +273,7 @@ def stage_ngrams(cfg: PipelineConfig, workdir: Path,
 
 
 def stage_bursts(cfg: PipelineConfig, workdir: Path,
-                 index: dict[Ngram, list[Occurrence]]
-                 ) -> tuple[list[Burst], list[str]]:
-    """The kept bursts, and each one's JSON text for the topics stage."""
+                 index: dict[Ngram, list[Occurrence]]) -> list[Burst]:
     # a burst's blogs are a subset of its n-gram's, so an n-gram with fewer
     # than min_blogs blogs cannot yield a kept burst and is not examined
     examined = {ngram: occs for ngram, occs in index.items()
@@ -320,18 +285,17 @@ def stage_bursts(cfg: PipelineConfig, workdir: Path,
                            min_duration=cfg.min_burst_days * DAY,
                            max_total_duration=cfg.max_total_burst_days * DAY)
     kept = filter_bursts(detected, filters)
-    texts = write_bursts_artifact(kept, workdir / "bursts.jsonl")
+    write_bursts_artifact(kept, workdir / "bursts.jsonl")
     logger.info("[bursts] %d n-grams examined, %d bursts detected, %d kept "
                 "after filters", len(examined),
                 sum(len(v) for v in detected.values()), len(kept))
-    return kept, texts
+    return kept
 
 
 def stage_topics(cfg: PipelineConfig, workdir: Path,
-                 encoded: tuple[list[Burst], list[str]]) -> list[Topic]:
-    bursts, texts = encoded
+                 bursts: list[Burst]) -> list[Topic]:
     topics = merge_bursts(bursts, keep_singletons=cfg.keep_singletons)
-    write_topics_artifact(topics, workdir / "topics.jsonl", zip(bursts, texts))
+    write_topics_artifact(topics, workdir / "topics.jsonl")
     logger.info("[topics] %d topics from %d bursts", len(topics), len(bursts))
     return topics
 
@@ -486,8 +450,8 @@ def _read_input(name: str, cfg: PipelineConfig, workdir: Path, stage: str):
         return load_corpus(path, _ingest_config(cfg))
     if name == "index":
         return read_index_artifact(path)
-    if name == "bursts":  # no texts: the topics stage encodes each burst
-        return read_bursts_artifact(path), []
+    if name == "bursts":
+        return read_bursts_artifact(path)
     return read_topics_artifact(path)
 
 

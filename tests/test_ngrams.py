@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from precursor.corpus import Pos
-from precursor.ngrams import (Ngram, NgramConfig, Occurrence, build_index,
-                              default_stopwords, enumerate_ngrams,
+from precursor.ngrams import (Ngram, NgramConfig, Occurrence, _heads,
+                              _Windows, build_index, default_stopwords,
                               load_stopwords)
 from precursor.pipeline import write_index_artifact
 
@@ -23,60 +23,68 @@ def lemma_sets(ngrams):
 CFG = NgramConfig(stopwords=frozenset({"stop"}))
 
 
+def post_ngrams(p, config):
+    """The n-grams of one post under the filter rules, deduplicated, each
+    with the words of its first window in the post."""
+    windows = _Windows((p,), config)
+    return {ngram for length, starts, rank in windows.by_length()
+            for ngram in windows.ngrams(starts[_heads(rank)], length)}
+
+
 class TestEnumerate:
     def test_non_content_tokens_dropped(self):
         p = post("p1", "a", 0, body=[tok("le", "OTHER"), tok("grand", "ADJ"),
                                      tok("débat", "NOUN")])
-        assert lemma_sets(enumerate_ngrams(p, CFG)) == {"grand débat"}
+        assert lemma_sets(post_ngrams(p, CFG)) == {"grand débat"}
 
     def test_paper_example_three_windows(self):
         p = post("p1", "a", 0, body=[tok("apporter", "VERB"),
                                      tok("contribution", "NOUN"),
                                      tok("débat", "NOUN")])
-        assert lemma_sets(enumerate_ngrams(p, CFG)) == {
+        assert lemma_sets(post_ngrams(p, CFG)) == {
             "apporter contribution", "contribution débat",
             "apporter contribution débat"}
 
     def test_no_noun_no_ngram(self):
         p = post("p1", "a", 0, body=[tok("courir", "VERB"), tok("vite", "OTHER")])
-        assert enumerate_ngrams(p, CFG) == set()
+        assert post_ngrams(p, CFG) == set()
 
     def test_stopword_blocks_window(self):
         p = post("p1", "a", 0, body=[tok("stop"), tok("mot"), tok("idée")])
-        assert lemma_sets(enumerate_ngrams(p, CFG)) == {"mot idée"}
+        assert lemma_sets(post_ngrams(p, CFG)) == {"mot idée"}
 
     def test_max_len_cap(self):
         body = [tok(f"w{i}") for i in range(6)]
-        found = enumerate_ngrams(post("p1", "a", 0, body=body),
-                                 NgramConfig(max_len=3, stopwords=frozenset()))
+        found = post_ngrams(post("p1", "a", 0, body=body),
+                            NgramConfig(max_len=3, stopwords=frozenset()))
         assert max(len(n) for n in found) == 3
         assert min(len(n) for n in found) == 2
 
     def test_chunks_are_independent(self):
         p = post("p1", "a", 0, body=[tok("un", chunk=0), tok("deux", chunk=1)])
-        assert enumerate_ngrams(p, CFG) == set()
+        assert post_ngrams(p, CFG) == set()
 
     def test_title_is_its_own_chunk(self):
         p = post("p1", "a", 0, title=[tok("titre"), tok("mot")],
                  body=[tok("corps")])
-        assert lemma_sets(enumerate_ngrams(p, CFG)) == {"titre mot"}
+        assert lemma_sets(post_ngrams(p, CFG)) == {"titre mot"}
 
     def test_duplicates_collapse_within_post(self):
         body = [tok("a", chunk=0), tok("b", chunk=0),
                 tok("a", chunk=1), tok("b", chunk=1)]
-        found = enumerate_ngrams(post("p1", "a", 0, body=body), CFG)
+        found = post_ngrams(post("p1", "a", 0, body=body), CFG)
         assert lemma_sets(found) == {"a b"}
         assert len(found) == 1
 
     def test_dropping_makes_survivors_adjacent(self):
         body = [tok("un"), tok("et", "OTHER"), tok("deux")]
-        assert lemma_sets(enumerate_ngrams(post("p1", "a", 0, body=body),
-                                           CFG)) == {"un deux"}
+        assert lemma_sets(post_ngrams(post("p1", "a", 0, body=body),
+                                      CFG)) == {"un deux"}
 
     def test_duplicate_keeps_the_tags_of_its_first_window(self):
         body = [tok("mot", "VERB", 0), tok("clé", "NOUN", 0),
                 tok("mot", "NOUN", 1), tok("clé", "NOUN", 1)]
-        found = enumerate_ngrams(post("p1", "a", 0, body=body), CFG)
+        found = post_ngrams(post("p1", "a", 0, body=body), CFG)
         assert [n.words for n in found] == [(("mot", Pos.VERB),
                                              ("clé", Pos.NOUN))]
 
@@ -277,7 +285,7 @@ def test_index_equals_brute_force_index():
                 (n.words, occs) for n, occs
                 in reference_build_index(corpus, config).items()]
             for p in corpus.posts:
-                assert {n.lemmas: n.words for n in enumerate_ngrams(p, config)
+                assert {n.lemmas: n.words for n in post_ngrams(p, config)
                         } == first_windows(p, config)
             write_index_artifact(index, fast_path)
             write_index_artifact(expected, slow_path)

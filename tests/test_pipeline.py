@@ -12,7 +12,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from precursor import cli
 from precursor.cli import main
@@ -232,6 +232,21 @@ class TestArtifacts:
         write_topics_artifact(topics, tpath)
         assert read_topics_artifact(tpath) == topics
 
+    def test_failed_write_keeps_the_old_artifact_and_no_temp_file(
+            self, tmp_path):
+        path = tmp_path / "x.csv"
+        pipeline._write_csv(path, ["blog_id", "P"], [["a", 0.5]])
+        before = path.read_bytes()
+
+        def failing(fh):
+            fh.write("blog_id,P\n")
+            raise ValueError("writer failed")
+
+        with pytest.raises(ValueError, match="writer failed"):
+            pipeline._atomic_write(path, failing)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
 
 def test_csv_floats_are_plain_numbers_whatever_their_type(tmp_path):
     path = tmp_path / "scores.csv"
@@ -310,16 +325,14 @@ def test_written_burst_and_topic_lines_equal_the_json_dumps_reference():
         bpath, tpath = Path(tmp) / "bursts.jsonl", Path(tmp) / "topics.jsonl"
 
         @settings(max_examples=200, deadline=None)
-        @given(odd_topics(), st.booleans())
-        def check(case, reuse):
+        @given(odd_topics())
+        def check(case):
             bursts, topics = case
-            texts = write_bursts_artifact(bursts, bpath)
+            write_bursts_artifact(bursts, bpath)
             assert bpath.read_text(encoding="utf-8") == "".join(
                 map(reference_burst_line, bursts))
             assert read_bursts_artifact(bpath) == bursts
-            # with the bursts stage's texts, or encoding every burst itself
-            write_topics_artifact(topics, tpath,
-                                  zip(bursts, texts) if reuse else ())
+            write_topics_artifact(topics, tpath)
             assert tpath.read_text(encoding="utf-8") == "".join(
                 map(reference_topic_line, topics))
             assert read_topics_artifact(tpath) == topics
@@ -328,14 +341,11 @@ def test_written_burst_and_topic_lines_equal_the_json_dumps_reference():
             text += "".join(t.topic_id + "".join(t.participations)
                             for t in topics)
             covered.update(c for c in JSON_ODD if c in text)
-            covered.update(case for case, holds in (
-                ("topics reuse texts", reuse and topics),
-                ("burst outside every topic", set(map(id, bursts)) - {
-                    id(b) for t in topics for b in t.bursts})) if holds)
+            if set(map(id, bursts)) - {id(b) for t in topics for b in t.bursts}:
+                covered.add("burst outside every topic")
 
         check()
-    assert covered == set(JSON_ODD) | {"topics reuse texts",
-                                       "burst outside every topic"}
+    assert covered == set(JSON_ODD) | {"burst outside every topic"}
 
 
 class TestRunPipeline:
@@ -579,15 +589,19 @@ def test_pruned_bursts_stage_keeps_what_full_detection_keeps():
     with tempfile.TemporaryDirectory() as tmp:
         @settings(max_examples=150, deadline=None)
         @given(occurrence_indexes(), st.integers(1, 6))
+        # one burst of 39 days: 150 drawn indexes miss the cap about 1 run in 10
+        @example({ngram_of("w0", "x"): [Occurrence(HOUR, "b0", "n0p0"),
+                                        Occurrence(HOUR + 39 * DAY, "b1",
+                                                   "n0p1")]}, 2)
         def check(index, min_blogs):
             cfg = PipelineConfig(workdir=tmp, min_blogs=min_blogs)
-            kept, texts = pipeline.stage_bursts(cfg, Path(tmp), index)
+            kept = pipeline.stage_bursts(cfg, Path(tmp), index)
             detected = detect_all(index)
             assert kept == filter_bursts(detected, FilterConfig(min_blogs=min_blogs))
             path = Path(tmp) / "bursts.jsonl"
             assert read_bursts_artifact(path) == kept
             assert path.read_text(encoding="utf-8") == "".join(
-                text + "\n" for text in texts)
+                map(reference_burst_line, kept))
             pruned = [n for n, occs in index.items()
                       if len({o.blog_id for o in occs}) < min_blogs]
             capped = [n for n, bursts in detected.items()

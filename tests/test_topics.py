@@ -194,6 +194,29 @@ def test_merge_equals_brute_force_merge():
     assert covered == set(COVERAGE)
 
 
+def test_merge_does_not_depend_on_the_input_order():
+    """Bursts that share no (lemmas, start), as the bursts of one n-gram
+    never do, give the same topics in any input order."""
+    covered = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(burst_lists(), st.booleans(), st.data())
+    def check(bursts, keep_singletons, data):
+        bursts = list({(b.ngram.lemmas, b.start): b for b in bursts}.values())
+        shuffled = data.draw(st.permutations(bursts))
+        merged = merge_bursts(bursts, keep_singletons=keep_singletons)
+        assert merge_bursts(shuffled, keep_singletons=keep_singletons) == merged
+        covered.update(case for case, holds in (
+            ("order changed", shuffled != bursts),
+            ("multi-burst topic", any(len(t.bursts) > 1 for t in merged)),
+            ("conflicting topics merged", scan_merge_conflicts(bursts) > 0))
+            if holds)
+
+    check()
+    assert covered == {"order changed", "multi-burst topic",
+                       "conflicting topics merged"}
+
+
 def test_merge_checks_only_indexed_candidates(monkeypatch):
     """Only the bursts sharing a sub-n-gram are tested: a return to the
     scan of every later burst fails here without any timing."""
