@@ -13,21 +13,20 @@ from precursor import synth
 from precursor.analysis import (binned_summary, classify, corner_lists,
                                 significance_table)
 from precursor.bursts import detect_all, filter_bursts
-from precursor.corpus import IngestConfig, corpus_from_records
+from precursor.corpus import corpus_from_records
 from precursor.network import build_graph, in_degrees, pagerank
 from precursor.ngrams import build_index
-from precursor.scoring import (ScoringConfig, eligible_blogs, global_scores,
-                               score_shared_dyads)
+from precursor.scoring import eligible_blogs, global_scores, score_shared_dyads
 from precursor.topics import merge_bursts
 
 spec = synth.leader_follower_spec(n_blogs=16, n_topics=10, window_days=55,
                                   base_rate=0.5, seed=7)
 records, _ = synth.generate(spec)
-corpus = corpus_from_records(enumerate(records, 1), IngestConfig())
+corpus = corpus_from_records(enumerate(records, 1))
 
 topics = merge_bursts(filter_bursts(detect_all(build_index(corpus))))
-blogs = eligible_blogs(corpus, 7)
-scores = score_shared_dyads(corpus, topics, blogs, ScoringConfig())
+blogs = eligible_blogs(corpus)
+scores = score_shared_dyads(corpus, topics, blogs)
 pl = global_scores(scores, blogs)
 
 graph = build_graph(corpus)

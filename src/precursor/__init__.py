@@ -9,19 +9,20 @@ precursor and laggard scores are then compared against link-structural
 popularity metrics (in-degree, PageRank).
 """
 
-from .corpus import (Corpus, CorpusError, EmptyCorpus, IngestConfig,
-                     MalformedRecord, NonMonotonicWindow, Pos, Post, Token,
-                     load_corpus, post_count)
-from .ngrams import (Ngram, NgramConfig, Occurrence, build_index,
-                     default_stopwords, load_stopwords)
-from .bursts import (Burst, FilterConfig, NoSplit, burst_ratio, detect_bursts,
-                     filter_bursts, inter_burst_mean, intra_burst_mean,
-                     min_inter_interval, segment_bursts)
+from .config import PipelineConfig
+from .corpus import (Corpus, CorpusError, EmptyCorpus, MalformedRecord,
+                     NonMonotonicWindow, Pos, Post, Token, load_corpus,
+                     post_count)
+from .ngrams import (Ngram, Occurrence, build_index, default_stopwords,
+                     load_stopwords)
+from .bursts import (Burst, NoSplit, burst_ratio, detect_bursts, filter_bursts,
+                     inter_burst_mean, intra_burst_mean, min_inter_interval,
+                     segment_bursts)
 from .topics import Topic, is_generalization, merge_bursts
-from .scoring import (DyadContext, DyadScore, ScoringConfig, chance_prob,
-                      gamma, global_scores, likelihood, likelihood_sampled,
-                      omega, pr_h, score_shared_dyads)
-from .network import CitationGraph, build_graph, in_degree, pagerank
+from .scoring import (DyadContext, DyadScore, chance_prob, gamma,
+                      global_scores, likelihood, likelihood_sampled, omega,
+                      pr_h, score_shared_dyads)
+from .network import CitationGraph, build_graph, in_degrees, pagerank
 from .analysis import (ClassPartition, binned_summary, classify, corner_lists,
                        hexbin, significance_table, wilcoxon_rank_sum)
 from .synth import GroundTruth, InfeasibleSpec, PlantedTopic, SynthSpec, generate

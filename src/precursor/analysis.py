@@ -14,6 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import PipelineConfig
+
 CLASSES = ("pl", "Pl", "pL", "PL")
 
 
@@ -147,7 +149,8 @@ class BinSummary:
 
 
 def binned_summary(scores: Mapping[str, float], metric: Mapping[str, float],
-                   n_bins: int = 4, log_bins: bool = False) -> list[BinSummary]:
+                   n_bins: int = PipelineConfig.bins,
+                   log_bins: bool = PipelineConfig.log_bins) -> list[BinSummary]:
     """Five-number summaries of `metric` per equal-width bin of `scores`."""
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
@@ -209,7 +212,7 @@ class HexCell:
 
 
 def hexbin(points: Sequence[tuple[float, float, float]],
-           grid_size: int = 10) -> list[HexCell]:
+           grid_size: int = PipelineConfig.hex_grid) -> list[HexCell]:
     """Aggregate (x, y, metric) points on a pointy-top hexagonal lattice.
 
     grid_size is the approximate number of hexagons spanning the x range.

@@ -39,11 +39,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .corpus import DAY, HOUR, MONTH, collector_paused
+from .config import PipelineConfig
+from .corpus import DAY, HOUR, collector_paused
 from .ngrams import Ngram, Occurrence
-
-DEFAULT_ALPHA = 5.0
-DEFAULT_BETA = 5 * DAY
 
 
 class NoSplit(Exception):
@@ -164,8 +162,8 @@ def _greedy_splits(gaps: np.ndarray, n_gaps: np.ndarray, alpha: float,
     return theta
 
 
-def detect_bursts(times, alpha: float = DEFAULT_ALPHA,
-                  beta: float = DEFAULT_BETA) -> np.ndarray:
+def detect_bursts(times, alpha: float = PipelineConfig.alpha,
+                  beta: float = PipelineConfig.beta_days * DAY) -> np.ndarray:
     """Greedy partition of occurrence times into bursts.
 
     Returns the theta bit vector (length ``len(times) - 1``).  The all-zero
@@ -211,54 +209,47 @@ def segment_bursts(ngram: Ngram, occurrences: list[Occurrence],
     return _cut(ngram, occurrences, np.flatnonzero(theta).tolist())
 
 
-@dataclass
-class FilterConfig:
-    min_blogs: int = 4
-    min_mean_gap: float = HOUR
-    max_mean_gap: float = DAY
-    min_duration: float = 3 * DAY
-    max_total_duration: float = MONTH
-
-
-def burst_passes(burst: Burst, config: FilterConfig) -> bool:
+def burst_passes(burst: Burst, cfg: PipelineConfig) -> bool:
     """Per-burst predicates (the total-duration cap is applied per n-gram)."""
-    if len(burst.blogs) < config.min_blogs:
+    if len(burst.blogs) < cfg.min_blogs:
         return False
-    if burst.duration < config.min_duration:
+    if burst.duration < cfg.min_burst_days * DAY:
         return False
     times = [o.timestamp for o in burst.occurrences]
     if len(times) < 2:
         return False
     mean_gap = (times[-1] - times[0]) / (len(times) - 1)
-    return config.min_mean_gap <= mean_gap <= config.max_mean_gap
+    return (cfg.min_mean_gap_hours * HOUR <= mean_gap
+            <= cfg.max_mean_gap_days * DAY)
 
 
 def filter_bursts(bursts_by_ngram: dict[Ngram, list[Burst]],
-                  config: FilterConfig | None = None) -> list[Burst]:
-    """Apply the burst acceptance criteria.
+                  cfg: PipelineConfig | None = None) -> list[Burst]:
+    """Apply the burst acceptance criteria of `cfg` (the defaults when None).
 
-    A burst is kept iff it has enough participating blogs, its mean
-    inter-post gap lies in [min_mean_gap, max_mean_gap], it lasts at least
-    min_duration, and the summed duration of *all* the n-gram's detected
-    bursts stays within max_total_duration; when that cap fails every burst
-    of the n-gram is discarded.
+    A burst is kept iff it has at least min_blogs participating blogs, its
+    mean inter-post gap lies in [min_mean_gap_hours, max_mean_gap_days], it
+    lasts at least min_burst_days, and the summed duration of *all* the
+    n-gram's detected bursts stays within max_total_burst_days; when that
+    cap fails every burst of the n-gram is discarded.
     """
-    config = config or FilterConfig()
+    cfg = cfg or PipelineConfig()
     kept: list[Burst] = []
     for ngram in sorted(bursts_by_ngram, key=lambda n: n.lemmas):
         bursts = bursts_by_ngram[ngram]
         total = sum(b.duration for b in bursts)
-        if total > config.max_total_duration:
+        if total > cfg.max_total_burst_days * DAY:
             continue
         kept.extend(b for b in sorted(bursts, key=lambda b: b.start)
-                    if burst_passes(b, config))
+                    if burst_passes(b, cfg))
     return kept
 
 
 @collector_paused
 def detect_all(index: dict[Ngram, list[Occurrence]],
-               alpha: float = DEFAULT_ALPHA,
-               beta: float = DEFAULT_BETA) -> dict[Ngram, list[Burst]]:
+               alpha: float = PipelineConfig.alpha,
+               beta: float = PipelineConfig.beta_days * DAY
+               ) -> dict[Ngram, list[Burst]]:
     """Run detection over a whole occurrence index, every n-gram at once.
 
     The collector is paused while the `Burst` objects are built: at L

@@ -1,7 +1,9 @@
 """Pipeline configuration: one flat key=value config file mirroring the CLI.
 
-Each field of `PipelineConfig` is one config key: `cli` derives its
---kebab-name flag from the field (type, help and choices), and
+`PipelineConfig` declares each pipeline parameter and its default once; the
+library reads its defaults from the class (`PipelineConfig.alpha`), and this
+module imports no other of the package.  Each field is one config key: `cli`
+derives its --kebab-name flag from the field (type, help and choices), and
 `parse_config_file` reads it as snake_name or kebab-name with the same type.
 Precedence: built-in defaults < config file < explicit CLI flags.
 """
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .scoring import VARIANTS
+VARIANTS = ("verbatim", "partitioned")  # the likelihoods `scoring` implements
 
 
 def _key(default, help=None, **cli):

@@ -27,6 +27,8 @@ from functools import wraps
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
+from .config import PipelineConfig
+
 # One record and one token object as `json.dumps(..., sort_keys=True,
 # ensure_ascii=False)` writes them, for writers that emit the keys in order:
 # each %s takes a `json.encoder.encode_basestring` string, or a ", "-joined
@@ -35,11 +37,9 @@ RECORD_LINE = ('{"blog_id": %s, "body": [%s], "links": [%s], "post_id": %s, '
                '"timestamp": %d, "title": [%s]}\n')
 TOKEN_OBJECT = '{"c": %d, "l": %s, "p": %s}'
 
-# All durations are integer seconds; a "month" is fixed at 30 days so that
-# the duration filters are deterministic.
+# All durations are integer seconds.
 HOUR = 3600
 DAY = 86400
-MONTH = 30 * DAY
 
 
 class Pos(str, Enum):
@@ -89,14 +89,6 @@ class Post:
     title_tokens: tuple[Token, ...] = ()
     body_tokens: tuple[Token, ...] = ()
     out_links: frozenset[str] = frozenset()
-
-
-@dataclass
-class IngestConfig:
-    window_start: int | None = None
-    window_end: int | None = None
-    keep_external_links: bool = False
-    assume_nouns: bool = False
 
 
 @dataclass
@@ -154,7 +146,7 @@ def _parse_timestamp(raw, line: int) -> int:
     raise MalformedRecord(line, f"bad timestamp {raw!r}")
 
 
-def _token_entry(raw: tuple, line: int, config: IngestConfig,
+def _token_entry(raw: tuple, line: int, assume_nouns: bool,
                  table: dict) -> tuple[Token | None, bool]:
     """The token for raw (lemma, tag, chunk) values, None for an empty lemma,
     and whether the tag was coerced to OTHER.  The entry is kept in `table`
@@ -168,7 +160,7 @@ def _token_entry(raw: tuple, line: int, config: IngestConfig,
     text = str(lemma).strip().lower()
     if not text:
         entry = None, False
-    elif config.assume_nouns:
+    elif assume_nouns:
         entry = Token(text, Pos.NOUN, index), False
     else:
         pos = _POS_BY_NAME.get(str(tag).upper())
@@ -222,12 +214,12 @@ def collector_paused(func):
 
 @collector_paused
 def corpus_from_records(records: Iterable[tuple[int, dict]],
-                        config: IngestConfig | None = None) -> Corpus:
-    config = config or IngestConfig()
-    if (config.window_start is not None and config.window_end is not None
-            and config.window_start > config.window_end):
-        raise NonMonotonicWindow(
-            f"window start {config.window_start} > end {config.window_end}")
+                        cfg: PipelineConfig | None = None) -> Corpus:
+    """The records' corpus, under the window, link and noun keys of `cfg`."""
+    cfg = cfg or PipelineConfig()
+    start, end = cfg.window_start, cfg.window_end
+    if start is not None and end is not None and start > end:
+        raise NonMonotonicWindow(f"window start {start} > end {end}")
 
     records_read = pos_warnings = empty_lemma_tokens = 0
     out_of_window = self_links = external_links = 0
@@ -265,7 +257,8 @@ def corpus_from_records(records: Iterable[tuple[int, dict]],
                 try:
                     token, coerced = table[key]
                 except (KeyError, TypeError):  # unseen, or a list value
-                    token, coerced = _token_entry(key, line_no, config, table)
+                    token, coerced = _token_entry(key, line_no,
+                                                  cfg.assume_nouns, table)
                 if token is None:
                     empty_lemma_tokens += 1
                     continue
@@ -281,11 +274,10 @@ def corpus_from_records(records: Iterable[tuple[int, dict]],
             raise MalformedRecord(line_no, "links array expected")
         parsed.append((post_id, blog_id, ts, *streams, links))
 
-    if config.window_start is not None or config.window_end is not None:
-        lo = config.window_start if config.window_start is not None else min(
-            (p[2] for p in parsed), default=0)
-        hi = config.window_end if config.window_end is not None else max(
-            (p[2] for p in parsed), default=0)
+    if start is not None or end is not None:
+        lo = start if start is not None else min((p[2] for p in parsed),
+                                                 default=0)
+        hi = end if end is not None else max((p[2] for p in parsed), default=0)
         kept = [p for p in parsed if lo <= p[2] <= hi]
         out_of_window = len(parsed) - len(kept)
         parsed = kept
@@ -300,7 +292,7 @@ def corpus_from_records(records: Iterable[tuple[int, dict]],
         raise EmptyCorpus("no valid posts")
 
     blogs = frozenset(p[1] for p in parsed)
-    keep_external = config.keep_external_links
+    keep_external = cfg.keep_external_links
     posts = []
     for post_id, blog_id, ts, title, body, links in parsed:
         cleaned = set()
@@ -321,14 +313,14 @@ def corpus_from_records(records: Iterable[tuple[int, dict]],
     return Corpus(posts=tuple(posts), blogs=blogs, window=window, report=report)
 
 
-def load_corpus(path: str | Path, config: IngestConfig | None = None) -> Corpus:
-    """Load and validate a line-delimited corpus file.
+def load_corpus(path: str | Path, cfg: PipelineConfig | None = None) -> Corpus:
+    """Load and validate a line-delimited corpus file (`corpus_from_records`).
 
     Raises MalformedRecord (with the offending line number) on the first
     unparseable or incomplete record, EmptyCorpus when no valid post
     survives, and NonMonotonicWindow for an inverted observation window.
     """
-    return corpus_from_records(iter_records(path), config)
+    return corpus_from_records(iter_records(path), cfg)
 
 
 def post_count(corpus: Corpus, blog: str, t: int, t2: int) -> int:

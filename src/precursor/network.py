@@ -16,11 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PipelineConfig
 from .corpus import Corpus
-
-DAMPING = 0.85
-PR_TOL = 1e-10
-PR_MAX_ITER = 200
 
 
 class NotConverged(RuntimeWarning):
@@ -46,12 +43,8 @@ def build_graph(corpus: Corpus) -> CitationGraph:
                          weights=weights)
 
 
-def in_degree(graph: CitationGraph, blog: str) -> int:
-    """Number of distinct blogs linking to `blog` at least once."""
-    return len({src for (src, dst) in graph.weights if dst == blog})
-
-
 def in_degrees(graph: CitationGraph) -> dict[str, int]:
+    """Per node, the number of distinct blogs linking to it at least once."""
     incoming: dict[str, set[str]] = {b: set() for b in graph.nodes}
     for (src, dst) in graph.weights:
         if dst in incoming:
@@ -59,8 +52,8 @@ def in_degrees(graph: CitationGraph) -> dict[str, int]:
     return {b: len(srcs) for b, srcs in incoming.items()}
 
 
-def pagerank(graph: CitationGraph, damping: float = DAMPING,
-             tol: float = PR_TOL, max_iter: int = PR_MAX_ITER) -> dict[str, float]:
+def pagerank(graph: CitationGraph, damping: float = PipelineConfig.damping,
+             tol: float = 1e-10, max_iter: int = 200) -> dict[str, float]:
     """Power-iteration PageRank on the binarized citation graph.
 
     Converged when the L1 change drops below tol; otherwise a NotConverged

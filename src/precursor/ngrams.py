@@ -56,6 +56,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .config import PipelineConfig
 from .corpus import CONTENT_POS, Corpus, Pos, Post, collector_paused
 
 
@@ -103,26 +104,19 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 
 def default_stopwords() -> frozenset[str]:
-    text = resources.files("precursor").joinpath(
-        "data/stopwords_default.txt").read_text(encoding="utf-8")
-    return frozenset(
-        line.strip().lower()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#"))
-
-
-@dataclass
-class NgramConfig:
-    max_len: int = 5
-    stopwords: frozenset[str] = field(default_factory=default_stopwords)
+    """The packaged stop-word list."""
+    with resources.as_file(resources.files("precursor").joinpath(
+            "data/stopwords_default.txt")) as path:
+        return load_stopwords(path)
 
 
 class _Windows:
     """The windows of some posts, as arrays over their content tokens in
     corpus order (title, then body, of each post)."""
 
-    def __init__(self, posts: tuple[Post, ...], config: NgramConfig):
-        self.max_len = config.max_len
+    def __init__(self, posts: tuple[Post, ...], max_len: int,
+                 stopwords: frozenset[str]):
+        self.max_len = max_len
         streams = [s for p in posts for s in (p.title_tokens, p.body_tokens)]
         sizes = np.fromiter(map(len, streams), np.int64, count=len(streams))
         flat = list(chain.from_iterable(streams))
@@ -158,7 +152,7 @@ class _Windows:
         self.segment = np.cumsum(new_segment)[content]
         self.lemma = lemma[content]
         self.noun = per_token((t.pos is Pos.NOUN for t in tokens), bool)[content]
-        self.stop = per_token((t.lemma in config.stopwords for t in tokens),
+        self.stop = per_token((t.lemma in stopwords for t in tokens),
                               bool)[content]
         self.post = np.repeat(np.arange(len(posts)),
                               sizes[0::2] + sizes[1::2])[content]
@@ -205,9 +199,11 @@ def _heads(values: np.ndarray) -> np.ndarray:
 
 
 @collector_paused
-def build_index(corpus: Corpus,
-                config: NgramConfig | None = None) -> dict[Ngram, list[Occurrence]]:
-    """Time-ordered occurrence lists per n-gram.
+def build_index(corpus: Corpus, max_len: int = PipelineConfig.max_ngram_len,
+                stopwords: frozenset[str] | None = None
+                ) -> dict[Ngram, list[Occurrence]]:
+    """Time-ordered occurrence lists per n-gram of 2..max_len lemmas, none
+    of them in `stopwords` (the packaged list when None).
 
     Occurrences are sorted by (timestamp, post_id); a single left-to-right
     pass then drops any occurrence whose blog equals the previous retained
@@ -215,9 +211,10 @@ def build_index(corpus: Corpus,
     with fewer than two retained occurrences are removed.  Each n-gram keeps
     the words of its first-seen window.
     """
-    config = config or NgramConfig()
+    if stopwords is None:
+        stopwords = default_stopwords()
     posts = corpus.posts
-    windows = _Windows(posts, config)
+    windows = _Windows(posts, max_len, stopwords)
     blogs: dict[str, int] = {}
     blog_of = np.fromiter(map(blogs.setdefault, [p.blog_id for p in posts],
                               count()), np.int64, count=len(posts))
@@ -236,7 +233,7 @@ def build_index(corpus: Corpus,
         many = sizes >= 2
         kept &= many[group]
         firsts = starts[head][many]
-        first_seen.append(firsts * (config.max_len + 1) + length)
+        first_seen.append(firsts * (max_len + 1) + length)
         ngrams += windows.ngrams(firsts, length)
         occs = [occurrence[p] for p in post[kept].tolist()]
         ends = np.cumsum(sizes[many]).tolist()

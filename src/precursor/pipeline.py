@@ -32,17 +32,17 @@ import logging
 import os
 import resource
 import time
+from dataclasses import MISSING, fields
 from functools import cache
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, get_origin, get_type_hints
 
 from . import analysis, network, scoring, svg, synth
-from .bursts import Burst, FilterConfig, detect_all, filter_bursts
+from .bursts import Burst, detect_all, filter_bursts
 from .config import PipelineConfig
-from .corpus import (DAY, HOUR, RECORD_LINE, TOKEN_OBJECT, Corpus,
-                     IngestConfig, Pos, load_corpus)
-from .ngrams import Ngram, NgramConfig, Occurrence, build_index, load_stopwords
+from .corpus import DAY, RECORD_LINE, TOKEN_OBJECT, Corpus, Pos, load_corpus
+from .ngrams import Ngram, Occurrence, build_index, load_stopwords
 from .topics import Topic, merge_bursts
 
 logger = logging.getLogger("precursor")
@@ -97,13 +97,6 @@ def write_corpus_artifact(corpus: Corpus, path: Path) -> None:
                 encode_basestring(post.post_id), post.timestamp,
                 join(map(fragments, post.title_tokens))))
     _atomic_write(path, writer)
-
-
-def _ingest_config(cfg: PipelineConfig) -> IngestConfig:
-    return IngestConfig(window_start=cfg.window_start,
-                        window_end=cfg.window_end,
-                        keep_external_links=cfg.keep_external_links,
-                        assume_nouns=cfg.assume_nouns)
 
 
 def _lemmas_text(ngram: Ngram) -> str:
@@ -244,7 +237,7 @@ def stage_ingest(cfg: PipelineConfig, workdir: Path) -> Corpus:
         raise StageError("ingest", "no input corpus file configured")
     if not Path(cfg.input).exists():
         raise StageError("ingest", f"input file {cfg.input} not found")
-    corpus = load_corpus(cfg.input, _ingest_config(cfg))
+    corpus = load_corpus(cfg.input, cfg)
     write_corpus_artifact(corpus, workdir / "corpus.jsonl")
     r = corpus.report
     logger.info("[ingest] %d posts from %d blogs (%d records read, "
@@ -256,16 +249,10 @@ def stage_ingest(cfg: PipelineConfig, workdir: Path) -> Corpus:
     return corpus
 
 
-def _ngram_config(cfg: PipelineConfig) -> NgramConfig:
-    if cfg.stopwords:
-        return NgramConfig(max_len=cfg.max_ngram_len,
-                           stopwords=load_stopwords(cfg.stopwords))
-    return NgramConfig(max_len=cfg.max_ngram_len)
-
-
 def stage_ngrams(cfg: PipelineConfig, workdir: Path,
                  corpus: Corpus) -> dict[Ngram, list[Occurrence]]:
-    index = build_index(corpus, _ngram_config(cfg))
+    index = build_index(corpus, cfg.max_ngram_len,
+                        load_stopwords(cfg.stopwords) if cfg.stopwords else None)
     write_index_artifact(index, workdir / "index.jsonl")
     total = sum(len(v) for v in index.values())
     logger.info("[ngrams] %d n-grams kept, %d occurrences", len(index), total)
@@ -279,12 +266,7 @@ def stage_bursts(cfg: PipelineConfig, workdir: Path,
     examined = {ngram: occs for ngram, occs in index.items()
                 if len({o.blog_id for o in occs}) >= cfg.min_blogs}
     detected = detect_all(examined, alpha=cfg.alpha, beta=cfg.beta_days * DAY)
-    filters = FilterConfig(min_blogs=cfg.min_blogs,
-                           min_mean_gap=cfg.min_mean_gap_hours * HOUR,
-                           max_mean_gap=cfg.max_mean_gap_days * DAY,
-                           min_duration=cfg.min_burst_days * DAY,
-                           max_total_duration=cfg.max_total_burst_days * DAY)
-    kept = filter_bursts(detected, filters)
+    kept = filter_bursts(detected, cfg)
     write_bursts_artifact(kept, workdir / "bursts.jsonl")
     logger.info("[bursts] %d n-grams examined, %d bursts detected, %d kept "
                 "after filters", len(examined),
@@ -300,16 +282,11 @@ def stage_topics(cfg: PipelineConfig, workdir: Path,
     return topics
 
 
-def _scoring_config(cfg: PipelineConfig) -> scoring.ScoringConfig:
-    return scoring.ScoringConfig(min_posts=cfg.min_posts,
-                                 variant=cfg.likelihood_variant)
-
-
 def stage_score(cfg: PipelineConfig, workdir: Path, corpus: Corpus,
                 topics: list[Topic]) -> None:
-    config = _scoring_config(cfg)
-    blogs = scoring.eligible_blogs(corpus, config.min_posts)
-    shared = scoring.score_shared_dyads(corpus, topics, blogs, config)
+    blogs = scoring.eligible_blogs(corpus, cfg.min_posts)
+    shared = scoring.score_shared_dyads(corpus, topics, blogs,
+                                        cfg.likelihood_variant)
     _write_csv(workdir / "dyadic_scores.csv",
                ["b", "b2", "a_size", "y_size", "gamma", "pr_h", "omega"],
                ([s.b, s.b2, s.a_size, s.y_size, s.gamma, s.pr_h, s.omega]
@@ -447,7 +424,7 @@ def _read_input(name: str, cfg: PipelineConfig, workdir: Path, stage: str):
     path = workdir / f"{name}.jsonl"
     _require(stage, path)
     if name == "corpus":
-        return load_corpus(path, _ingest_config(cfg))
+        return load_corpus(path, cfg)
     if name == "index":
         return read_index_artifact(path)
     if name == "bursts":
@@ -488,26 +465,52 @@ def run_pipeline(cfg: PipelineConfig, stages: Sequence[str] | None = None,
                      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
 
+def _from_json(cls, obj, where: str):
+    """A `cls` from a JSON object whose keys are its fields.  A value is
+    converted to its field's annotated type when that is int, float, tuple,
+    list or dict, and a field left out takes its default."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}expected a JSON object")
+    hints = get_type_hints(cls)
+    for key in sorted(obj.keys() - hints.keys()):
+        raise ValueError(f"{where}unknown key {key!r}")
+    for f in fields(cls):
+        if f.name not in obj and f.default is f.default_factory is MISSING:
+            raise ValueError(f"{where}missing key {f.name!r}")
+    values = {}
+    for key, value in obj.items():
+        kind = get_origin(hints[key]) or hints[key]
+        try:
+            values[key] = (kind(value) if kind in (int, float, tuple, list, dict)
+                           else value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}{key}: {exc}") from None
+    return cls(**values)
+
+
 def run_synth(spec_path: str | Path, out_dir: str | Path,
               seed: int | None = None, rate_ramp: float | None = None) -> None:
-    """Generate a synthetic corpus + ground truth from a JSON spec file."""
+    """Generate a synthetic corpus + ground truth from a JSON spec file.
+
+    The spec is an object of `synth.SynthSpec` fields: n_blogs, window_days,
+    base_rate, and optionally noise_vocab, link_prob, rate_ramp,
+    rate_multipliers (blog id -> rate factor), seed and topics, each topic
+    an object of `synth.PlantedTopic` fields: words, start_day,
+    duration_days, participants, and optionally leader and lead_hours.  An
+    optional key left out takes the class default; `seed` and `rate_ramp`,
+    when given, replace the spec's.  A spec that is not an object, misses a
+    required key or has an unknown one raises ValueError.
+    """
     with open(spec_path, encoding="utf-8") as fh:
         obj = json.load(fh)
+    where = f"{spec_path}: "
+    spec = _from_json(synth.SynthSpec, obj, where)
+    spec.topics = [_from_json(synth.PlantedTopic, topic, f"{where}topics: ")
+                   for topic in spec.topics]
+    if seed is not None:
+        spec.seed = seed
     if rate_ramp is not None:
-        obj["rate_ramp"] = rate_ramp
-    topics = [synth.PlantedTopic(
-        words=tuple(t["words"]), start_day=float(t["start_day"]),
-        duration_days=float(t["duration_days"]),
-        participants=tuple(t["participants"]), leader=t.get("leader"),
-        lead_hours=float(t.get("lead_hours", 12.0))) for t in obj.get("topics", [])]
-    spec = synth.SynthSpec(
-        n_blogs=int(obj["n_blogs"]), window_days=float(obj["window_days"]),
-        base_rate=float(obj["base_rate"]), topics=topics,
-        rate_multipliers=obj.get("rate_multipliers", {}),
-        noise_vocab=int(obj.get("noise_vocab", 400)),
-        link_prob=float(obj.get("link_prob", 0.3)),
-        rate_ramp=float(obj.get("rate_ramp", 0.0)),
-        seed=int(obj["seed"] if seed is None else seed))
+        spec.rate_ramp = rate_ramp
     records, truth = synth.generate(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -72,6 +72,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import VARIANTS, PipelineConfig
 from .corpus import Corpus, post_count
 from .ngrams import _heads
 from .topics import Topic
@@ -79,9 +80,6 @@ from .topics import Topic
 # Unused here: perfbench/tracing.py reads it at import and labels the gamma
 # calls with |Y| above it `gamma_sampled`.
 EXACT_LIMIT = 15
-MIN_POSTS = 7
-
-VARIANTS = ("verbatim", "partitioned")
 
 
 class DegenerateLikelihood(RuntimeWarning):
@@ -118,12 +116,6 @@ class DyadScore:
     omega: float
 
 
-@dataclass
-class ScoringConfig:
-    min_posts: int = MIN_POSTS
-    variant: str = "verbatim"
-
-
 def chance_prob(corpus: Corpus, b: str, b2: str, topic: Topic) -> float:
     """Probability that b precedes b2 on this topic purely by posting volume."""
     np_b = post_count(corpus, b, topic.start, topic.end)
@@ -133,7 +125,8 @@ def chance_prob(corpus: Corpus, b: str, b2: str, topic: Topic) -> float:
     return np_b / (np_b + np_b2)
 
 
-def likelihood(p: float, ctx: DyadContext, variant: str = "verbatim") -> float:
+def likelihood(p: float, ctx: DyadContext,
+               variant: str = PipelineConfig.likelihood_variant) -> float:
     """Exact likelihood of gamma = p, from its product form over Y."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -144,7 +137,8 @@ def likelihood(p: float, ctx: DyadContext, variant: str = "verbatim") -> float:
 
 
 def likelihood_sampled(p: float, ctx: DyadContext, n_subsets: int, seed: int,
-                       variant: str = "verbatim") -> float:
+                       variant: str = PipelineConfig.likelihood_variant
+                       ) -> float:
     """Sampled likelihood: mean split term over uniform splits, times 2^|Y|."""
     rng = np.random.default_rng(seed)
     z_fac, r_fac, base = _variant_factors(ctx, variant)
@@ -254,7 +248,8 @@ def _gammas(a_sizes: Sequence[int], y_sizes: Sequence[int], c_y: np.ndarray,
     return out
 
 
-def gamma(ctx: DyadContext, *, variant: str = "verbatim") -> float:
+def gamma(ctx: DyadContext, *,
+          variant: str = PipelineConfig.likelihood_variant) -> float:
     """Exact posterior mean of the precedence strength p under a flat prior.
 
     B(k+2, n-k+1) = B(k+1, n-k+1) * (k+1)/(n+2), so gamma is the mean of
@@ -294,7 +289,8 @@ def omega(gamma_value: float, pr_h_value: float) -> float:
     return gamma_value * pr_h_value
 
 
-def eligible_blogs(corpus: Corpus, min_posts: int = MIN_POSTS) -> list[str]:
+def eligible_blogs(corpus: Corpus,
+                   min_posts: int = PipelineConfig.min_posts) -> list[str]:
     """Blogs with at least min_posts posts in the observation window."""
     return sorted(b for b in corpus.blogs
                   if len(corpus.posts_by_blog(b)) >= min_posts)
@@ -319,9 +315,10 @@ def build_dyad_context(corpus: Corpus, topics: Sequence[Topic],
 
 
 def score_dyad(corpus: Corpus, topics: Sequence[Topic], b: str, b2: str,
-               config: ScoringConfig) -> DyadScore:
+               variant: str = PipelineConfig.likelihood_variant
+               ) -> DyadScore:
     ctx = build_dyad_context(corpus, topics, b, b2)
-    g = gamma(ctx, variant=config.variant)
+    g = gamma(ctx, variant=variant)
     h = pr_h(corpus, topics, b, b2)
     return DyadScore(b=b, b2=b2, a_size=len(ctx.a_topics),
                      y_size=len(ctx.y_topics), gamma=g, pr_h=h,
@@ -336,7 +333,8 @@ def _expand(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
                        blogs: Sequence[str],
-                       config: ScoringConfig) -> list[DyadScore]:
+                       variant: str = PipelineConfig.likelihood_variant
+                       ) -> list[DyadScore]:
     """Scores of the ordered pairs of `blogs` that share a topic, in (b, b2) order.
 
     A member row is one participant in `blogs` of a topic with two or more
@@ -390,7 +388,7 @@ def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
     a_size = np.bincount(dyad, minlength=n_dyads).tolist()
     y_size = np.bincount(dyad[in_y], minlength=n_dyads).tolist()
     zero = np.bincount(dyad[~in_y & (c >= 1.0)], minlength=n_dyads) > 0
-    gammas = _gammas(a_size, y_size, c[in_y], zero.tolist(), config.variant)
+    gammas = _gammas(a_size, y_size, c[in_y], zero.tolist(), variant)
 
     # post-topic incidence: the member row and post of each occurrence by a
     # member, found by (topic group, blog)

@@ -45,9 +45,10 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
+from .bursts import Burst, burst_passes
+from .config import PipelineConfig
 from .corpus import DAY, HOUR, RECORD_LINE, TOKEN_OBJECT
-
-MIN_PARTICIPANTS = 4
+from .ngrams import Ngram, Occurrence
 
 
 class InfeasibleSpec(Exception):
@@ -98,26 +99,24 @@ def _rate_of(spec: SynthSpec, blog: str) -> float:
 def _validate_topic(spec: SynthSpec, topic: PlantedTopic) -> None:
     if len(topic.words) < 2:
         raise InfeasibleSpec(f"planted n-gram needs >= 2 words: {topic.words}")
-    if len(set(topic.participants)) < MIN_PARTICIPANTS:
-        raise InfeasibleSpec(
-            f"topic needs >= {MIN_PARTICIPANTS} participants, "
-            f"got {len(set(topic.participants))}")
-    followers = [b for b in topic.participants if b != topic.leader]
-    if topic.leader is not None and len(followers) < MIN_PARTICIPANTS:
-        raise InfeasibleSpec(
-            "a led topic needs >= 4 followers to sustain the interior burst")
+    # a led topic's followers alone sustain its interior burst
+    others = set(topic.participants) - {topic.leader}
+    if len(others) < PipelineConfig.min_blogs:
+        raise InfeasibleSpec(f"topic needs >= {PipelineConfig.min_blogs} "
+                             "participants besides its leader, got "
+                             f"{len(others)}")
     duration = topic.duration_days * DAY
     lead = topic.lead_hours * HOUR if topic.leader else 0.0
     if lead >= duration:
         raise InfeasibleSpec("lead time must be shorter than the topic")
     inner_span = duration - (lead + 6 * HOUR) - 12 * HOUR
-    if inner_span < 3 * DAY + 12 * HOUR:
+    if inner_span < PipelineConfig.min_burst_days * DAY + 12 * HOUR:
         raise InfeasibleSpec(
-            f"duration {topic.duration_days}d leaves no room for a 3-day "
-            "interior burst")
-    if duration > 30 * DAY:
-        raise InfeasibleSpec("a topic longer than 30 days fails the total-"
-                             "duration filter")
+            f"duration {topic.duration_days}d leaves no room for an interior "
+            "burst of min_burst_days")
+    if duration > PipelineConfig.max_total_burst_days * DAY:
+        raise InfeasibleSpec("a topic longer than max_total_burst_days fails "
+                             "the total-duration filter")
     if topic.start_day < 0 or topic.start_day + topic.duration_days > spec.window_days:
         raise InfeasibleSpec("topic interval outside the observation window")
 
@@ -186,19 +185,13 @@ def _topic_schedule(spec: SynthSpec, topic: PlantedTopic,
 
 def _check_planted_burst(times: list[int], blogs: list[str],
                          label: str) -> None:
-    """Re-check the filter predicates on a planted schedule before emitting."""
-    distinct = len(set(blogs))
-    if distinct < MIN_PARTICIPANTS:
-        raise InfeasibleSpec(f"{label}: only {distinct} blogs in schedule")
-    duration = times[-1] - times[0]
-    if duration < 3 * DAY:
-        raise InfeasibleSpec(f"{label}: duration {duration / DAY:.2f}d < 3d")
-    if duration > 30 * DAY:
-        raise InfeasibleSpec(f"{label}: duration exceeds one month")
-    mean_gap = duration / (len(times) - 1)
-    if not HOUR <= mean_gap <= DAY:
-        raise InfeasibleSpec(f"{label}: mean gap {mean_gap / HOUR:.2f}h outside "
-                             "[1h, 1d]")
+    """Re-check a planted schedule against the default burst filters."""
+    cfg = PipelineConfig()
+    burst = Burst(Ngram(()), times[0], times[-1],
+                  tuple(Occurrence(t, b, "") for t, b in zip(times, blogs)))
+    if (not burst_passes(burst, cfg)
+            or burst.duration > cfg.max_total_burst_days * DAY):
+        raise InfeasibleSpec(f"{label}: fails the default burst filters")
     for a, b in zip(blogs, blogs[1:]):
         if a == b:
             raise InfeasibleSpec(f"{label}: same blog twice in a row")

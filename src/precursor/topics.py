@@ -27,6 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .bursts import Burst
+from .config import PipelineConfig
 from .ngrams import Ngram
 
 logger = logging.getLogger(__name__)
@@ -77,7 +78,9 @@ def _participations(bursts: list[Burst]) -> dict[str, int]:
     return first
 
 
-def merge_bursts(bursts: list[Burst], keep_singletons: bool = False) -> list[Topic]:
+def merge_bursts(bursts: list[Burst],
+                 keep_singletons: bool = PipelineConfig.keep_singletons
+                 ) -> list[Topic]:
     """Collapse filtered bursts into topics.
 
     Bursts that are never generalized and never generalize anything become

@@ -16,11 +16,12 @@ import warnings
 import numpy as np
 from hypothesis import strategies as st
 
+from precursor.config import PipelineConfig
 from precursor.corpus import (_POS_BY_NAME, _parse_timestamp, CONTENT_POS,
-                              Corpus, EmptyCorpus, IngestConfig, LoadReport,
+                              Corpus, EmptyCorpus, LoadReport,
                               MalformedRecord, NonMonotonicWindow, Pos, Post,
                               Token)
-from precursor.ngrams import Ngram, NgramConfig, Occurrence
+from precursor.ngrams import Ngram, Occurrence
 from precursor.bursts import Burst
 from precursor.scoring import DegenerateLikelihood
 from precursor.topics import Topic
@@ -256,7 +257,7 @@ def _reference_tokens(raw, line, config, report):
 def reference_corpus_from_records(records, config=None) -> Corpus:
     """corpus_from_records with a `LoadReport` updated in place, one `Post`
     per record rebuilt after link cleaning, and no token table."""
-    config = config or IngestConfig()
+    config = config or PipelineConfig()
     if (config.window_start is not None and config.window_end is not None
             and config.window_start > config.window_end):
         raise NonMonotonicWindow(
@@ -373,7 +374,7 @@ def reference_add_links(records, blogs, link_prob, rng) -> None:
             record["links"] = sorted(others[int(i)] for i in chosen)
 
 
-def brute_force_windows(post, config: NgramConfig):
+def brute_force_windows(post, max_len, stopwords):
     """Every n-gram window of a post as its (lemma, pos) words, duplicates
     included, in enumeration order: title chunks then body chunks, start
     position, then length.  Straight from the rules: a chunk's content
@@ -383,14 +384,14 @@ def brute_force_windows(post, config: NgramConfig):
             words = [(t.lemma, t.pos) for t in chunk if t.pos in CONTENT_POS]
             for start in range(len(words)):
                 for end in range(start + 2,
-                                 min(start + config.max_len, len(words)) + 1):
+                                 min(start + max_len, len(words)) + 1):
                     window = tuple(words[start:end])
-                    if (not any(lemma in config.stopwords for lemma, _ in window)
+                    if (not any(lemma in stopwords for lemma, _ in window)
                             and any(pos is Pos.NOUN for _, pos in window)):
                         yield window
 
 
-def brute_force_index(corpus, config: NgramConfig):
+def brute_force_index(corpus, max_len, stopwords):
     """build_index through a set of Ngram per post and a dict keyed by Ngram.
 
     Ngram objects are equal when their lemmas are, so the first one added
@@ -400,7 +401,7 @@ def brute_force_index(corpus, config: NgramConfig):
     raw: dict[Ngram, list[Occurrence]] = {}
     for p in corpus.posts:
         found: set[Ngram] = set()
-        for window in brute_force_windows(p, config):
+        for window in brute_force_windows(p, max_len, stopwords):
             found.add(Ngram(window))
         for ngram in found:
             raw.setdefault(ngram, []).append(
@@ -442,7 +443,7 @@ def _reference_chunks(post):
             yield tuple(current)
 
 
-def _reference_windows(post, config: NgramConfig):
+def _reference_windows(post, max_len, stopwords):
     """The post's n-grams as lemma tuple -> words of its first window."""
     found = {}
     for survivors in _reference_chunks(post):
@@ -450,9 +451,9 @@ def _reference_windows(post, config: NgramConfig):
         n = len(survivors)
         for start in range(n - 1):
             has_noun = False
-            for end in range(start, min(start + config.max_len, n)):
+            for end in range(start, min(start + max_len, n)):
                 lemma, pos = survivors[end]
-                if lemma in config.stopwords:
+                if lemma in stopwords:
                     break
                 if pos is Pos.NOUN:
                     has_noun = True
@@ -463,13 +464,13 @@ def _reference_windows(post, config: NgramConfig):
     return found
 
 
-def reference_build_index(corpus, config: NgramConfig):
+def reference_build_index(corpus, max_len, stopwords):
     """build_index as a loop over posts, chunks and windows into a table keyed
     by lemma tuple, in the table's first-seen order."""
     raw = {}
     for p in corpus.posts:
         occ = Occurrence(p.timestamp, p.blog_id, p.post_id)
-        for lemmas, words in _reference_windows(p, config).items():
+        for lemmas, words in _reference_windows(p, max_len, stopwords).items():
             entry = raw.get(lemmas)
             if entry is None:
                 raw[lemmas] = (words, [occ])

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from precursor.bursts import burst_ratio, detect_bursts, min_inter_interval
-from precursor.corpus import DAY, IngestConfig, corpus_from_records
+from precursor.corpus import DAY, corpus_from_records
 from precursor.config import PipelineConfig
 from precursor.ngrams import build_index
 from precursor.bursts import detect_all, filter_bursts
 from precursor.pipeline import run_pipeline
-from precursor.scoring import (DyadContext, ScoringConfig, gamma, likelihood,
+from precursor.scoring import (DyadContext, gamma, likelihood,
                                likelihood_sampled, score_dyad)
 from precursor.synth import (blog_ids, generate, leader_follower_spec,
                              rate_asymmetry_spec)
@@ -159,10 +159,9 @@ def test_criterion_06_rate_asymmetry_discount():
     for trial in range(20):
         spec = rate_asymmetry_spec(seed=200 + trial)
         records, _ = generate(spec)
-        corpus = corpus_from_records(enumerate(records, 1), IngestConfig())
+        corpus = corpus_from_records(enumerate(records, 1))
         topics = merge_bursts(filter_bursts(detect_all(build_index(corpus))))
-        score = score_dyad(corpus, topics, "blog_000", "blog_001",
-                           ScoringConfig())
+        score = score_dyad(corpus, topics, "blog_000", "blog_001")
         deviations.append(abs(score.gamma - 0.5))
     mean_dev = float(np.mean(deviations))
     report(6, "5x posting volume without lead stays near gamma = 0.5",
@@ -235,7 +234,7 @@ def test_criterion_09_determinism_across_jobs(tmp_path):
 def test_criterion_10_end_to_end_topic_recovery():
     spec = leader_follower_spec(n_topics=10, seed=10)
     records, truth = generate(spec)
-    corpus = corpus_from_records(enumerate(records, 1), IngestConfig())
+    corpus = corpus_from_records(enumerate(records, 1))
     topics = merge_bursts(filter_bursts(detect_all(build_index(corpus))))
 
     recovered = 0

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from precursor.config import PipelineConfig
 from precursor.corpus import DAY, HOUR
-from precursor.bursts import (Burst, FilterConfig, NoSplit, burst_passes,
+from precursor.bursts import (Burst, NoSplit, burst_passes,
                               burst_ratio, detect_all, detect_bursts,
                               filter_bursts, inter_burst_mean,
                               intra_burst_mean, min_inter_interval,
@@ -238,25 +239,25 @@ class TestFilters:
 
     def test_good_burst_kept(self):
         burst = self.good_burst()
-        kept = filter_bursts({burst.ngram: [burst]}, FilterConfig())
+        kept = filter_bursts({burst.ngram: [burst]}, PipelineConfig())
         assert kept == [burst]
 
     def test_three_blogs_discarded(self):
         burst = self.good_burst(blogs=("a", "b", "c"))
-        assert filter_bursts({burst.ngram: [burst]}, FilterConfig()) == []
+        assert filter_bursts({burst.ngram: [burst]}, PipelineConfig()) == []
 
     def test_short_duration_discarded(self):
         burst = self.good_burst(days=2)
-        assert filter_bursts({burst.ngram: [burst]}, FilterConfig()) == []
+        assert filter_bursts({burst.ngram: [burst]}, PipelineConfig()) == []
 
     def test_gap_bounds(self):
         start, end = 0, 4 * DAY
         too_dense = burst_of(("w1", "w2"), start, end,
                              dense_occs(start, end, "abcd", 200))
-        assert not burst_passes(too_dense, FilterConfig())
+        assert not burst_passes(too_dense, PipelineConfig())
         too_sparse = burst_of(("w1", "w2"), start, end,
                               dense_occs(start, end, "abcd", 4))
-        assert not burst_passes(too_sparse, FilterConfig())
+        assert not burst_passes(too_sparse, PipelineConfig())
 
     def test_total_duration_cap_discards_all(self):
         b1 = self.good_burst(start=0, days=20)
@@ -265,7 +266,7 @@ class TestFilters:
                                     tuple(b1.occurrences)),
                               Burst(b1.ngram, b2.start, b2.end,
                                     tuple(b2.occurrences))]}
-        assert filter_bursts(grouped, FilterConfig()) == []
+        assert filter_bursts(grouped, PipelineConfig()) == []
 
     def test_survivors_pass_all_predicates(self):
         rng = np.random.default_rng(5)
@@ -278,10 +279,11 @@ class TestFilters:
             burst = burst_of((f"w{i}", "x"), start, start + int(days * DAY),
                              dense_occs(start, start + int(days * DAY), blogs, n))
             grouped[burst.ngram] = [burst]
-        config = FilterConfig()
+        config = PipelineConfig()
         for burst in filter_bursts(grouped, config):
             assert len(burst.blogs) >= config.min_blogs
-            assert burst.duration >= config.min_duration
+            assert burst.duration >= config.min_burst_days * DAY
             times = [o.timestamp for o in burst.occurrences]
             gap = (times[-1] - times[0]) / (len(times) - 1)
-            assert config.min_mean_gap <= gap <= config.max_mean_gap
+            assert (config.min_mean_gap_hours * HOUR <= gap
+                    <= config.max_mean_gap_days * DAY)

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from precursor.corpus import (DAY, Corpus, EmptyCorpus, IngestConfig,
-                              MalformedRecord, NonMonotonicWindow, Pos, Token,
+from precursor.config import PipelineConfig
+from precursor.corpus import (DAY, Corpus, EmptyCorpus, MalformedRecord, NonMonotonicWindow, Pos, Token,
                               corpus_from_records, load_corpus, post_count)
 from precursor.pipeline import write_corpus_artifact
 
@@ -85,7 +85,7 @@ class TestLoadCorpus:
         path = tmp_path / "c.jsonl"
         write_lines(path, [rec("p1", "a", 5), rec("p2", "a", 50),
                            rec("p3", "a", 500)])
-        corpus = load_corpus(path, IngestConfig(window_start=10, window_end=100))
+        corpus = load_corpus(path, PipelineConfig(window_start=10, window_end=100))
         assert len(corpus.posts) == 1
         assert corpus.report.out_of_window == 2
         assert corpus.window == (10, 100)
@@ -94,7 +94,7 @@ class TestLoadCorpus:
         path = tmp_path / "c.jsonl"
         write_lines(path, [rec("p1", "a", 5)])
         with pytest.raises(NonMonotonicWindow):
-            load_corpus(path, IngestConfig(window_start=100, window_end=10))
+            load_corpus(path, PipelineConfig(window_start=100, window_end=10))
 
     def test_self_links_dropped(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -110,14 +110,14 @@ class TestLoadCorpus:
         corpus = load_corpus(path)
         assert corpus.posts[0].out_links == frozenset()
         assert corpus.report.external_links == 1
-        kept = load_corpus(path, IngestConfig(keep_external_links=True))
+        kept = load_corpus(path, PipelineConfig(keep_external_links=True))
         assert kept.posts[0].out_links == frozenset({"ghost"})
 
     def test_assume_nouns(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_lines(path, [rec("p1", "a", 10,
                                 body=[{"l": "Mot", "p": "XYZ", "c": 0}])])
-        corpus = load_corpus(path, IngestConfig(assume_nouns=True))
+        corpus = load_corpus(path, PipelineConfig(assume_nouns=True))
         token = corpus.posts[0].body_tokens[0]
         assert token.pos is Pos.NOUN and token.lemma == "mot"
         assert corpus.report.pos_warnings == 0
@@ -247,9 +247,9 @@ def records_and_configs(draw):
     lo, hi = draw(bounds), draw(bounds)
     if lo is not None and hi is not None and lo > hi:
         lo, hi = hi, lo
-    config = IngestConfig(window_start=lo, window_end=hi,
-                          keep_external_links=draw(st.booleans()),
-                          assume_nouns=draw(st.booleans()))
+    config = PipelineConfig(window_start=lo, window_end=hi,
+                            keep_external_links=draw(st.booleans()),
+                            assume_nouns=draw(st.booleans()))
     return records, config
 
 
@@ -413,9 +413,9 @@ def raw_records(draw, fault):
     elif fault is not None:
         record[fault] = draw(st.sampled_from(FAULTS[fault]))
     lo, hi = draw(bounds), draw(bounds)
-    config = IngestConfig(window_start=lo, window_end=hi,
-                          keep_external_links=draw(st.booleans()),
-                          assume_nouns=draw(st.booleans()))
+    config = PipelineConfig(window_start=lo, window_end=hi,
+                            keep_external_links=draw(st.booleans()),
+                            assume_nouns=draw(st.booleans()))
     return records, config
 
 

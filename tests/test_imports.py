@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every name a module defines is read somewhere in the repository.
 
-`__init__.py` is left out: its imports are the package's re-exports.
+`__init__.py` is left out of both: its imports are the package's
+re-exports, and a re-export is not a read.
 """
 
 import ast
@@ -10,8 +12,12 @@ import pytest
 
 import precursor
 
-MODULES = sorted(path for path in Path(precursor.__file__).parent.glob("*.py")
-                 if path.name != "__init__.py")
+INIT = Path(precursor.__file__)
+MODULES = sorted(path for path in INIT.parent.glob("*.py") if path != INIT)
+# the package's modules and every script that may read what they define
+READERS = MODULES + sorted(
+    path for folder in ("demos", "perfbench", "tests")
+    for path in (Path(__file__).resolve().parents[1] / folder).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,3 +50,66 @@ def test_unused_imports_are_found():
               "@dataclass\nclass A:\n    x: Sequence = field(default=())\n"
               "print(np.pi)\n")
     assert unused_imports(source) == ["os (line 2)", "fields (line 4)"]
+
+
+def definitions(source: str) -> dict[str, int]:
+    """The names the module's top-level statements define (functions,
+    classes and assigned names), each with its line; dunder names such as
+    `__version__` are read by tools, not code, and are left out."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            defined.update((name.id, node.lineno) for target in targets
+                           for name in ast.walk(target)
+                           if isinstance(name, ast.Name))
+    return {name: line for name, line in defined.items()
+            if not (name.startswith("__") and name.endswith("__"))}
+
+
+def names_read(source: str) -> set[str]:
+    """The names an expression of the module reads: a bare name, or an
+    attribute taken from anything (`module.name`)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def unread_definitions(source: str, read: set[str]) -> list[str]:
+    """The names the module defines that are not in `read`, each as
+    "name (line n)"."""
+    return [f"{name} (line {line})"
+            for name, line in definitions(source).items() if name not in read]
+
+
+@pytest.fixture(scope="module")
+def read_anywhere():
+    read = set()
+    for path in READERS:
+        read |= names_read(path.read_text(encoding="utf-8"))
+    return read
+
+
+@pytest.mark.parametrize("path", [INIT] + MODULES, ids=lambda path: path.name)
+def test_module_defines_only_names_read_somewhere(path, read_anywhere):
+    assert unread_definitions(path.read_text(encoding="utf-8"),
+                              read_anywhere) == []
+
+
+def test_unread_definitions_are_found():
+    source = ("import os\n"
+              "LIMIT = 3\nA, (B, C) = 1, (2, 3)\nD: int = 4\n"
+              "__version__ = '1'\n"
+              "def used():\n    return LIMIT + os.sep\n"
+              "def unused(x=B):\n    return used()\n"
+              "class Kept:\n    attr = 1\n"
+              "class Dropped:\n    pass\n"
+              "print(Kept.attr, C)\n")
+    read = names_read(source) | names_read("import m\nm.D\n")
+    assert unread_definitions(source, read) == [
+        "A (line 3)", "unused (line 8)", "Dropped (line 12)"]

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from precursor.network import (NotConverged, build_graph, in_degree,
-                               in_degrees, pagerank)
+from precursor.network import NotConverged, build_graph, in_degrees, pagerank
 
 from conftest import corpus_of, pagerank_linear, post, reference_pagerank
 
@@ -24,16 +23,16 @@ def graph_from_links(links: dict[str, list[str]], extra_blogs=()):
 class TestInDegree:
     def test_isolated_blog(self):
         graph = graph_from_links({"a": []}, extra_blogs=["b"])
-        assert in_degree(graph, "b") == 0
+        assert in_degrees(graph)["b"] == 0
 
     def test_repeat_links_count_once(self):
         graph = graph_from_links({"a": ["b"] * 5})
-        assert in_degree(graph, "b") == 1
+        assert in_degrees(graph)["b"] == 1
         assert graph.weights[("a", "b")] == 5
 
     def test_three_distinct_sources(self):
         graph = graph_from_links({"a": ["x"], "b": ["x"], "c": ["x"]})
-        assert in_degree(graph, "x") == 3
+        assert in_degrees(graph)["x"] == 3
 
     def test_bounded_by_network_size(self):
         graph = graph_from_links({"a": ["x"], "b": ["x"], "c": ["x"]})

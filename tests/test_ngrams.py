@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from precursor.config import PipelineConfig
 from precursor.corpus import Pos
-from precursor.ngrams import (Ngram, NgramConfig, Occurrence, _heads,
+from precursor.ngrams import (Ngram, Occurrence, _heads,
                               _Windows, build_index, default_stopwords,
                               load_stopwords)
 from precursor.pipeline import write_index_artifact
@@ -20,13 +21,14 @@ def lemma_sets(ngrams):
     return {" ".join(n.lemmas) for n in ngrams}
 
 
-CFG = NgramConfig(stopwords=frozenset({"stop"}))
+CFG = dict(max_len=PipelineConfig.max_ngram_len,
+           stopwords=frozenset({"stop"}))
 
 
 def post_ngrams(p, config):
     """The n-grams of one post under the filter rules, deduplicated, each
     with the words of its first window in the post."""
-    windows = _Windows((p,), config)
+    windows = _Windows((p,), **config)
     return {ngram for length, starts, rank in windows.by_length()
             for ngram in windows.ngrams(starts[_heads(rank)], length)}
 
@@ -56,7 +58,7 @@ class TestEnumerate:
     def test_max_len_cap(self):
         body = [tok(f"w{i}") for i in range(6)]
         found = post_ngrams(post("p1", "a", 0, body=body),
-                            NgramConfig(max_len=3, stopwords=frozenset()))
+                            dict(max_len=3, stopwords=frozenset()))
         assert max(len(n) for n in found) == 3
         assert min(len(n) for n in found) == 2
 
@@ -120,7 +122,7 @@ class TestBuildIndex:
         posts = [post(f"p{i}", blog, t, body=[tok("un"), tok("deux")])
                  for i, (blog, t) in enumerate(
                      [("A", 1), ("A", 2), ("B", 3), ("B", 4), ("A", 5)])]
-        index = build_index(corpus_of(posts), CFG)
+        index = build_index(corpus_of(posts), **CFG)
         occs = index[ngram_of("un", "deux")]
         assert [(o.blog_id, o.timestamp) for o in occs] == [
             ("A", 1), ("B", 3), ("A", 5)]
@@ -129,14 +131,14 @@ class TestBuildIndex:
         posts = [post("p1", "A", 1, body=[tok("un"), tok("deux")]),
                  post("p2", "A", 2, body=[tok("trois"), tok("quatre")]),
                  post("p3", "B", 3, body=[tok("trois"), tok("quatre")])]
-        index = build_index(corpus_of(posts), CFG)
+        index = build_index(corpus_of(posts), **CFG)
         assert ngram_of("un", "deux") not in index
         assert ngram_of("trois", "quatre") in index
 
     def test_timestamp_tie_broken_by_post_id(self):
         posts = [post("pb", "B", 1, body=[tok("un"), tok("deux")]),
                  post("pa", "A", 1, body=[tok("un"), tok("deux")])]
-        index = build_index(corpus_of(posts), CFG)
+        index = build_index(corpus_of(posts), **CFG)
         occs = index[ngram_of("un", "deux")]
         assert [o.blog_id for o in occs] == ["A", "B"]
 
@@ -153,7 +155,7 @@ class TestIndexProperties:
     def test_random_corpora_satisfy_rules(self):
         rng = np.random.default_rng(42)
         stop = frozenset({"w3"})
-        cfg = NgramConfig(max_len=4, stopwords=stop)
+        cfg = dict(max_len=4, stopwords=stop)
         pos_pool = ["NOUN", "VERB", "ADJ", "NUM", "OTHER"]
         for trial in range(10):
             posts = []
@@ -165,7 +167,7 @@ class TestIndexProperties:
                 posts.append(post(f"p{trial}_{i}", f"b{rng.integers(4)}",
                                   int(rng.integers(0, 1000)), body=body))
             corpus = corpus_of(posts)
-            index = build_index(corpus, cfg)
+            index = build_index(corpus, **cfg)
             lo, hi = corpus.window
             for ngram, occs in index.items():
                 assert 2 <= len(ngram) <= 4
@@ -206,7 +208,7 @@ def corpora_and_configs(draw):
                  st.tuples(st.sampled_from("abc"), st.integers(0, 9),
                            streams, streams),
                  min_size=1, max_size=8)))]
-    config = NgramConfig(max_len=draw(st.integers(1, 8)), stopwords=frozenset(
+    config = dict(max_len=draw(st.integers(1, 8)), stopwords=frozenset(
         draw(st.sets(st.sampled_from(VOCAB), max_size=1))))
     return corpus_of(posts), config
 
@@ -216,7 +218,7 @@ def index_coverage(corpus, config, index) -> set[str]:
     first_taggings, taggings_in_one_post, posts = {}, set(), {}
     for p in corpus.posts:
         here = {}
-        for words in brute_force_windows(p, config):
+        for words in brute_force_windows(p, **config):
             here.setdefault(tuple(lemma for lemma, _ in words), []).append(words)
         for lemmas, windows in here.items():
             first_taggings.setdefault(lemmas, set()).add(windows[0])
@@ -233,7 +235,7 @@ def index_coverage(corpus, config, index) -> set[str]:
         "decreasing chunk values": any(a > b for s in chunks
                                        for a, b in zip(s, s[1:])),
         "kept n-gram longer than 5": any(len(n) > 5 for n in index),
-        "max_len 1": config.max_len == 1,
+        "max_len 1": config["max_len"] == 1,
         "kept n-gram tagged differently in another post": any(
             len(first_taggings[lemmas]) > 1 for lemmas in kept),
         "kept n-gram tagged two ways in one post": any(
@@ -258,7 +260,7 @@ INDEX_CASES = {"chunk value beyond 64 bits", "negative chunk value",
 def first_windows(p, config):
     """Lemma tuple -> words of its first window in the post."""
     found = {}
-    for words in brute_force_windows(p, config):
+    for words in brute_force_windows(p, **config):
         found.setdefault(tuple(lemma for lemma, _ in words), words)
     return found
 
@@ -277,13 +279,13 @@ def test_index_equals_brute_force_index():
         @given(corpora_and_configs())
         def check(case):
             corpus, config = case
-            index = build_index(corpus, config)
-            expected = brute_force_index(corpus, config)
+            index = build_index(corpus, **config)
+            expected = brute_force_index(corpus, **config)
             assert index_table(index) == index_table(expected)
             # in the order of first-seen windows, as the loop built it
             assert [(n.words, occs) for n, occs in index.items()] == [
                 (n.words, occs) for n, occs
-                in reference_build_index(corpus, config).items()]
+                in reference_build_index(corpus, **config).items()]
             for p in corpus.posts:
                 assert {n.lemmas: n.words for n in post_ngrams(p, config)
                         } == first_windows(p, config)

@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import os
@@ -17,10 +18,11 @@ from hypothesis import example, given, settings, strategies as st
 from precursor import cli
 from precursor.cli import main
 from precursor.config import PipelineConfig, build_config, parse_config_file
-from precursor.corpus import (DAY, HOUR, IngestConfig, Pos,
-                              corpus_from_records, load_corpus)
+from precursor.corpus import (DAY, HOUR, Pos, corpus_from_records,
+                              load_corpus)
 from precursor.ngrams import Ngram, Occurrence, build_index
-from precursor.bursts import Burst, FilterConfig, detect_all, filter_bursts
+from precursor.bursts import Burst, detect_all, filter_bursts
+from precursor.scoring import eligible_blogs, score_shared_dyads
 from precursor.pipeline import (STAGES, StageError, read_bursts_artifact,
                                 read_index_artifact, read_topics_artifact,
                                 run_pipeline, run_synth, write_bursts_artifact,
@@ -496,9 +498,7 @@ class TestCorpusParsedOnce:
                              keep_external_links=keep_external,
                              assume_nouns=assume_nouns)
         ingested = pipeline.stage_ingest(cfg, tmp_path)
-        reloaded = load_corpus(tmp_path / "corpus.jsonl", IngestConfig(
-            window_start=window[0], window_end=window[1],
-            keep_external_links=keep_external, assume_nouns=assume_nouns))
+        reloaded = load_corpus(tmp_path / "corpus.jsonl", cfg)
         assert ingested.posts == reloaded.posts
         assert ingested.blogs == reloaded.blogs
         assert ingested.window == reloaded.window
@@ -597,7 +597,8 @@ def test_pruned_bursts_stage_keeps_what_full_detection_keeps():
             cfg = PipelineConfig(workdir=tmp, min_blogs=min_blogs)
             kept = pipeline.stage_bursts(cfg, Path(tmp), index)
             detected = detect_all(index)
-            assert kept == filter_bursts(detected, FilterConfig(min_blogs=min_blogs))
+            assert kept == filter_bursts(detected,
+                                          PipelineConfig(min_blogs=min_blogs))
             path = Path(tmp) / "bursts.jsonl"
             assert read_bursts_artifact(path) == kept
             assert path.read_text(encoding="utf-8") == "".join(
@@ -630,6 +631,56 @@ class TestSynthRunner:
         truth = json.loads((tmp_path / "synth_out" / "ground_truth.json")
                            .read_text())
         assert truth["topics"][0]["words"] == ["alpha", "beta"]
+
+    def test_keys_left_out_take_the_spec_class_defaults(self, tmp_path):
+        # no seed, noise_vocab, link_prob, rate_ramp or lead_hours given
+        topic = {"words": ["alpha", "beta"], "start_day": 2,
+                 "duration_days": 6, "participants": blog_ids(6),
+                 "leader": "blog_000"}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"n_blogs": 8, "window_days": 30,
+                                         "base_rate": 0.5, "topics": [topic]}))
+        run_synth(spec_path, tmp_path / "out")
+        records, _ = generate(SynthSpec(
+            n_blogs=8, window_days=30.0, base_rate=0.5,
+            topics=[synth.PlantedTopic(("alpha", "beta"), 2.0, 6.0,
+                                       tuple(blog_ids(6)), "blog_000")]))
+        synth.write_corpus(records, tmp_path / "expected.jsonl")
+        assert ((tmp_path / "out" / "corpus.jsonl").read_bytes()
+                == (tmp_path / "expected.jsonl").read_bytes())
+
+
+def no_argument_chain(corpus_file):
+    """The library functions called with their defaults alone."""
+    corpus = load_corpus(corpus_file)
+    bursts = filter_bursts(detect_all(build_index(corpus)))
+    topics = merge_bursts(bursts)
+    return bursts, topics, score_shared_dyads(corpus, topics,
+                                              eligible_blogs(corpus))
+
+
+def test_library_defaults_are_the_pipeline_defaults(small_corpus_file,
+                                                     tmp_path):
+    """A default run writes what the library functions give without any
+    argument but their inputs: both read one set of defaults."""
+    # every sixth planted topic has the same words, so one n-gram bursts
+    # five times and alpha, beta and the total-duration cap decide its bursts
+    spec = leader_follower_spec(seed=3)
+    spec.topics = [replace(t, words=("shared", "words")) if i % 6 == 0 else t
+                   for i, t in enumerate(spec.topics)]
+    lead_file = tmp_path / "lead.jsonl"
+    synth.write_corpus(generate(spec)[0], lead_file)
+    for corpus_file in (small_corpus_file, lead_file):
+        workdir = run_all(corpus_file, tmp_path / corpus_file.stem)
+        bursts, topics, scores = no_argument_chain(corpus_file)
+        assert bursts and topics and scores
+        assert read_bursts_artifact(workdir / "bursts.jsonl") == bursts
+        assert read_topics_artifact(workdir / "topics.jsonl") == topics
+        with open(workdir / "dyadic_scores.csv", encoding="utf-8") as fh:
+            rows = [(b, b2, int(a), int(y), float(g), float(h), float(w))
+                    for b, b2, a, y, g, h, w in list(csv.reader(fh))[1:]]
+        assert rows == [(s.b, s.b2, s.a_size, s.y_size, s.gamma, s.pr_h,
+                         s.omega) for s in scores]
 
 
 @pytest.fixture
@@ -736,6 +787,29 @@ class TestCli:
         assert main(["synth", "--spec", str(spec_path),
                      "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "corpus.jsonl").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"window_days": 20, "base_rate": 0.5}, "missing key 'n_blogs'"),
+        ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5,
+          "topics": [{"words": ["a", "b"], "start_day": 2,
+                      "participants": ["blog_000"] * 4}]},
+         "topics: missing key 'duration_days'"),
+        ([{"n_blogs": 6, "window_days": 20, "base_rate": 0.5}],
+         "expected a JSON object"),
+        ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5, "colour": 1},
+         "unknown key 'colour'"),
+        ({"n_blogs": "six", "window_days": 20, "base_rate": 0.5},
+         "n_blogs: invalid literal for int() with base 10: 'six'"),
+    ], ids=["no n_blogs", "topic without duration_days", "top-level array",
+            "unknown key", "badly typed value"])
+    def test_bad_synth_spec_exits_one_naming_file_and_key(
+            self, tmp_path, capsys, spec, message):
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["synth", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {spec_path}: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_dry_run_flag(self, small_corpus_file, tmp_path, capsys):
         assert main(["run", "--input", str(small_corpus_file),

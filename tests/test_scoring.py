@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from precursor.config import VARIANTS
 from precursor.scoring import (DegenerateLikelihood, DyadContext, DyadScore,
-                               ScoringConfig, VARIANTS,
                                chance_prob, build_dyad_context, eligible_blogs,
                                gamma, global_scores, likelihood,
                                likelihood_sampled, omega, pr_h, score_dyad,
@@ -373,9 +373,8 @@ class TestGlobalScores:
 
     def test_blog_without_topics_scores_zero(self):
         corpus, topics = scored_corpus()
-        config = ScoringConfig(min_posts=7)
         blogs = eligible_blogs(corpus, 7)
-        scores = score_shared_dyads(corpus, topics, blogs, config)
+        scores = score_shared_dyads(corpus, topics, blogs)
         result = global_scores(scores, blogs)
         assert result["c"] == (0.0, 0.0)
 
@@ -392,7 +391,7 @@ class TestScoreDyads:
         big = [topic_of(f"t{i}", 100 + 20 * i, 140 + 20 * i,
                         {"a": 100 + 20 * i, "b": 105 + 20 * i})
                for i in range(16)]
-        score = score_dyad(corpus, big, "a", "b", ScoringConfig())
+        score = score_dyad(corpus, big, "a", "b")
         assert score.a_size == score.y_size == 16
         ctx = build_dyad_context(corpus, big, "a", "b")
         expected = quad_gamma(ctx.a_topics, ctx.y_topics, ctx.c)
@@ -406,10 +405,9 @@ class TestScoreDyads:
 
     def test_deterministic_across_runs(self):
         corpus, topics = scored_corpus()
-        config = ScoringConfig()
-        blogs = eligible_blogs(corpus, config.min_posts)
-        first = score_shared_dyads(corpus, topics, blogs, config)
-        second = score_shared_dyads(corpus, topics, blogs, config)
+        blogs = eligible_blogs(corpus)
+        first = score_shared_dyads(corpus, topics, blogs)
+        second = score_shared_dyads(corpus, topics, blogs)
         assert first == second
 
 
@@ -496,9 +494,8 @@ def test_batched_scores_equal_the_per_dyad_reference_at_large_y():
     def check(case, min_posts, variant):
         corpus, topics = case
         blogs = eligible_blogs(corpus, min_posts)
-        config = ScoringConfig(min_posts=min_posts, variant=variant)
         shared, n_warned = degenerate_warnings(
-            lambda: score_shared_dyads(corpus, topics, blogs, config))
+            lambda: score_shared_dyads(corpus, topics, blogs, variant))
         pairs = [(b, b2) for b in blogs for b2 in blogs if b != b2
                  if any(b in t.participations and b2 in t.participations
                         for t in topics)]
@@ -547,15 +544,15 @@ class TestSparseScoring:
     """The one-pass scorer against the per-pair reference `score_dyad`
     (build_dyad_context + gamma + pr_h)."""
 
-    def check_against_reference(self, corpus, topics, config):
-        blogs = eligible_blogs(corpus, config.min_posts)
-        expected = [score_dyad(corpus, topics, b, b2, config)
+    def check_against_reference(self, corpus, topics, min_posts, variant):
+        blogs = eligible_blogs(corpus, min_posts)
+        expected = [score_dyad(corpus, topics, b, b2, variant)
                     for b in blogs for b2 in blogs if b != b2]
         # a dyad without a shared topic has the fixed row, by definition
         assert all(s == DyadScore(b=s.b, b2=s.b2, a_size=0, y_size=0,
                                   gamma=0.5, pr_h=0.0, omega=0.0)
                    for s in expected if s.a_size == 0)
-        shared = score_shared_dyads(corpus, topics, blogs, config)
+        shared = score_shared_dyads(corpus, topics, blogs, variant)
         assert shared == [s for s in expected if s.a_size > 0]
         assert global_scores(shared, blogs) == global_scores(expected, blogs)
         return expected
@@ -565,13 +562,11 @@ class TestSparseScoring:
            variant=st.sampled_from(VARIANTS))
     def test_matches_per_pair_reference(self, case, min_posts, variant):
         corpus, topics = case
-        self.check_against_reference(
-            corpus, topics, ScoringConfig(min_posts=min_posts, variant=variant))
+        self.check_against_reference(corpus, topics, min_posts, variant)
 
     def test_fixture_cases(self):
         corpus, topics = sparse_fixture()
-        scores = self.check_against_reference(corpus, topics,
-                                              ScoringConfig(min_posts=3))
+        scores = self.check_against_reference(corpus, topics, 3, "verbatim")
         by_pair = {(s.b, s.b2): s for s in scores}
         assert {b for b, _ in by_pair} == {"a", "b", "c", "d"}  # not e
         # tied first participations: shared, but neither precedes

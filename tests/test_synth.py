@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from precursor import synth
-from precursor.corpus import DAY, HOUR, IngestConfig, corpus_from_records
-from precursor.bursts import FilterConfig, detect_all, filter_bursts
+from precursor.corpus import DAY, HOUR, corpus_from_records
+from precursor.bursts import detect_all, filter_bursts
 from precursor.ngrams import build_index
 from precursor.synth import (GroundTruth, InfeasibleSpec, PlantedTopic,
                              SynthSpec, blog_ids, generate,
@@ -32,7 +32,7 @@ def base_spec(topics, n_blogs=10, seed=0, **kw):
 
 
 def run_topic_stages(records):
-    corpus = corpus_from_records(enumerate(records, 1), IngestConfig())
+    corpus = corpus_from_records(enumerate(records, 1))
     return merge_bursts(filter_bursts(detect_all(build_index(corpus))))
 
 
@@ -78,9 +78,9 @@ class TestGenerate:
     def test_planted_bursts_pass_filters(self):
         records, truth = generate(base_spec([topic(tuple(blog_ids(6)),
                                                    leader="blog_000")]))
-        corpus = corpus_from_records(enumerate(records, 1), IngestConfig())
+        corpus = corpus_from_records(enumerate(records, 1))
         detected = detect_all(build_index(corpus))
-        kept = filter_bursts(detected, FilterConfig())
+        kept = filter_bursts(detected)
         planted_lemmas = tuple(truth.topics[0]["words"])
         assert any(b.ngram.lemmas == planted_lemmas for b in kept)
 
