@@ -40,7 +40,7 @@ from operator import itemgetter
 import numpy as np
 
 from .config import PipelineConfig
-from .corpus import DAY, HOUR, collector_paused
+from .corpus import DAY, HOUR
 from .ngrams import Ngram, Occurrence
 
 
@@ -245,17 +245,11 @@ def filter_bursts(bursts_by_ngram: dict[Ngram, list[Burst]],
     return kept
 
 
-@collector_paused
 def detect_all(index: dict[Ngram, list[Occurrence]],
                alpha: float = PipelineConfig.alpha,
                beta: float = PipelineConfig.beta_days * DAY
                ) -> dict[Ngram, list[Burst]]:
-    """Run detection over a whole occurrence index, every n-gram at once.
-
-    The collector is paused while the `Burst` objects are built: at L
-    (5,203 bursts next to a heap holding the corpus and the index) a full
-    collection made the call seven times slower.
-    """
+    """Run detection over a whole occurrence index, every n-gram at once."""
     _check_thresholds(alpha, beta)
     lists = list(index.values())
     sizes = np.fromiter(map(len, lists), np.int64, len(lists))

@@ -17,13 +17,11 @@ any other value is converted on every occurrence.
 
 from __future__ import annotations
 
-import gc
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from functools import wraps
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -189,30 +187,6 @@ def iter_records(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield line_no, record
 
 
-def collector_paused(func):
-    """Run func with Python's cyclic garbage collector paused.
-
-    The collector runs whenever enough container objects have been created
-    and not freed, and the longer-lived of those runs traverse every object
-    on the heap.  Building a corpus, or a table with a few containers per
-    distinct n-gram, creates such objects by the hundred thousand and no
-    reference cycle, so left on the collector traverses the growing heap
-    several times over for nothing to collect.  Cycles made meanwhile are
-    collected once it resumes.
-    """
-    @wraps(func)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return func(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-    return paused
-
-
-@collector_paused
 def corpus_from_records(records: Iterable[tuple[int, dict]],
                         cfg: PipelineConfig | None = None) -> Corpus:
     """The records' corpus, under the window, link and noun keys of `cfg`."""

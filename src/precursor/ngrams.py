@@ -57,7 +57,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .config import PipelineConfig
-from .corpus import CONTENT_POS, Corpus, Pos, Post, collector_paused
+from .corpus import CONTENT_POS, Corpus, Pos, Post
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -198,7 +198,6 @@ def _heads(values: np.ndarray) -> np.ndarray:
     return head
 
 
-@collector_paused
 def build_index(corpus: Corpus, max_len: int = PipelineConfig.max_ngram_len,
                 stopwords: frozenset[str] | None = None
                 ) -> dict[Ngram, list[Occurrence]]:

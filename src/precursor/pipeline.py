@@ -3,7 +3,15 @@
 Stages run in a fixed order (ingest, ngrams, bursts, topics, score, network,
 report); each writes its artifacts atomically (temp file + rename) to the
 working directory, so any suffix of the pipeline can be re-run without
-repeating earlier stages.
+repeating earlier stages.  One table, `_STAGES`, declares each stage's
+function, the results it takes and the one it hands on.
+
+`run_pipeline` pauses Python's cyclic garbage collector once, around all of
+its stages, and restores the state it found when it returns or raises.  The
+stages build objects by the hundred thousand and no reference cycle worth
+collecting, so a collection would only traverse the growing heap.  No other
+code of the package touches the collector: a library function called on its
+own runs under whatever state its caller set.
 
 Within one `run_pipeline` call each stage hands its result to the stages
 after it in memory: the corpus (parsed once, by the ingest stage or else by
@@ -27,16 +35,18 @@ the fixed row a_size = y_size = 0, gamma = 0.5, pr_h = 0.0, omega = 0.0.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import logging
 import os
-import resource
 import time
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, get_origin, get_type_hints
+from resource import RUSAGE_SELF, getrusage
+from typing import (Callable, Iterable, Sequence, get_args, get_origin,
+                    get_type_hints)
 
 from . import analysis, network, scoring, svg, synth
 from .bursts import Burst, detect_all, filter_bursts
@@ -46,8 +56,6 @@ from .ngrams import Ngram, Occurrence, build_index, load_stopwords
 from .topics import Topic, merge_bursts
 
 logger = logging.getLogger("precursor")
-
-STAGES = ("ingest", "ngrams", "bursts", "topics", "score", "network", "report")
 
 
 class StageError(Exception):
@@ -407,16 +415,16 @@ def stage_report(cfg: PipelineConfig, workdir: Path) -> None:
                 len(blogs))
 
 
-_STAGE_FUNCS = {"ingest": stage_ingest, "ngrams": stage_ngrams,
-                "bursts": stage_bursts, "topics": stage_topics,
-                "score": stage_score, "network": stage_network,
-                "report": stage_report}
-# the results a stage takes, in argument order after (cfg, workdir), and the
-# one it hands on
-_INPUTS = {"ngrams": ("corpus",), "bursts": ("index",), "topics": ("bursts",),
-           "score": ("corpus", "topics"), "network": ("corpus",)}
-_OUTPUT = {"ingest": "corpus", "ngrams": "index", "bursts": "bursts",
-           "topics": "topics"}
+# each stage's function, the results it takes (in argument order after cfg
+# and workdir) and the one it hands on
+_STAGES = {"ingest": (stage_ingest, (), "corpus"),
+           "ngrams": (stage_ngrams, ("corpus",), "index"),
+           "bursts": (stage_bursts, ("index",), "bursts"),
+           "topics": (stage_topics, ("bursts",), "topics"),
+           "score": (stage_score, ("corpus", "topics"), None),
+           "network": (stage_network, ("corpus",), None),
+           "report": (stage_report, (), None)}
+STAGES = tuple(_STAGES)
 
 
 def _read_input(name: str, cfg: PipelineConfig, workdir: Path, stage: str):
@@ -446,46 +454,65 @@ def run_pipeline(cfg: PipelineConfig, stages: Sequence[str] | None = None,
             print(f"  {f} = {getattr(cfg, f)}")
         return
     workdir.mkdir(parents=True, exist_ok=True)
-    held: dict[str, object] = {}
-    for i, stage in enumerate(selected):
-        start, cpu_start = time.perf_counter(), time.process_time()
-        inputs = _INPUTS.get(stage, ())
-        for name in inputs:
-            if name not in held:
-                held[name] = _read_input(name, cfg, workdir, stage)
-        output = _STAGE_FUNCS[stage](cfg, workdir,
-                                     *(held[name] for name in inputs))
-        if stage in _OUTPUT:
-            held[_OUTPUT[stage]] = output
-        later = {name for s in selected[i + 1:] for name in _INPUTS.get(s, ())}
-        held = {name: value for name, value in held.items() if name in later}
-        logger.debug("[%s] done in %.2f s (cpu %.2f s, peak rss %.1f MiB)",
-                     stage, time.perf_counter() - start,
-                     time.process_time() - cpu_start,  # ru_maxrss is in KiB
-                     resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        held: dict[str, object] = {}
+        for i, stage in enumerate(selected):
+            start, cpu_start = time.perf_counter(), time.process_time()
+            function, inputs, output = _STAGES[stage]
+            for name in inputs:
+                if name not in held:
+                    held[name] = _read_input(name, cfg, workdir, stage)
+            held[output] = function(cfg, workdir, *(held[n] for n in inputs))
+            later = {n for s in selected[i + 1:] for n in _STAGES[s][1]}
+            held = {n: value for n, value in held.items() if n in later}
+            logger.debug("[%s] done in %.2f s (cpu %.2f s, peak rss %.1f MiB)",
+                         stage, time.perf_counter() - start,
+                         time.process_time() - cpu_start,  # ru_maxrss in KiB
+                         getrusage(RUSAGE_SELF).ru_maxrss / 1024)
+    finally:
+        if enabled:
+            gc.enable()
 
 
-def _from_json(cls, obj, where: str):
-    """A `cls` from a JSON object whose keys are its fields.  A value is
-    converted to its field's annotated type when that is int, float, tuple,
-    list or dict, and a field left out takes its default."""
-    if not isinstance(obj, dict):
+_JSON_NAMES = {str: "a string", type(None): "null"}
+
+
+def _from_json(hint, value, where: str):
+    """`value`, as parsed from JSON, as type `hint`: a dataclass from an
+    object whose keys are its fields (a field left out takes its default),
+    a tuple or list from an array and a dict from an object, each element
+    or value as its annotated type; an int or float by conversion, and a
+    str, or a union of str and None, as given.  Anything else raises a
+    ValueError whose message starts with `where` and the key."""
+    kind, args = get_origin(hint) or hint, get_args(hint)
+    if (is_dataclass(kind) or kind is dict) and not isinstance(value, dict):
         raise ValueError(f"{where}expected a JSON object")
-    hints = get_type_hints(cls)
-    for key in sorted(obj.keys() - hints.keys()):
-        raise ValueError(f"{where}unknown key {key!r}")
-    for f in fields(cls):
-        if f.name not in obj and f.default is f.default_factory is MISSING:
-            raise ValueError(f"{where}missing key {f.name!r}")
-    values = {}
-    for key, value in obj.items():
-        kind = get_origin(hints[key]) or hints[key]
+    if is_dataclass(kind):
+        hints = get_type_hints(kind)
+        for key in sorted(value.keys() - hints.keys()):
+            raise ValueError(f"{where}unknown key {key!r}")
+        for f in fields(kind):
+            if f.name not in value and f.default is f.default_factory is MISSING:
+                raise ValueError(f"{where}missing key {f.name!r}")
+        return kind(**{key: _from_json(hints[key], v, f"{where}{key}: ")
+                       for key, v in value.items()})
+    if kind is dict:
+        return {key: _from_json(args[1], v, where) for key, v in value.items()}
+    if kind in (tuple, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{where}expected an array, got {value!r}")
+        return kind(_from_json(args[0], v, where) for v in value)
+    if kind in (int, float):
         try:
-            values[key] = (kind(value) if kind in (int, float, tuple, list, dict)
-                           else value)
+            return kind(value)
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where}{key}: {exc}") from None
-    return cls(**values)
+            raise ValueError(f"{where}{exc}") from None
+    if not isinstance(value, args or kind):
+        raise ValueError(f"{where}expected " + " or ".join(
+            _JSON_NAMES[t] for t in args or (kind,)) + f", got {value!r}")
+    return value
 
 
 def run_synth(spec_path: str | Path, out_dir: str | Path,
@@ -498,15 +525,17 @@ def run_synth(spec_path: str | Path, out_dir: str | Path,
     an object of `synth.PlantedTopic` fields: words, start_day,
     duration_days, participants, and optionally leader and lead_hours.  An
     optional key left out takes the class default; `seed` and `rate_ramp`,
-    when given, replace the spec's.  A spec that is not an object, misses a
-    required key or has an unknown one raises ValueError.
+    when given, replace the spec's.  A spec that is not valid JSON, not an
+    object, misses a required key, has an unknown one or a value of another
+    type raises ValueError naming the file.
     """
-    with open(spec_path, encoding="utf-8") as fh:
-        obj = json.load(fh)
     where = f"{spec_path}: "
+    with open(spec_path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # also a spec that is not UTF-8
+            raise ValueError(f"{where}{exc}") from None
     spec = _from_json(synth.SynthSpec, obj, where)
-    spec.topics = [_from_json(synth.PlantedTopic, topic, f"{where}topics: ")
-                   for topic in spec.topics]
     if seed is not None:
         spec.seed = seed
     if rate_ramp is not None:

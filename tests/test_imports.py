@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every name a module defines is read somewhere in the repository.
+"""Every name a module of the package imports is used in that module,
+every name a module defines is read somewhere in the repository, and no
+module but `pipeline.py` imports `gc`.
 
 `__init__.py` is left out of both: its imports are the package's
 re-exports, and a re-export is not a read.
@@ -50,6 +51,31 @@ def test_unused_imports_are_found():
               "@dataclass\nclass A:\n    x: Sequence = field(default=())\n"
               "print(np.pi)\n")
     assert unused_imports(source) == ["os (line 2)", "fields (line 4)"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules the source imports absolutely."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", [INIT] + MODULES, ids=lambda path: path.name)
+def test_only_the_pipeline_touches_the_collector(path):
+    # run_pipeline pauses it once per run; library code leaves process-wide
+    # state alone
+    imports_gc = "gc" in imported_modules(path.read_text(encoding="utf-8"))
+    assert imports_gc == (path.name == "pipeline.py")
+
+
+def test_imported_modules_are_found():
+    source = ("import gc, os.path\nfrom json import dumps\nfrom . import x\n"
+              "from .corpus import y\ndef f():\n    from gc import collect\n")
+    assert imported_modules(source) == {"gc", "os", "json"}
 
 
 def definitions(source: str) -> dict[str, int]:

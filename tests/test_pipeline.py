@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import logging
 import os
@@ -550,6 +551,42 @@ class TestInMemoryHandoff:
         assert artifact_bytes(workdir) == before
 
 
+@pytest.fixture
+def collector_state():
+    """Sets the collector's state for a test and restores it afterwards."""
+    enabled = gc.isenabled()
+    yield lambda on: gc.enable() if on else gc.disable()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("on", [True, False], ids=["enabled", "disabled"])
+    def test_run_leaves_the_collector_as_it_found_it(
+            self, small_corpus_file, tmp_path, collector_state, on):
+        collector_state(on)
+        run_all(small_corpus_file, tmp_path / "w")
+        assert gc.isenabled() is on
+        cfg = PipelineConfig(workdir=str(tmp_path / "empty"))
+        with pytest.raises(StageError, match="missing prerequisite"):
+            run_pipeline(cfg, stages=["score"])
+        assert gc.isenabled() is on
+
+    def test_collector_is_off_while_the_stages_run(
+            self, small_corpus_file, tmp_path, collector_state, monkeypatch):
+        collector_state(True)
+        seen = []
+
+        def recording(*args, real=pipeline.build_index):
+            seen.append(gc.isenabled())
+            return real(*args)
+        monkeypatch.setattr(pipeline, "build_index", recording)
+        run_all(small_corpus_file, tmp_path / "w")
+        assert seen == [False] and gc.isenabled()
+
+
 BLOGS = tuple(f"b{i}" for i in range(8))
 
 
@@ -800,12 +837,36 @@ class TestCli:
          "unknown key 'colour'"),
         ({"n_blogs": "six", "window_days": 20, "base_rate": 0.5},
          "n_blogs: invalid literal for int() with base 10: 'six'"),
+        ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5,
+          "rate_multipliers": {"blog_001": "x"}},
+         "rate_multipliers: could not convert string to float: 'x'"),
+        ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5,
+          "rate_multipliers": [2.0]},
+         "rate_multipliers: expected a JSON object"),
+        ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5,
+          "topics": [{"words": ["a", "b"], "start_day": 2, "duration_days": 9,
+                      "participants": ["blog_000"] * 4, "leader": 7}]},
+         "topics: leader: expected a string or null, got 7"),
+        ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5,
+          "topics": [{"words": "tax", "start_day": 2, "duration_days": 9,
+                      "participants": ["blog_000"] * 4}]},
+         "topics: words: expected an array, got 'tax'"),
+        ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5,
+          "topics": [{"words": ["a", "b"], "start_day": 2, "duration_days": 9,
+                      "participants": ["blog_000", 1, "blog_002", "blog_003"]}]},
+         "topics: participants: expected a string, got 1"),
+        ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5, "topics": {}},
+         "topics: expected an array, got {}"),
+        ('{"n_blogs": 6,', "Expecting property name enclosed in double "
+                           "quotes: line 1 column 15 (char 14)"),
     ], ids=["no n_blogs", "topic without duration_days", "top-level array",
-            "unknown key", "badly typed value"])
+            "unknown key", "badly typed value", "non-numeric rate",
+            "rates not an object", "non-string leader", "words not an array",
+            "non-string participant", "topics not an array", "not JSON"])
     def test_bad_synth_spec_exits_one_naming_file_and_key(
             self, tmp_path, capsys, spec, message):
         spec_path = tmp_path / "bad.json"
-        spec_path.write_text(json.dumps(spec))
+        spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
         assert main(["synth", "--spec", str(spec_path),
                      "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {spec_path}: {message}\n"
