@@ -3,7 +3,7 @@
 `PipelineConfig` declares each pipeline parameter and its default once; the
 library reads its defaults from the class (`PipelineConfig.alpha`), and this
 module imports no other of the package.  Each field is one config key: `cli`
-derives its --kebab-name flag from the field (type, help and choices), and
+derives its --kebab-name flag from the field (type and help), and
 `parse_config_file` reads it as snake_name or kebab-name with the same type.
 Precedence: built-in defaults < config file < explicit CLI flags.
 """
@@ -14,12 +14,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-VARIANTS = ("verbatim", "partitioned")  # the likelihoods `scoring` implements
 
-
-def _key(default, help=None, **cli):
-    """A config field; its metadata holds the CLI flag's help (and choices)."""
-    return field(default=default, metadata=dict(help=help, **cli))
+def _key(default, help=None):
+    """A config field; its metadata holds the CLI flag's help."""
+    return field(default=default, metadata=dict(help=help))
 
 
 @dataclass
@@ -50,7 +48,6 @@ class PipelineConfig:
     keep_singletons: bool = False
     # scoring
     min_posts: int = 7
-    likelihood_variant: str = _key("verbatim", choices=VARIANTS)
     # network
     damping: float = 0.85
     # report
@@ -116,9 +113,7 @@ _CHECKS = (("alpha", lambda v: v > 0, "a value > 0"),
            ("bins", lambda v: v >= 1, "an integer >= 1"),
            ("hex_grid", lambda v: v >= 1, "an integer >= 1"),
            ("max_ngram_len", lambda v: v >= 1, "an integer >= 1"),
-           ("min_posts", lambda v: v >= 1, "an integer >= 1"),
-           ("likelihood_variant", lambda v: v in VARIANTS,
-            f"one of {VARIANTS}"))
+           ("min_posts", lambda v: v >= 1, "an integer >= 1"))
 
 
 def build_config(file_path: str | Path | None = None,

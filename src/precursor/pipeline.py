@@ -293,8 +293,7 @@ def stage_topics(cfg: PipelineConfig, workdir: Path,
 def stage_score(cfg: PipelineConfig, workdir: Path, corpus: Corpus,
                 topics: list[Topic]) -> None:
     blogs = scoring.eligible_blogs(corpus, cfg.min_posts)
-    shared = scoring.score_shared_dyads(corpus, topics, blogs,
-                                        cfg.likelihood_variant)
+    shared = scoring.score_shared_dyads(corpus, topics, blogs)
     _write_csv(workdir / "dyadic_scores.csv",
                ["b", "b2", "a_size", "y_size", "gamma", "pr_h", "omega"],
                ([s.b, s.b2, s.a_size, s.y_size, s.gamma, s.pr_h, s.omega]
@@ -476,16 +475,20 @@ def run_pipeline(cfg: PipelineConfig, stages: Sequence[str] | None = None,
             gc.enable()
 
 
-_JSON_NAMES = {str: "a string", type(None): "null"}
+_JSON_NAMES = {str: "a string", type(None): "null", int: "an integer",
+               float: "a number"}
+# The parsed JSON types that a number field takes; a bool is never one.
+_NUMBERS = {int: (int,), float: (int, float)}
 
 
 def _from_json(hint, value, where: str):
     """`value`, as parsed from JSON, as type `hint`: a dataclass from an
     object whose keys are its fields (a field left out takes its default),
     a tuple or list from an array and a dict from an object, each element
-    or value as its annotated type; an int or float by conversion, and a
-    str, or a union of str and None, as given.  Anything else raises a
-    ValueError whose message starts with `where` and the key."""
+    or value as its annotated type; an int from a JSON integer, a float
+    from a JSON integer or float, and a str, or a union of str and None, as
+    given.  Anything else raises a ValueError whose message starts with
+    `where` and the key."""
     kind, args = get_origin(hint) or hint, get_args(hint)
     if (is_dataclass(kind) or kind is dict) and not isinstance(value, dict):
         raise ValueError(f"{where}expected a JSON object")
@@ -504,15 +507,11 @@ def _from_json(hint, value, where: str):
         if not isinstance(value, list):
             raise ValueError(f"{where}expected an array, got {value!r}")
         return kind(_from_json(args[0], v, where) for v in value)
-    if kind in (int, float):
-        try:
-            return kind(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where}{exc}") from None
-    if not isinstance(value, args or kind):
+    accepted = _NUMBERS.get(kind, args or kind)
+    if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{where}expected " + " or ".join(
             _JSON_NAMES[t] for t in args or (kind,)) + f", got {value!r}")
-    return value
+    return kind(value) if kind in _NUMBERS else value
 
 
 def run_synth(spec_path: str | Path, out_dir: str | Path,

@@ -9,15 +9,11 @@ Y into Z (explained by the relationship) and R (explained by chance),
 
     p^|Z| * (1-p)^(|A|-|Z|) * prod_{r in R} C_r * prod_{r in A\\R} (1-C_r)
 
-which is implemented literally ("verbatim" variant).  The alternate
-"partitioned" variant restricts the (1-C_r) product to A\\Y so that the
-per-topic factors partition A; it exists for sensitivity analysis only.
-
 Each term has one factor per topic: (1-p) (1-C_r) on A\\Y, and on Y either
-p z_r (r in Z) or (1-p) C_r (r in R), with z_r = 1-C_r (verbatim) or 1
-(partitioned).  The sum over all splits therefore factors as
+p (1-C_r) (r in Z) or (1-p) C_r (r in R).  The sum over all splits
+therefore factors as
 
-    L(p) = base * (1-p)^|A\\Y| * prod_{r in Y} (p z_r + (1-p) C_r)
+    L(p) = base * (1-p)^|A\\Y| * prod_{r in Y} (p (1-C_r) + (1-p) C_r)
 
 with base = prod_{r in A\\Y} (1-C_r); `likelihood` evaluates this product,
 and `likelihood_sampled` (the paper's split-sampling estimator) estimates
@@ -72,7 +68,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import VARIANTS, PipelineConfig
+from .config import PipelineConfig
 from .corpus import Corpus, post_count
 from .ngrams import _heads
 from .topics import Topic
@@ -125,54 +121,41 @@ def chance_prob(corpus: Corpus, b: str, b2: str, topic: Topic) -> float:
     return np_b / (np_b + np_b2)
 
 
-def likelihood(p: float, ctx: DyadContext,
-               variant: str = PipelineConfig.likelihood_variant) -> float:
+def likelihood(p: float, ctx: DyadContext) -> float:
     """Exact likelihood of gamma = p, from its product form over Y."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    z_fac, r_fac, base = _variant_factors(ctx, variant)
+    c_y, base = _factors(ctx)
     rest = len(ctx.a_topics) - len(ctx.y_topics)
     return float(base * (1.0 - p) ** rest
-                 * np.prod(p * z_fac + (1.0 - p) * r_fac))
+                 * np.prod(p * (1.0 - c_y) + (1.0 - p) * c_y))
 
 
-def likelihood_sampled(p: float, ctx: DyadContext, n_subsets: int, seed: int,
-                       variant: str = PipelineConfig.likelihood_variant
-                       ) -> float:
+def likelihood_sampled(p: float, ctx: DyadContext, n_subsets: int,
+                       seed: int) -> float:
     """Sampled likelihood: mean split term over uniform splits, times 2^|Y|."""
     rng = np.random.default_rng(seed)
-    z_fac, r_fac, base = _variant_factors(ctx, variant)
+    c_y, base = _factors(ctx)
     n_y = len(ctx.y_topics)
     bits = rng.random((n_subsets, n_y)) < 0.5
-    terms = np.where(bits, p * z_fac, (1.0 - p) * r_fac).prod(axis=1)
+    terms = np.where(bits, p * (1.0 - c_y), (1.0 - p) * c_y).prod(axis=1)
     scale = base * (1.0 - p) ** (len(ctx.a_topics) - n_y)
     return float(terms.mean() * 2.0 ** n_y * scale)
 
 
-def _variant_factors(ctx: DyadContext, variant: str):
-    """Per-Y-element split factors and the common factor over A\\Y.
-
-    Both variants factor as base * prod over Y of (z_fac*p | r_fac*(1-p)),
-    with base collecting the A\\Y products excluding the (1-p) powers.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown likelihood variant {variant!r}")
+def _factors(ctx: DyadContext):
+    """C_r over Y, in Y's order, and base = prod over A\\Y of (1-C_r)."""
     c_y = np.array([ctx.c[r] for r in ctx.y_topics], dtype=np.float64)
-    if variant == "verbatim":
-        z_fac = 1.0 - c_y
-    else:
-        z_fac = np.ones_like(c_y)
-    r_fac = c_y
     base = 1.0
     in_y = set(ctx.y_topics)
     for r in ctx.a_topics:
         if r not in in_y:
             base *= 1.0 - ctx.c[r]
-    return z_fac, r_fac, base
+    return c_y, base
 
 
 def _gammas(a_sizes: Sequence[int], y_sizes: Sequence[int], c_y: np.ndarray,
-            base_zero: Sequence[bool], variant: str) -> list[float]:
+            base_zero: Sequence[bool]) -> list[float]:
     """Exact gamma of several dyads at once.
 
     Dyad d has |A| = a_sizes[d] >= 1 and |Y| = y_sizes[d]; c_y holds the
@@ -189,13 +172,10 @@ def _gammas(a_sizes: Sequence[int], y_sizes: Sequence[int], c_y: np.ndarray,
     topics of Y the c_k span more than the float range, and the small ones
     can still carry gamma's largest weights.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown likelihood variant {variant!r}")
     y = np.asarray(y_sizes, dtype=np.int64)
     with np.errstate(divide="ignore"):
         log_r = np.log(c_y)
-        log_z = np.log(1.0 - c_y if variant == "verbatim"
-                       else np.ones_like(c_y))
+        log_z = np.log(1.0 - c_y)
     first = np.cumsum(y) - y
     width = np.array([1 << n.bit_length() for n in y.tolist()], dtype=np.int64)
     log_c: list[np.ndarray] = [None] * y.size  # each dyad's row, by dyad
@@ -248,8 +228,7 @@ def _gammas(a_sizes: Sequence[int], y_sizes: Sequence[int], c_y: np.ndarray,
     return out
 
 
-def gamma(ctx: DyadContext, *,
-          variant: str = PipelineConfig.likelihood_variant) -> float:
+def gamma(ctx: DyadContext) -> float:
     """Exact posterior mean of the precedence strength p under a flat prior.
 
     B(k+2, n-k+1) = B(k+1, n-k+1) * (k+1)/(n+2), so gamma is the mean of
@@ -263,7 +242,7 @@ def gamma(ctx: DyadContext, *,
     in_y = set(ctx.y_topics)
     c_y = np.array([ctx.c[r] for r in ctx.y_topics], dtype=np.float64)
     zero = any(ctx.c[r] >= 1.0 for r in ctx.a_topics if r not in in_y)
-    return _gammas([n_a], [len(ctx.y_topics)], c_y, [zero], variant)[0]
+    return _gammas([n_a], [len(ctx.y_topics)], c_y, [zero])[0]
 
 
 def pr_h(corpus: Corpus, topics: Sequence[Topic], b: str, b2: str) -> float:
@@ -314,11 +293,10 @@ def build_dyad_context(corpus: Corpus, topics: Sequence[Topic],
                        y_topics=tuple(y_topics), c=c)
 
 
-def score_dyad(corpus: Corpus, topics: Sequence[Topic], b: str, b2: str,
-               variant: str = PipelineConfig.likelihood_variant
-               ) -> DyadScore:
+def score_dyad(corpus: Corpus, topics: Sequence[Topic], b: str,
+               b2: str) -> DyadScore:
     ctx = build_dyad_context(corpus, topics, b, b2)
-    g = gamma(ctx, variant=variant)
+    g = gamma(ctx)
     h = pr_h(corpus, topics, b, b2)
     return DyadScore(b=b, b2=b2, a_size=len(ctx.a_topics),
                      y_size=len(ctx.y_topics), gamma=g, pr_h=h,
@@ -332,9 +310,7 @@ def _expand(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
-                       blogs: Sequence[str],
-                       variant: str = PipelineConfig.likelihood_variant
-                       ) -> list[DyadScore]:
+                       blogs: Sequence[str]) -> list[DyadScore]:
     """Scores of the ordered pairs of `blogs` that share a topic, in (b, b2) order.
 
     A member row is one participant in `blogs` of a topic with two or more
@@ -388,7 +364,7 @@ def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
     a_size = np.bincount(dyad, minlength=n_dyads).tolist()
     y_size = np.bincount(dyad[in_y], minlength=n_dyads).tolist()
     zero = np.bincount(dyad[~in_y & (c >= 1.0)], minlength=n_dyads) > 0
-    gammas = _gammas(a_size, y_size, c[in_y], zero.tolist(), variant)
+    gammas = _gammas(a_size, y_size, c[in_y], zero.tolist())
 
     # post-topic incidence: the member row and post of each occurrence by a
     # member, found by (topic group, blog)

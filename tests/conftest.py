@@ -69,7 +69,7 @@ def topic_of(topic_id: str, start: int, end: int,
 
 # ----------------------------------------------------------------- oracles
 
-def brute_force_likelihood(p: float, a_topics, y_topics, c, variant="verbatim"):
+def brute_force_likelihood(p: float, a_topics, y_topics, c):
     """Literal sum over explicit subsets of Y built with itertools."""
     total = 0.0
     y = list(y_topics)
@@ -80,34 +80,29 @@ def brute_force_likelihood(p: float, a_topics, y_topics, c, variant="verbatim"):
             term = p ** len(z_set) * (1.0 - p) ** (len(a_topics) - len(z_set))
             for r in r_set:
                 term *= c[r]
-            if variant == "verbatim":
-                for r in a_topics:
-                    if r not in r_set:
-                        term *= 1.0 - c[r]
-            else:
-                for r in a_topics:
-                    if r not in r_set and r not in z_set:
-                        term *= 1.0 - c[r]
+            for r in a_topics:
+                if r not in r_set:
+                    term *= 1.0 - c[r]
             total += term
     return total
 
 
-def grid_gamma(a_topics, y_topics, c, n_grid: int = 2001, variant="verbatim"):
+def grid_gamma(a_topics, y_topics, c, n_grid: int = 2001):
     """Deterministic gamma by trapezoidal quadrature on a fine p grid."""
     ps = np.linspace(0.0, 1.0, n_grid)
-    lam = brute_force_likelihood(ps, a_topics, y_topics, c, variant)
+    lam = brute_force_likelihood(ps, a_topics, y_topics, c)
     trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2
     num = trapezoid(lam * ps, ps)
     den = trapezoid(lam, ps)
     return num / den
 
 
-def split_polynomial(y_topics, c, variant="verbatim"):
+def split_polynomial(y_topics, c):
     """coeffs[k]: sum of the Y factors over splits with |Z| = k, in plain
     Python floats, adding one topic of Y at a time."""
     coeffs = [1.0]
     for r in y_topics:
-        z = 1.0 - c[r] if variant == "verbatim" else 1.0
+        z = 1.0 - c[r]
         coeffs = ([coeffs[0] * c[r]]
                   + [coeffs[k] * c[r] + coeffs[k - 1] * z
                      for k in range(1, len(coeffs))]
@@ -115,16 +110,15 @@ def split_polynomial(y_topics, c, variant="verbatim"):
     return coeffs
 
 
-def reference_gamma(ctx, variant: str = "verbatim") -> float:
+def reference_gamma(ctx) -> float:
     """gamma of one dyad with its own log-space DP: one numpy step per topic
     of Y, then the Beta-weighted mean of (k+1)/(n+2)."""
     n_a = len(ctx.a_topics)
     if n_a == 0:
         return 0.5
     c_y = np.array([ctx.c[r] for r in ctx.y_topics], dtype=np.float64)
-    z_fac = 1.0 - c_y if variant == "verbatim" else np.ones_like(c_y)
     with np.errstate(divide="ignore"):
-        log_z, log_r = np.log(z_fac), np.log(c_y)
+        log_z, log_r = np.log(1.0 - c_y), np.log(c_y)
     log_c = np.zeros(1)
     for lz, lr in zip(log_z.tolist(), log_r.tolist()):
         nxt = np.empty(log_c.size + 1)
@@ -144,7 +138,7 @@ def reference_gamma(ctx, variant: str = "verbatim") -> float:
     return float(weights @ means / weights.sum())
 
 
-def quad_gamma(a_topics, y_topics, c, variant="verbatim"):
+def quad_gamma(a_topics, y_topics, c):
     """gamma by adaptive scipy quadrature of the split polynomial in p.
 
     The factor over A\\Y cancels from the ratio; the likelihood is divided
@@ -153,7 +147,7 @@ def quad_gamma(a_topics, y_topics, c, variant="verbatim"):
     """
     from scipy.integrate import quad
 
-    coeffs = split_polynomial(y_topics, c, variant)
+    coeffs = split_polynomial(y_topics, c)
     n = len(a_topics)
 
     def lik(p):

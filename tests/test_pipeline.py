@@ -71,15 +71,19 @@ class TestConfig:
         assert cfg.keep_singletons is True
         assert cfg.min_blogs == 6  # CLI overrides file
 
-    def test_unknown_likelihood_variant_rejected(self, tmp_path):
+    def test_removed_variant_key_rejected(self, tmp_path):
+        # the paper's likelihood is the only one; the key that chose
+        # between two is refused, not ignored
         path = tmp_path / "run.cfg"
-        path.write_text("likelihood_variant = literal\n")
-        with pytest.raises(ValueError, match="verbatim"):
+        path.write_text("likelihood_variant = verbatim\n")
+        with pytest.raises(ValueError,
+                           match="unknown option 'likelihood_variant'"):
             build_config(path)
-        with pytest.raises(ValueError, match="partitioned"):
-            build_config(overrides={"likelihood_variant": "Verbatim"})
-        assert build_config(overrides={"likelihood_variant": "partitioned"}) \
-            .likelihood_variant == "partitioned"
+
+    def test_removed_variant_flag_rejected(self, captured_configs):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--likelihood-variant", "verbatim"])
+        assert exc.value.code == 2 and not captured_configs
 
     @pytest.mark.parametrize("name, bad, good", [
         ("alpha", 0.0, 0.5), ("beta_days", -1.0, 0.1),
@@ -139,8 +143,6 @@ def field_type(name):
 
 def sample_value(name):
     """(text, value): a valid non-default setting of the field."""
-    if name == "likelihood_variant":
-        return "partitioned", "partitioned"
     return {bool: ("true", True), int: ("3", 3), float: ("0.5", 0.5),
             str: ("x", "x")}[field_type(name)]
 
@@ -183,13 +185,6 @@ class TestConfigSurface:
         with pytest.raises(SystemExit) as exc:
             main([command, "--" + name.replace("_", "-"), "false"])
         assert exc.value.code == 2 and not captured_configs
-
-    @pytest.mark.parametrize("command", ["run", "report"])
-    def test_variant_flag_has_choices(self, command, captured_configs, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--likelihood-variant", "bogus"])
-        assert exc.value.code == 2 and not captured_configs
-        assert "verbatim" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spelling", ["snake", "kebab"])
     @pytest.mark.parametrize("name", FIELD_NAMES)
@@ -836,10 +831,17 @@ class TestCli:
         ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5, "colour": 1},
          "unknown key 'colour'"),
         ({"n_blogs": "six", "window_days": 20, "base_rate": 0.5},
-         "n_blogs: invalid literal for int() with base 10: 'six'"),
+         "n_blogs: expected an integer, got 'six'"),
+        ({"n_blogs": 8.7, "window_days": 20, "base_rate": 0.5},
+         "n_blogs: expected an integer, got 8.7"),
+        ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5, "seed": True},
+         "seed: expected an integer, got True"),
+        ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5,
+          "noise_vocab": "50"},
+         "noise_vocab: expected an integer, got '50'"),
         ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5,
           "rate_multipliers": {"blog_001": "x"}},
-         "rate_multipliers: could not convert string to float: 'x'"),
+         "rate_multipliers: expected a number, got 'x'"),
         ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5,
           "rate_multipliers": [2.0]},
          "rate_multipliers: expected a JSON object"),
@@ -860,7 +862,8 @@ class TestCli:
         ('{"n_blogs": 6,', "Expecting property name enclosed in double "
                            "quotes: line 1 column 15 (char 14)"),
     ], ids=["no n_blogs", "topic without duration_days", "top-level array",
-            "unknown key", "badly typed value", "non-numeric rate",
+            "unknown key", "badly typed value", "fractional count",
+            "boolean seed", "numeric string", "non-numeric rate",
             "rates not an object", "non-string leader", "words not an array",
             "non-string participant", "topics not an array", "not JSON"])
     def test_bad_synth_spec_exits_one_naming_file_and_key(

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from precursor.config import VARIANTS
 from precursor.scoring import (DegenerateLikelihood, DyadContext, DyadScore,
                                chance_prob, build_dyad_context, eligible_blogs,
                                gamma, global_scores, likelihood,
@@ -83,27 +82,25 @@ class TestLikelihood:
         for p in (0.0, 0.2, 0.9):
             assert likelihood(p, ctx) == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_matches_brute_force_at_y16(self, variant):
+    def test_matches_brute_force_at_y16(self):
         rng = np.random.default_rng(16)
         ctx = ctx_of(19, 16, rng.uniform(0.05, 0.95, 19))
         expected = brute_force_likelihood(0.37, ctx.a_topics, ctx.y_topics,
-                                          ctx.c, variant)
-        assert likelihood(0.37, ctx, variant=variant) == \
+                                          ctx.c)
+        assert likelihood(0.37, ctx) == \
             pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("n_y", [40, 400])
-    def test_matches_split_polynomial_at_large_y(self, n_y, variant):
+    def test_matches_split_polynomial_at_large_y(self, n_y):
         rng = np.random.default_rng(n_y)
         n_a = n_y + 5
         ctx = ctx_of(n_a, n_y, rng.uniform(0.05, 0.95, n_a))
-        coeffs = split_polynomial(ctx.y_topics, ctx.c, variant)
+        coeffs = split_polynomial(ctx.y_topics, ctx.c)
         base = math.prod(1.0 - ctx.c[r] for r in ctx.a_topics[n_y:])
         for p in (0.05, 0.3, 0.5, 0.7, 0.95):
             expected = base * math.fsum(ck * p ** k * (1.0 - p) ** (n_a - k)
                                         for k, ck in enumerate(coeffs))
-            got = likelihood(p, ctx, variant=variant)
+            got = likelihood(p, ctx)
             assert got > 0
             assert got == pytest.approx(expected, rel=1e-12)
 
@@ -115,16 +112,6 @@ class TestLikelihood:
             expected = brute_force_likelihood(p, ctx.a_topics, ctx.y_topics,
                                               ctx.c)
             got = likelihood(p, ctx)
-            assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
-
-    def test_partitioned_variant_matches_its_oracle(self):
-        rng = np.random.default_rng(23)
-        for _ in range(30):
-            ctx = random_ctx(rng)
-            p = float(rng.uniform())
-            expected = brute_force_likelihood(p, ctx.a_topics, ctx.y_topics,
-                                              ctx.c, variant="partitioned")
-            got = likelihood(p, ctx, variant="partitioned")
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
@@ -140,12 +127,11 @@ class TestLikelihoodSampled:
         # exhaustive: conftest's enumeration of every split of Y
         rng = np.random.default_rng(4)
         ctx = random_ctx(rng, max_a=6, max_y=6)
-        for variant in VARIANTS:
-            for p in (0.1, 0.5, 0.9):
-                exhaustive = brute_force_likelihood(
-                    p, ctx.a_topics, ctx.y_topics, ctx.c, variant)
-                assert likelihood(p, ctx, variant=variant) == \
-                    pytest.approx(exhaustive, rel=1e-12, abs=1e-300)
+        for p in (0.1, 0.5, 0.9):
+            exhaustive = brute_force_likelihood(p, ctx.a_topics, ctx.y_topics,
+                                                ctx.c)
+            assert likelihood(p, ctx) == \
+                pytest.approx(exhaustive, rel=1e-12, abs=1e-300)
 
     def test_boundary_accuracy(self):
         rng = np.random.default_rng(6)
@@ -206,21 +192,18 @@ class TestGamma:
                       for n in range(20)]
         assert max(deviations) < 1e-12
 
-    @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("n_y, n_a", [(16, 16), (30, 40), (150, 150),
                                           (150, 170)])
-    def test_matches_adaptive_quadrature(self, n_y, n_a, variant):
+    def test_matches_adaptive_quadrature(self, n_y, n_a):
         rng = np.random.default_rng(n_y * 1000 + n_a)
         ctx = ctx_of(n_a, n_y, rng.uniform(0.05, 0.95, n_a))
-        expected = quad_gamma(ctx.a_topics, ctx.y_topics, ctx.c, variant)
-        assert gamma(ctx, variant=variant) == pytest.approx(expected, abs=1e-12)
+        expected = quad_gamma(ctx.a_topics, ctx.y_topics, ctx.c)
+        assert gamma(ctx) == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_finite_at_400_topics(self, variant):
+    def test_finite_at_400_topics(self):
         rng = np.random.default_rng(400)
         for lo, hi in ((0.05, 0.95), (0.001, 0.01), (0.99, 0.999)):
-            g = gamma(ctx_of(400, 400, rng.uniform(lo, hi, 400)),
-                      variant=variant)
+            g = gamma(ctx_of(400, 400, rng.uniform(lo, hi, 400)))
             assert math.isfinite(g) and 0.0 < g < 1.0
 
     @pytest.mark.parametrize("n_a", [1, 2, 7, 150, 400])
@@ -231,40 +214,36 @@ class TestGamma:
         # Y = A with C = 0: every topic counts for the relationship, L = p^n
         assert gamma(ctx_of(n_a, n_a, [0.0] * n_a)) == (n_a + 1) / (n_a + 2)
 
-    @pytest.mark.parametrize("variant, c, n", [("verbatim", 0.2, 60),
-                                               ("verbatim", 0.01, 1100),
-                                               ("partitioned", 0.3, 5),
-                                               ("partitioned", 0.99, 1100)])
-    def test_uniform_chance_closed_form(self, variant, c, n):
-        # Y = A with one C for all: L = (a + b p)^n, and at n = 1100 the
-        # split coefficients span more than the float range
-        a, b = c, (1.0 - 2.0 * c if variant == "verbatim" else 1.0 - c)
+    @pytest.mark.parametrize("c, n", [(0.2, 60), (0.01, 1100), (0.3, 5),
+                                      (0.99, 1100)])
+    def test_uniform_chance_closed_form(self, c, n):
+        # Y = A with one C for all: L = (a + b p)^n with a = C, b = 1-2C
+        # (negative at C = 0.99), and at n = 1100 the split coefficients
+        # span more than the float range
+        a, b = c, 1.0 - 2.0 * c
 
         def moment(j):  # integral of u^j over u = a + b p, p in [0, 1]
             return ((a + b) ** (j + 1) - a ** (j + 1)) / (j + 1)
 
         expected = (moment(n + 1) - a * moment(n)) / (b * moment(n))
-        got = gamma(ctx_of(n, n, [c] * n), variant=variant)
+        got = gamma(ctx_of(n, n, [c] * n))
         assert got == pytest.approx(expected, rel=1e-10)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(chance, min_size=1, max_size=6), st.data(),
-           st.sampled_from(VARIANTS))
-    def test_equals_grid_quadrature(self, c_values, data, variant):
+    @given(st.lists(chance, min_size=1, max_size=6), st.data())
+    def test_equals_grid_quadrature(self, c_values, data):
         n_a = len(c_values)
         n_y = data.draw(st.integers(0, n_a))
         ctx = ctx_of(n_a, n_y, c_values)
-        expected = grid_gamma(ctx.a_topics, ctx.y_topics, ctx.c,
-                              variant=variant)
+        expected = grid_gamma(ctx.a_topics, ctx.y_topics, ctx.c)
         # trapezoid error at 2001 points for degree <= 7 is below 3e-7
-        assert gamma(ctx, variant=variant) == pytest.approx(expected, abs=1e-6)
+        assert gamma(ctx) == pytest.approx(expected, abs=1e-6)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(chance, min_size=1, max_size=40),
-           st.sampled_from(VARIANTS))
-    def test_never_decreases_as_topics_join_y(self, c_values, variant):
+    @given(st.lists(chance, min_size=1, max_size=40))
+    def test_never_decreases_as_topics_join_y(self, c_values):
         n_a = len(c_values)
-        gammas = [gamma(ctx_of(n_a, n_y, c_values), variant=variant)
+        gammas = [gamma(ctx_of(n_a, n_y, c_values))
                   for n_y in range(n_a + 1)]
         assert all(b >= a - 1e-12 for a, b in zip(gammas, gammas[1:]))
 
@@ -288,17 +267,16 @@ class TestGammaKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 7, 60, 400]),
-           st.floats(0.0, 1.0), st.sampled_from(VARIANTS),
-           st.lists(chance_or_end, max_size=3))
-    def test_equals_the_one_dyad_loop(self, seed, n_a, y_share, variant, ends):
+           st.floats(0.0, 1.0), st.lists(chance_or_end, max_size=3))
+    def test_equals_the_one_dyad_loop(self, seed, n_a, y_share, ends):
         rng = np.random.default_rng(seed)
         c_values = rng.uniform(0.0, 1.0, n_a)
         # exact 0s and 1s at random places, in A\Y or in Y
         c_values[rng.integers(0, n_a, len(ends))] = ends
         ctx = ctx_of(n_a, int(y_share * n_a), c_values)
-        got, n_warned = degenerate_warnings(lambda: gamma(ctx, variant=variant))
+        got, n_warned = degenerate_warnings(lambda: gamma(ctx))
         expected, n_expected = degenerate_warnings(
-            lambda: reference_gamma(ctx, variant))
+            lambda: reference_gamma(ctx))
         assert got == expected
         assert n_warned == n_expected
 
@@ -474,11 +452,11 @@ many_topic_corpora = st.builds(
     st.floats(0.2, 1.0), st.booleans())
 
 
-def reference_score(corpus, topics, b, b2, variant):
+def reference_score(corpus, topics, b, b2):
     """One dyad's score from its context, `conftest.reference_gamma` and
     `pr_h`."""
     ctx = build_dyad_context(corpus, topics, b, b2)
-    g = reference_gamma(ctx, variant)
+    g = reference_gamma(ctx)
     h = pr_h(corpus, topics, b, b2)
     return DyadScore(b=b, b2=b2, a_size=len(ctx.a_topics),
                      y_size=len(ctx.y_topics), gamma=g, pr_h=h,
@@ -489,18 +467,18 @@ def test_batched_scores_equal_the_per_dyad_reference_at_large_y():
     covered = set()
 
     @settings(max_examples=40, deadline=None)
-    @given(many_topic_corpora, st.integers(1, 5), st.sampled_from(VARIANTS))
-    @example(many_topic_corpus(1, 3, 400, 300, 0.9, True), 1, "verbatim")
-    def check(case, min_posts, variant):
+    @given(many_topic_corpora, st.integers(1, 5))
+    @example(many_topic_corpus(1, 3, 400, 300, 0.9, True), 1)
+    def check(case, min_posts):
         corpus, topics = case
         blogs = eligible_blogs(corpus, min_posts)
         shared, n_warned = degenerate_warnings(
-            lambda: score_shared_dyads(corpus, topics, blogs, variant))
+            lambda: score_shared_dyads(corpus, topics, blogs))
         pairs = [(b, b2) for b in blogs for b2 in blogs if b != b2
                  if any(b in t.participations and b2 in t.participations
                         for t in topics)]
         expected, n_expected = degenerate_warnings(lambda: [
-            reference_score(corpus, topics, b, b2, variant) for b, b2 in pairs])
+            reference_score(corpus, topics, b, b2) for b, b2 in pairs])
         assert shared == expected
         assert all(type(v) is float for s in shared
                    for v in (s.gamma, s.pr_h, s.omega))
@@ -544,29 +522,28 @@ class TestSparseScoring:
     """The one-pass scorer against the per-pair reference `score_dyad`
     (build_dyad_context + gamma + pr_h)."""
 
-    def check_against_reference(self, corpus, topics, min_posts, variant):
+    def check_against_reference(self, corpus, topics, min_posts):
         blogs = eligible_blogs(corpus, min_posts)
-        expected = [score_dyad(corpus, topics, b, b2, variant)
+        expected = [score_dyad(corpus, topics, b, b2)
                     for b in blogs for b2 in blogs if b != b2]
         # a dyad without a shared topic has the fixed row, by definition
         assert all(s == DyadScore(b=s.b, b2=s.b2, a_size=0, y_size=0,
                                   gamma=0.5, pr_h=0.0, omega=0.0)
                    for s in expected if s.a_size == 0)
-        shared = score_shared_dyads(corpus, topics, blogs, variant)
+        shared = score_shared_dyads(corpus, topics, blogs)
         assert shared == [s for s in expected if s.a_size > 0]
         assert global_scores(shared, blogs) == global_scores(expected, blogs)
         return expected
 
     @settings(max_examples=150, deadline=None)
-    @given(case=corpora_with_topics(), min_posts=st.integers(1, 5),
-           variant=st.sampled_from(VARIANTS))
-    def test_matches_per_pair_reference(self, case, min_posts, variant):
+    @given(case=corpora_with_topics(), min_posts=st.integers(1, 5))
+    def test_matches_per_pair_reference(self, case, min_posts):
         corpus, topics = case
-        self.check_against_reference(corpus, topics, min_posts, variant)
+        self.check_against_reference(corpus, topics, min_posts)
 
     def test_fixture_cases(self):
         corpus, topics = sparse_fixture()
-        scores = self.check_against_reference(corpus, topics, 3, "verbatim")
+        scores = self.check_against_reference(corpus, topics, 3)
         by_pair = {(s.b, s.b2): s for s in scores}
         assert {b for b, _ in by_pair} == {"a", "b", "c", "d"}  # not e
         # tied first participations: shared, but neither precedes
