@@ -71,18 +71,21 @@ class TestConfig:
         assert cfg.keep_singletons is True
         assert cfg.min_blogs == 6  # CLI overrides file
 
-    def test_removed_variant_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["likelihood_variant",
+                                     "likelihood-variant"])
+    def test_removed_variant_key_rejected(self, tmp_path, key):
         # the paper's likelihood is the only one; the key that chose
-        # between two is refused, not ignored
+        # between two is refused, not ignored, in either spelling
         path = tmp_path / "run.cfg"
-        path.write_text("likelihood_variant = verbatim\n")
+        path.write_text(f"{key} = verbatim\n")
         with pytest.raises(ValueError,
                            match="unknown option 'likelihood_variant'"):
             build_config(path)
 
-    def test_removed_variant_flag_rejected(self, captured_configs):
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_removed_variant_flag_rejected(self, captured_configs, command):
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--likelihood-variant", "verbatim"])
+            main([command, "--likelihood-variant", "verbatim"])
         assert exc.value.code == 2 and not captured_configs
 
     @pytest.mark.parametrize("name, bad, good", [
@@ -681,6 +684,33 @@ class TestSynthRunner:
         assert ((tmp_path / "out" / "corpus.jsonl").read_bytes()
                 == (tmp_path / "expected.jsonl").read_bytes())
 
+    @pytest.mark.parametrize("path, whole", [
+        (("window_days",), 30), (("base_rate",), 1), (("rate_ramp",), 0),
+        (("rate_multipliers", "blog_002"), 3), (("topics", 0, "start_day"), 2)])
+    def test_float_field_takes_a_json_integer(self, tmp_path, path, whole):
+        # a float field given a JSON integer writes what the same value
+        # given as a JSON float writes
+        outputs = []
+        for value in (whole, float(whole)):
+            spec = {"n_blogs": 8, "window_days": 30.0, "base_rate": 1.0,
+                    "rate_ramp": 0.0, "rate_multipliers": {"blog_002": 3.0},
+                    "seed": 2,
+                    "topics": [{"words": ["alpha", "beta"], "start_day": 2.0,
+                                "duration_days": 6.0,
+                                "participants": blog_ids(6)}]}
+            *parents, key = path
+            target = spec
+            for step in parents:
+                target = target[step]
+            target[key] = value
+            spec_path = tmp_path / f"spec_{type(value).__name__}.json"
+            spec_path.write_text(json.dumps(spec))
+            out = tmp_path / type(value).__name__
+            run_synth(spec_path, out)
+            outputs.append([(out / name).read_bytes() for name in
+                            ("corpus.jsonl", "ground_truth.json")])
+        assert outputs[0] == outputs[1]
+
 
 def no_argument_chain(corpus_file):
     """The library functions called with their defaults alone."""
@@ -842,6 +872,19 @@ class TestCli:
         ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5,
           "rate_multipliers": {"blog_001": "x"}},
          "rate_multipliers: expected a number, got 'x'"),
+        ({"n_blogs": None, "window_days": 20, "base_rate": 0.5},
+         "n_blogs: expected an integer, got None"),
+        ({"n_blogs": 6, "window_days": 20, "base_rate": True},
+         "base_rate: expected a number, got True"),
+        ({"n_blogs": 6, "window_days": "20", "base_rate": 0.5},
+         "window_days: expected a number, got '20'"),
+        ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5,
+          "rate_multipliers": {"blog_001": False}},
+         "rate_multipliers: expected a number, got False"),
+        ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5,
+          "topics": [{"words": ["a", "b"], "start_day": 2, "duration_days": 9,
+                      "participants": ["blog_000"] * 4, "lead_hours": True}]},
+         "topics: lead_hours: expected a number, got True"),
         ({"n_blogs": 6, "window_days": 20, "base_rate": 0.5,
           "rate_multipliers": [2.0]},
          "rate_multipliers: expected a JSON object"),
@@ -864,6 +907,8 @@ class TestCli:
     ], ids=["no n_blogs", "topic without duration_days", "top-level array",
             "unknown key", "badly typed value", "fractional count",
             "boolean seed", "numeric string", "non-numeric rate",
+            "null count", "boolean rate", "numeric string window",
+            "boolean rate multiplier", "boolean lead_hours",
             "rates not an object", "non-string leader", "words not an array",
             "non-string participant", "topics not an array", "not JSON"])
     def test_bad_synth_spec_exits_one_naming_file_and_key(

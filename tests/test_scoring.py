@@ -90,6 +90,21 @@ class TestLikelihood:
         assert likelihood(0.37, ctx) == \
             pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("n_y", [0, 7, 19])
+    def test_equals_the_factored_form(self, n_y):
+        # L(p) = base (1-p)^|A\Y| prod_Y (p (1-C_r) + (1-p) C_r), with
+        # base = prod_{A\Y} (1-C_r); Y empty and Y = A are the two ends
+        rng = np.random.default_rng(100 + n_y)
+        ctx = ctx_of(19, n_y, rng.uniform(0.05, 0.95, 19))
+        rest = ctx.a_topics[n_y:]
+        base = math.prod(1.0 - ctx.c[r] for r in rest)
+        for p in (0.0, 0.15, 0.5, 0.85, 1.0):
+            expected = base * (1.0 - p) ** len(rest) * math.prod(
+                p * (1.0 - ctx.c[r]) + (1.0 - p) * ctx.c[r]
+                for r in ctx.y_topics)
+            assert likelihood(p, ctx) == pytest.approx(expected, rel=1e-12,
+                                                       abs=1e-300)
+
     @pytest.mark.parametrize("n_y", [40, 400])
     def test_matches_split_polynomial_at_large_y(self, n_y):
         rng = np.random.default_rng(n_y)
