@@ -26,7 +26,7 @@ synth.write_corpus(records, corpus_file)
 print("synthetic corpus: %d posts, %d planted topics"
       % (len(records), len(truth.topics)))
 
-cfg = PipelineConfig(input=str(corpus_file), workdir=str(out / "run"), seed=1)
+cfg = PipelineConfig(input=str(corpus_file), workdir=str(out / "run"))
 run_pipeline(cfg)
 
 with open(out / "run" / "topics.jsonl") as fh:

@@ -15,13 +15,11 @@ from .corpus import (Corpus, CorpusError, EmptyCorpus, MalformedRecord,
                      post_count)
 from .ngrams import (Ngram, Occurrence, build_index, default_stopwords,
                      load_stopwords)
-from .bursts import (Burst, NoSplit, burst_ratio, detect_bursts, filter_bursts,
-                     inter_burst_mean, intra_burst_mean, min_inter_interval,
-                     segment_bursts)
+from .bursts import (Burst, burst_ratio, detect_bursts, filter_bursts,
+                     inter_burst_mean, intra_burst_mean, segment_bursts)
 from .topics import Topic, is_generalization, merge_bursts
 from .scoring import (DyadContext, DyadScore, chance_prob, gamma,
-                      global_scores, likelihood, likelihood_sampled, omega,
-                      pr_h, score_shared_dyads)
+                      global_scores, omega, score_shared_dyads)
 from .network import CitationGraph, build_graph, in_degrees, pagerank
 from .analysis import (ClassPartition, binned_summary, classify, corner_lists,
                        hexbin, significance_table, wilcoxon_rank_sum)

@@ -44,10 +44,6 @@ from .corpus import DAY, HOUR
 from .ngrams import Ngram, Occurrence
 
 
-class NoSplit(Exception):
-    """Raised when an operation needs at least one burst boundary."""
-
-
 def _gaps(times) -> np.ndarray:
     t = np.asarray(times, dtype=np.float64)
     if t.ndim != 1 or t.size < 2:
@@ -85,15 +81,6 @@ def intra_burst_mean(times, theta) -> float:
     if m == 0:
         return 0.0
     return float((g * (1 - th)).sum() / m)
-
-
-def min_inter_interval(times, theta) -> float:
-    """Smallest gap between consecutive bursts."""
-    g = _gaps(times)
-    th = _theta(theta, g.size)
-    if int(th.sum()) == 0:
-        raise NoSplit("no burst boundary set")
-    return float(g[th == 1].min())
 
 
 def burst_ratio(times, theta) -> float:

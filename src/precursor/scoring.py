@@ -15,13 +15,11 @@ therefore factors as
 
     L(p) = base * (1-p)^|A\\Y| * prod_{r in Y} (p (1-C_r) + (1-p) C_r)
 
-with base = prod_{r in A\\Y} (1-C_r); `likelihood` evaluates this product,
-and `likelihood_sampled` (the paper's split-sampling estimator) estimates
-it.  Grouping the splits by |Z| = k instead makes L(p) a polynomial in p,
+with base = prod_{r in A\\Y} (1-C_r), so no split needs to be sampled.
+Grouping the splits by |Z| = k instead makes L(p) a polynomial in p,
 L(p) = base * sum_k c_k p^k (1-p)^(n-k) with n = |A|.  The dyadic score
 gamma is the posterior mean of p under a flat prior, and each term
-integrates to a Beta function, so gamma is computed exactly (and uses
-neither likelihood function):
+integrates to a Beta function, so gamma is computed exactly:
 
     gamma = sum_k c_k B(k+2, n-k+1) / sum_k c_k B(k+1, n-k+1).
 
@@ -38,10 +36,11 @@ eligible pair has by definition the fixed row |A| = |Y| = 0, gamma = 0.5
 `score_shared_dyads` scores them all at once:
 
 - One pass over the topics counts each participant's posts in each topic
-  interval once and lists the occurrences of the topics' bursts; array
-  operations pair the participants of each topic into (b, b2, topic)
-  entries in dyad order, and give each entry its C_r and precedence and
-  each dyad its distinct participating posts of b2 (Pr(H)).
+  interval once and lists the member row and post of each burst
+  occurrence by a participant; array operations pair the participants of
+  each topic into (b, b2, topic) entries in dyad order, and give each
+  entry its C_r and precedence and each dyad its distinct participating
+  posts of b2 (Pr(H)).
 - `_gammas` runs the log-space split DP for every dyad together.  Dyads
   are grouped into width classes, the dyads whose |Y|+1 rounds up to the
   same power of two, and each class's DP fills one (dyads x width) buffer,
@@ -53,8 +52,8 @@ eligible pair has by definition the fixed row |A| = |Y| = 0, gamma = 0.5
   weighted mean and `DegenerateLikelihood` warning, so every gamma equals
   the one-dyad computation bit for bit.
 
-`build_dyad_context`, `pr_h`, `score_dyad` and `gamma` (the kernel on one
-dyad) compute one dyad at a time and serve as the reference.
+`gamma` runs the same kernel on the `DyadContext` of one dyad, as
+`build_dyad_context` collects it.
 """
 
 from __future__ import annotations
@@ -62,8 +61,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import count, repeat
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -99,6 +96,10 @@ class DyadContext:
         missing = a - set(self.c)
         if missing:
             raise ValueError(f"chance probabilities missing for {sorted(missing)}")
+        for r in self.a_topics:
+            if not 0.0 <= self.c[r] <= 1.0:  # also NaN
+                raise ValueError(f"chance probability {self.c[r]} of topic "
+                                 f"{r!r} lies outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -119,39 +120,6 @@ def chance_prob(corpus: Corpus, b: str, b2: str, topic: Topic) -> float:
     if np_b == 0 and np_b2 == 0:
         return 0.5
     return np_b / (np_b + np_b2)
-
-
-def likelihood(p: float, ctx: DyadContext) -> float:
-    """Exact likelihood of gamma = p, from its product form over Y."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    c_y, base = _factors(ctx)
-    rest = len(ctx.a_topics) - len(ctx.y_topics)
-    return float(base * (1.0 - p) ** rest
-                 * np.prod(p * (1.0 - c_y) + (1.0 - p) * c_y))
-
-
-def likelihood_sampled(p: float, ctx: DyadContext, n_subsets: int,
-                       seed: int) -> float:
-    """Sampled likelihood: mean split term over uniform splits, times 2^|Y|."""
-    rng = np.random.default_rng(seed)
-    c_y, base = _factors(ctx)
-    n_y = len(ctx.y_topics)
-    bits = rng.random((n_subsets, n_y)) < 0.5
-    terms = np.where(bits, p * (1.0 - c_y), (1.0 - p) * c_y).prod(axis=1)
-    scale = base * (1.0 - p) ** (len(ctx.a_topics) - n_y)
-    return float(terms.mean() * 2.0 ** n_y * scale)
-
-
-def _factors(ctx: DyadContext):
-    """C_r over Y, in Y's order, and base = prod over A\\Y of (1-C_r)."""
-    c_y = np.array([ctx.c[r] for r in ctx.y_topics], dtype=np.float64)
-    base = 1.0
-    in_y = set(ctx.y_topics)
-    for r in ctx.a_topics:
-        if r not in in_y:
-            base *= 1.0 - ctx.c[r]
-    return c_y, base
 
 
 def _gammas(a_sizes: Sequence[int], y_sizes: Sequence[int], c_y: np.ndarray,
@@ -179,11 +147,10 @@ def _gammas(a_sizes: Sequence[int], y_sizes: Sequence[int], c_y: np.ndarray,
     first = np.cumsum(y) - y
     width = np.array([1 << n.bit_length() for n in y.tolist()], dtype=np.int64)
     log_c: list[np.ndarray] = [None] * y.size  # each dyad's row, by dyad
-    vanishes = np.zeros(y.size, dtype=bool)  # no finite log c_k
     order = np.lexsort((-y, width))  # by class, then by |Y| descending
     for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
         ys, steps = y[group], int(y[group[0]])
-        # -inf (c_k = 0) past each row's end, so whole rows can be tested
+        # -inf (c_k = 0) past each row's end
         rows = np.full((group.size, int(width[group[0]])), -np.inf)
         rows[:, 0] = 0.0
         if steps:
@@ -199,7 +166,6 @@ def _gammas(a_sizes: Sequence[int], y_sizes: Sequence[int], c_y: np.ndarray,
                 np.add(c[:, j:j + 1], z, out=c[:, j + 1:j + 2])
                 c[:, :1] += r
                 np.logaddexp(*inner, out=c[:, 1:j + 1])
-        vanishes[group] = ~np.isfinite(rows).any(axis=1)
         for d, n_y, row in zip(group.tolist(), ys.tolist(), rows):
             log_c[d] = row[:n_y + 1]
 
@@ -207,10 +173,11 @@ def _gammas(a_sizes: Sequence[int], y_sizes: Sequence[int], c_y: np.ndarray,
                               for k in range(max(a_sizes, default=0) + 1)])
     terms: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     out = []
-    for n_a, n_y, zero, empty, log_ck in zip(a_sizes, y.tolist(), base_zero,
-                                             vanishes.tolist(), log_c):
-        # base = prod_{A\Y} (1 - C_r) is zero exactly when some C_r there is 1
-        if zero or empty:
+    for n_a, n_y, zero, log_ck in zip(a_sizes, y.tolist(), base_zero, log_c):
+        # base = prod_{A\Y} (1 - C_r) is zero exactly when some C_r there is 1;
+        # the c_k are not all zero, since each C_r in [0, 1] leaves one of
+        # C_r and 1 - C_r nonzero
+        if zero:
             warnings.warn("likelihood vanishes for every p; returning 0.5",
                           DegenerateLikelihood)
             out.append(0.5)
@@ -245,24 +212,6 @@ def gamma(ctx: DyadContext) -> float:
     return _gammas([n_a], [len(ctx.y_topics)], c_y, [zero])[0]
 
 
-def pr_h(corpus: Corpus, topics: Sequence[Topic], b: str, b2: str) -> float:
-    """Fraction of b2's posts that participate in topics shared with b.
-
-    A post participates in a topic when it appears as an occurrence in one
-    of the topic's member bursts.
-    """
-    total = len(corpus.posts_by_blog(b2))
-    if total == 0:
-        return 0.0
-    participating: set[str] = set()
-    for topic in topics:
-        if b in topic.participations and b2 in topic.participations:
-            for burst in topic.bursts:
-                participating.update(o.post_id for o in burst.occurrences
-                                     if o.blog_id == b2)
-    return len(participating) / total
-
-
 def omega(gamma_value: float, pr_h_value: float) -> float:
     """Adjusted dyadic precursor score: gamma * Pr(H)."""
     return gamma_value * pr_h_value
@@ -293,16 +242,6 @@ def build_dyad_context(corpus: Corpus, topics: Sequence[Topic],
                        y_topics=tuple(y_topics), c=c)
 
 
-def score_dyad(corpus: Corpus, topics: Sequence[Topic], b: str,
-               b2: str) -> DyadScore:
-    ctx = build_dyad_context(corpus, topics, b, b2)
-    g = gamma(ctx)
-    h = pr_h(corpus, topics, b, b2)
-    return DyadScore(b=b, b2=b2, a_size=len(ctx.a_topics),
-                     y_size=len(ctx.y_topics), gamma=g, pr_h=h,
-                     omega=omega(g, h))
-
-
 def _expand(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The positions start, start+1, ..., start+length-1 of every range."""
     ends = np.cumsum(lengths)
@@ -315,29 +254,35 @@ def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
 
     A member row is one participant in `blogs` of a topic with two or more
     of them, with its post count in the topic interval and the rank of its
-    first participation; member rows are in topic order.  The results equal
-    those of `build_dyad_context`, `gamma` and `pr_h` exactly.
+    first participation; member rows are in topic order.  |A|, |Y| and
+    gamma equal those of `build_dyad_context` and `gamma` exactly.  Pr(H) is
+    the fraction of b2's posts that occur in a member burst of a topic that
+    b and b2 share, each post counted once.
     """
     names = sorted(set(blogs))
     code = {b: j for j, b in enumerate(names)}
     m_blog, m_rank, m_posts, sizes = [], [], [], []
-    occs: list = []
-    occ_counts = []
+    # post-topic incidence: the member row and post of each occurrence by a
+    # member
+    inc_row, inc_post, post_code = [], [], {}
     for topic in topics:
         first = topic.participations
         members = [b for b in first if b in code]
         if len(members) < 2:
             continue
+        row = {b: len(m_blog) + i for i, b in enumerate(members)}
         rank = {t: r for r, t in enumerate(sorted({first[b] for b in members}))}
         m_blog += [code[b] for b in members]
         m_rank += [rank[first[b]] for b in members]
         m_posts += [post_count(corpus, b, topic.start, topic.end)
                     for b in members]
         sizes.append(len(members))
-        before = len(occs)
         for burst in topic.bursts:
-            occs += burst.occurrences
-        occ_counts.append(len(occs) - before)
+            for _, blog_id, post_id in burst.occurrences:
+                if blog_id in row:
+                    inc_row.append(row[blog_id])
+                    inc_post.append(post_code.setdefault(post_id,
+                                                         len(post_code)))
     if not sizes:
         return []
 
@@ -366,29 +311,16 @@ def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
     zero = np.bincount(dyad[~in_y & (c >= 1.0)], minlength=n_dyads) > 0
     gammas = _gammas(a_size, y_size, c[in_y], zero.tolist())
 
-    # post-topic incidence: the member row and post of each occurrence by a
-    # member, found by (topic group, blog)
-    occ_blog = np.fromiter(map(code.get, map(itemgetter(1), occs), repeat(-1)),
-                           np.int64, len(occs))
-    occ_key = (np.repeat(np.arange(sizes.size), occ_counts) * len(names)
-               + occ_blog)
-    member_key = np.repeat(np.arange(sizes.size), sizes) * len(names) + blog
-    by_key = np.argsort(member_key)
-    at = np.minimum(np.searchsorted(member_key[by_key], occ_key),
-                    by_key.size - 1)
-    hit = (occ_blog >= 0) & (member_key[by_key[at]] == occ_key)
-    post_code: dict[str, int] = {}
-    post = np.fromiter(map(post_code.setdefault, map(itemgetter(2), occs),
-                           count()), np.int64, len(occs))
-    inc_row, inc_post = by_key[at[hit]], post[hit]
     # Pr(H): each dyad's distinct posts of b2 over the member rows of b2
-    inc_post = inc_post[np.argsort(inc_row)]
+    inc_row = np.array(inc_row, dtype=np.int64)
+    inc_post = np.array(inc_post, dtype=np.int64)[np.argsort(inc_row)]
     per_member = np.bincount(inc_row, minlength=per_row.size)
     n = per_member[right]
-    key = (np.repeat(dyad, n) * max(len(occs), 1)
+    n_posts = max(len(post_code), 1)
+    key = (np.repeat(dyad, n) * n_posts
            + inc_post[_expand((np.cumsum(per_member) - per_member)[right], n)])
     key.sort()
-    participating = np.bincount(key[_heads(key)] // max(len(occs), 1),
+    participating = np.bincount(key[_heads(key)] // n_posts,
                                 minlength=n_dyads).tolist()
 
     scores = []

@@ -22,8 +22,9 @@ from precursor.corpus import (_POS_BY_NAME, _parse_timestamp, CONTENT_POS,
                               MalformedRecord, NonMonotonicWindow, Pos, Post,
                               Token)
 from precursor.ngrams import Ngram, Occurrence
-from precursor.bursts import Burst
-from precursor.scoring import DegenerateLikelihood
+from precursor.bursts import Burst, _gaps, _theta, burst_ratio
+from precursor.scoring import (DegenerateLikelihood, DyadScore,
+                               build_dyad_context, gamma, omega)
 from precursor.topics import Topic
 
 
@@ -161,6 +162,69 @@ def quad_gamma(a_topics, y_topics, c):
     num = quad(lambda p: p * lik(p) / peak, 0.0, 1.0, **opts)[0]
     den = quad(lambda p: lik(p) / peak, 0.0, 1.0, **opts)[0]
     return num / den
+
+
+def _factors(ctx):
+    """C_r over Y, in Y's order, and base = prod over A\\Y of (1-C_r)."""
+    c_y = np.array([ctx.c[r] for r in ctx.y_topics], dtype=np.float64)
+    base = 1.0
+    in_y = set(ctx.y_topics)
+    for r in ctx.a_topics:
+        if r not in in_y:
+            base *= 1.0 - ctx.c[r]
+    return c_y, base
+
+
+def likelihood(p: float, ctx) -> float:
+    """Exact likelihood of gamma = p, from its product form over Y."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    c_y, base = _factors(ctx)
+    rest = len(ctx.a_topics) - len(ctx.y_topics)
+    return float(base * (1.0 - p) ** rest
+                 * np.prod(p * (1.0 - c_y) + (1.0 - p) * c_y))
+
+
+def likelihood_sampled(p: float, ctx, n_subsets: int, seed: int) -> float:
+    """The paper's split-sampling estimate of the likelihood: the mean split
+    term over uniform splits of Y, times 2^|Y|."""
+    rng = np.random.default_rng(seed)
+    c_y, base = _factors(ctx)
+    n_y = len(ctx.y_topics)
+    bits = rng.random((n_subsets, n_y)) < 0.5
+    terms = np.where(bits, p * (1.0 - c_y), (1.0 - p) * c_y).prod(axis=1)
+    scale = base * (1.0 - p) ** (len(ctx.a_topics) - n_y)
+    return float(terms.mean() * 2.0 ** n_y * scale)
+
+
+def pr_h(corpus: Corpus, topics, b: str, b2: str) -> float:
+    """Fraction of b2's posts that participate in topics shared with b.
+
+    A post participates in a topic when it appears as an occurrence in one
+    of the topic's member bursts.
+    """
+    total = len(corpus.posts_by_blog(b2))
+    if total == 0:
+        return 0.0
+    participating: set[str] = set()
+    for topic in topics:
+        if b in topic.participations and b2 in topic.participations:
+            for burst in topic.bursts:
+                participating.update(o.post_id for o in burst.occurrences
+                                     if o.blog_id == b2)
+    return len(participating) / total
+
+
+def reference_score_dyad(corpus: Corpus, topics, b: str, b2: str,
+                         gamma_of=gamma) -> DyadScore:
+    """One dyad's score from its `build_dyad_context`, `gamma_of` (the
+    library's `gamma` unless given) and `pr_h`."""
+    ctx = build_dyad_context(corpus, topics, b, b2)
+    g = gamma_of(ctx)
+    h = pr_h(corpus, topics, b, b2)
+    return DyadScore(b=b, b2=b2, a_size=len(ctx.a_topics),
+                     y_size=len(ctx.y_topics), gamma=g, pr_h=h,
+                     omega=omega(g, h))
 
 
 def reference_corpus_line(post: Post) -> str:
@@ -587,9 +651,21 @@ def reference_detect_bursts(times, alpha: float, beta: float) -> np.ndarray:
             return theta
 
 
+class NoSplit(Exception):
+    """Raised when an operation needs at least one burst boundary."""
+
+
+def min_inter_interval(times, theta) -> float:
+    """Smallest gap between consecutive bursts."""
+    g = _gaps(times)
+    th = _theta(theta, g.size)
+    if int(th.sum()) == 0:
+        raise NoSplit("no burst boundary set")
+    return float(g[th == 1].min())
+
+
 def exhaustive_best_partition(times, alpha: float, beta: float):
     """Max rho over every constraint-satisfying split assignment."""
-    from precursor.bursts import burst_ratio, min_inter_interval
     n = len(times)
     best = 0.0
     best_theta = (0,) * (n - 1)

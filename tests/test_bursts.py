@@ -4,15 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from precursor.config import PipelineConfig
 from precursor.corpus import DAY, HOUR
-from precursor.bursts import (Burst, NoSplit, burst_passes,
-                              burst_ratio, detect_all, detect_bursts,
-                              filter_bursts, inter_burst_mean,
-                              intra_burst_mean, min_inter_interval,
-                              segment_bursts)
+from precursor.bursts import (Burst, burst_passes, burst_ratio, detect_all,
+                              detect_bursts, filter_bursts, inter_burst_mean,
+                              intra_burst_mean, segment_bursts)
 from precursor.ngrams import Occurrence
 
-from conftest import (burst_of, exhaustive_best_partition, ngram_of,
-                      reference_detect_bursts)
+from conftest import (NoSplit, burst_of, exhaustive_best_partition,
+                      min_inter_interval, ngram_of, reference_detect_bursts)
 
 T_DAYS = [0, 1, 2, 10, 11, 12]
 T = [t * DAY for t in T_DAYS]

@@ -7,6 +7,8 @@ re-exports, and a re-export is not a read.
 """
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,10 +17,11 @@ import precursor
 
 INIT = Path(precursor.__file__)
 MODULES = sorted(path for path in INIT.parent.glob("*.py") if path != INIT)
+ROOT = Path(__file__).resolve().parents[1]
 # the package's modules and every script that may read what they define
 READERS = MODULES + sorted(
     path for folder in ("demos", "perfbench", "tests")
-    for path in (Path(__file__).resolve().parents[1] / folder).glob("*.py"))
+    for path in (ROOT / folder).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -139,3 +142,13 @@ def test_unread_definitions_are_found():
     read = names_read(source) | names_read("import m\nm.D\n")
     assert unread_definitions(source, read) == [
         "A (line 3)", "unused (line 8)", "Dropped (line 12)"]
+
+
+@pytest.mark.parametrize("name", ["checks", "tracing", "oracle"])
+def test_benchmark_modules_import(name, monkeypatch):
+    # the benchmark's modules read names such as `build_dyad_context`,
+    # `scoring.EXACT_LIMIT`, `read_topics_artifact` and `LoadReport` when
+    # imported; otherwise only a benchmark run would see one of them go
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delitem(sys.modules, name, raising=False)
+    importlib.import_module(name)

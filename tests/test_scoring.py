@@ -7,12 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from precursor.scoring import (DegenerateLikelihood, DyadContext, DyadScore,
                                chance_prob, build_dyad_context, eligible_blogs,
-                               gamma, global_scores, likelihood,
-                               likelihood_sampled, omega, pr_h, score_dyad,
-                               score_shared_dyads)
+                               gamma, global_scores, omega, score_shared_dyads)
 
 from conftest import (brute_force_likelihood, burst_of, corpus_of, grid_gamma,
-                      post, quad_gamma, reference_gamma, split_polynomial,
+                      likelihood, likelihood_sampled, post, pr_h, quad_gamma,
+                      reference_gamma, reference_score_dyad, split_polynomial,
                       topic_of)
 
 
@@ -64,6 +63,11 @@ class TestContext:
     def test_c_must_cover_a(self):
         with pytest.raises(ValueError):
             DyadContext("a", "b", ("t1",), (), {})
+
+    @pytest.mark.parametrize("c", [math.nan, 1.7, -0.5])
+    def test_c_must_lie_in_unit_interval(self, c):
+        with pytest.raises(ValueError, match="'t2'"):
+            DyadContext("a", "b", ("t1", "t2"), ("t2",), {"t1": 0.5, "t2": c})
 
 
 class TestLikelihood:
@@ -384,7 +388,7 @@ class TestScoreDyads:
         big = [topic_of(f"t{i}", 100 + 20 * i, 140 + 20 * i,
                         {"a": 100 + 20 * i, "b": 105 + 20 * i})
                for i in range(16)]
-        score = score_dyad(corpus, big, "a", "b")
+        score = reference_score_dyad(corpus, big, "a", "b")
         assert score.a_size == score.y_size == 16
         ctx = build_dyad_context(corpus, big, "a", "b")
         expected = quad_gamma(ctx.a_topics, ctx.y_topics, ctx.c)
@@ -467,17 +471,6 @@ many_topic_corpora = st.builds(
     st.floats(0.2, 1.0), st.booleans())
 
 
-def reference_score(corpus, topics, b, b2):
-    """One dyad's score from its context, `conftest.reference_gamma` and
-    `pr_h`."""
-    ctx = build_dyad_context(corpus, topics, b, b2)
-    g = reference_gamma(ctx)
-    h = pr_h(corpus, topics, b, b2)
-    return DyadScore(b=b, b2=b2, a_size=len(ctx.a_topics),
-                     y_size=len(ctx.y_topics), gamma=g, pr_h=h,
-                     omega=omega(g, h))
-
-
 def test_batched_scores_equal_the_per_dyad_reference_at_large_y():
     covered = set()
 
@@ -493,7 +486,8 @@ def test_batched_scores_equal_the_per_dyad_reference_at_large_y():
                  if any(b in t.participations and b2 in t.participations
                         for t in topics)]
         expected, n_expected = degenerate_warnings(lambda: [
-            reference_score(corpus, topics, b, b2) for b, b2 in pairs])
+            reference_score_dyad(corpus, topics, b, b2, reference_gamma)
+            for b, b2 in pairs])
         assert shared == expected
         assert all(type(v) is float for s in shared
                    for v in (s.gamma, s.pr_h, s.omega))
@@ -534,12 +528,12 @@ def sparse_fixture():
 
 @pytest.mark.filterwarnings("ignore::precursor.scoring.DegenerateLikelihood")
 class TestSparseScoring:
-    """The one-pass scorer against the per-pair reference `score_dyad`
-    (build_dyad_context + gamma + pr_h)."""
+    """The one-pass scorer against the per-pair reference
+    `conftest.reference_score_dyad` (build_dyad_context + gamma + pr_h)."""
 
     def check_against_reference(self, corpus, topics, min_posts):
         blogs = eligible_blogs(corpus, min_posts)
-        expected = [score_dyad(corpus, topics, b, b2)
+        expected = [reference_score_dyad(corpus, topics, b, b2)
                     for b in blogs for b2 in blogs if b != b2]
         # a dyad without a shared topic has the fixed row, by definition
         assert all(s == DyadScore(b=s.b, b2=s.b2, a_size=0, y_size=0,
