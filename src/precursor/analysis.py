@@ -32,16 +32,15 @@ def classify(blog_scores: Mapping[str, tuple[float, float]]) -> ClassPartition:
     """Assign each blog to pl/Pl/pL/PL around the mean scores.
 
     Scores exactly equal to the mean count as low, so a set of identical
-    blogs all land in class pl.
+    blogs all land in class pl.  No blog gives a partition with no members
+    and NaN thresholds.
     """
-    if not blog_scores:
-        raise ValueError("need at least one scored blog")
     ps = [p for p, _ in blog_scores.values()]
     ls = [l for _, l in blog_scores.values()]
     # fsum keeps the mean exact when every score is identical, so the
     # boundary rule (equal to the mean => low) is not upset by float drift
-    mean_p = math.fsum(ps) / len(ps)
-    mean_l = math.fsum(ls) / len(ls)
+    mean_p = math.fsum(ps) / len(ps) if ps else math.nan
+    mean_l = math.fsum(ls) / len(ls) if ls else math.nan
     assignment = {}
     for blog, (p, l) in blog_scores.items():
         cls = ("P" if p > mean_p else "p") + ("L" if l > mean_l else "l")

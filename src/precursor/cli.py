@@ -1,4 +1,7 @@
-"""Command line interface: run / synth / report subcommands."""
+"""Command line interface: run / synth subcommands.
+
+The report tables and figures are rebuilt with `run --stages report`.
+"""
 
 from __future__ import annotations
 
@@ -50,13 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth_p.add_argument("--spec", required=True, help="JSON synth spec file")
     synth_p.add_argument("--out", required=True, help="output directory")
     synth_p.add_argument("--seed", type=int, help="override the spec seed")
-    synth_p.add_argument("--rate-ramp", type=float, dest="rate_ramp",
-                         help="override the spec's posting-rate ramp")
-
-    report = sub.add_parser("report", parents=[verbosity],
-                            help="rebuild report tables and figures")
-    report.add_argument("--config", help="key = value config file")
-    _add_override_flags(report)
     return parser
 
 
@@ -77,16 +73,11 @@ def main(argv: list[str] | None = None) -> int:
     logging.getLogger("precursor").setLevel(args.log_level or logging.INFO)
     try:
         if args.command == "synth":
-            run_synth(args.spec, args.out, seed=args.seed,
-                      rate_ramp=args.rate_ramp)
+            run_synth(args.spec, args.out, seed=args.seed)
             return 0
         overrides = {name: getattr(args, name) for name in FIELD_TYPES}
-        cfg = build_config(args.config, overrides)
-        if args.command == "report":
-            run_pipeline(cfg, stages=["report"])
-        else:
-            run_pipeline(cfg, stages=_stage_list(args.stages),
-                         dry_run=args.dry_run)
+        run_pipeline(build_config(args.config, overrides),
+                     stages=_stage_list(args.stages), dry_run=args.dry_run)
         return 0
     except (StageError, CorpusError, InfeasibleSpec, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,9 @@ objects: lemma, part-of-speech tag, chunk index) and ``links`` (array of
 cited blog ids).  The loader normalizes lemmas to lowercase, coerces unknown
 part-of-speech tags to OTHER, drops self-links and (by default) links to
 blogs that never post in the corpus, and sorts posts by (timestamp, post_id).
+A blog id or link target that contains a carriage return is refused: the
+CSV artifacts end their lines with a bare newline, so such a field would
+not be quoted and its row would read back split in two.
 
 Tokens are looked up in a table keyed by their raw ``(l, p, c)`` values, so
 a repeated token costs one dict lookup and every occurrence shares one
@@ -209,6 +212,8 @@ def corpus_from_records(records: Iterable[tuple[int, dict]],
             raise MalformedRecord(line_no, "missing post_id")
         if not blog_id or not isinstance(blog_id, str):
             raise MalformedRecord(line_no, "missing blog_id")
+        if "\r" in blog_id:
+            raise MalformedRecord(line_no, "carriage return in blog_id")
         if "timestamp" not in record:
             raise MalformedRecord(line_no, "missing timestamp")
         if post_id in seen_ids:
@@ -246,6 +251,8 @@ def corpus_from_records(records: Iterable[tuple[int, dict]],
         links = record.get("links") or []
         if not isinstance(links, list):
             raise MalformedRecord(line_no, "links array expected")
+        if any("\r" in str(target) for target in links):
+            raise MalformedRecord(line_no, "carriage return in a link target")
         parsed.append((post_id, blog_id, ts, *streams, links))
 
     if start is not None or end is not None:

@@ -178,7 +178,7 @@ class _Windows:
             key = rank[grows] * self.radix + self.lemma[end]
             order = np.argsort(key, kind="stable")
             rank = np.empty_like(key)
-            rank[order] = np.cumsum(_heads(key[order])) - 1
+            rank[order] = np.cumsum(run_heads(key[order])) - 1
             valid = order[has_noun[order]]
             if not len(valid):
                 return
@@ -191,7 +191,7 @@ class _Windows:
         return [Ngram(tuple(map(word, row))) for row in rows]
 
 
-def _heads(values: np.ndarray) -> np.ndarray:
+def run_heads(values: np.ndarray) -> np.ndarray:
     """True where a run of equal values starts."""
     head = np.ones(len(values), bool)
     head[1:] = values[1:] != values[:-1]
@@ -221,7 +221,7 @@ def build_index(corpus: Corpus, max_len: int = PipelineConfig.max_ngram_len,
     first_seen, ngrams, occurrences = [], [], []
     for length, starts, rank in windows.by_length():
         post = windows.post[starts]
-        head = _heads(rank)
+        head = run_heads(rank)
         group = np.cumsum(head) - 1
         # a window whose blog is the previous window's is a second window
         # of one post or a later post of one same-blog run

@@ -23,9 +23,10 @@ stage of the call needs it.  A stage run on its own, or the first stage of
 a call that needs an input no earlier stage of the call produced, reads
 that input from the artifact in the working directory (`corpus.jsonl`,
 `index.jsonl`, `bursts.jsonl`, `topics.jsonl`).  The network and report
-stages always read `global_scores.csv`.  No stage draws random numbers, so
-re-running a stage with unchanged inputs and config reproduces its
-artifacts byte for byte, whatever the seed.
+stages always read `global_scores.csv`, and the report stage rewrites every
+file under `report/` on each run, so none is left from an earlier one.  No
+stage draws random numbers, so re-running a stage with unchanged inputs and
+config reproduces its artifacts byte for byte, whatever the seed.
 
 `dyadic_scores.csv` lists only the ordered pairs of eligible blogs that
 share a topic (|A| > 0), in (b, b2) order.  Every absent eligible pair has
@@ -40,7 +41,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, astuple, fields, is_dataclass
 from functools import cache
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -329,35 +330,39 @@ def stage_network(cfg: PipelineConfig, workdir: Path, corpus: Corpus) -> None:
                 len(graph.nodes))
 
 
+def _write_text(path: Path, text: str) -> None:
+    _atomic_write(path, lambda fh: fh.write(text))
+
+
 def stage_report(cfg: PipelineConfig, workdir: Path) -> None:
+    """All fifteen files under report/, each rewritten on every run.  With
+    no eligible blog the class, hexbin and corner tables hold only their
+    header, and the significance table compares six pairs of empty
+    classes."""
     scores_path = workdir / "global_scores.csv"
     _require("report", scores_path)
-    rows = read_global_scores(scores_path)
-    if rows and "in_degree" not in rows[0]:
+    scores = scores_path.read_bytes().decode("utf-8")
+    if "in_degree" not in scores.partition("\n")[0]:
         raise StageError("report", "global_scores.csv lacks network metrics; "
                                    "run the network stage first")
+    rows = read_global_scores(scores_path)
     report_dir = workdir / "report"
     report_dir.mkdir(exist_ok=True)
+    _write_text(report_dir / "scatter.csv", scores)
 
-    blogs = [r["blog_id"] for r in rows]
     p_scores = {r["blog_id"]: float(r["P"]) for r in rows}
     l_scores = {r["blog_id"]: float(r["L"]) for r in rows}
     degrees = {r["blog_id"]: int(r["in_degree"]) for r in rows}
-    ranks = {r["blog_id"]: float(r["pagerank"]) for r in rows}
+    in_degrees = {b: float(d) for b, d in degrees.items()}
+    blogs = list(p_scores)
+    _write_text(report_dir / "scatter.svg", svg.scatter_svg(
+        [(p_scores[b], l_scores[b]) for b in blogs], "precursor score P",
+        "laggard score L", "Precursor vs laggard scores"))
 
-    _write_csv(report_dir / "scatter.csv",
-               ["blog_id", "P", "L", "in_degree", "pagerank"],
-               [[b, p_scores[b], l_scores[b], degrees[b], ranks[b]]
-                for b in blogs])
-    _atomic_write(report_dir / "scatter.svg", lambda fh: fh.write(
-        svg.scatter_svg([(p_scores[b], l_scores[b]) for b in blogs],
-                        "precursor score P", "laggard score L",
-                        "Precursor vs laggard scores")))
-
-    metric_maps = {"indegree": {b: float(degrees[b]) for b in blogs},
-                   "pagerank": ranks}
-    score_maps = {"precursor": p_scores, "laggard": l_scores}
-    for s_name, s_map in score_maps.items():
+    metric_maps = {"indegree": in_degrees,
+                   "pagerank": {r["blog_id"]: float(r["pagerank"])
+                                for r in rows}}
+    for s_name, s_map in {"precursor": p_scores, "laggard": l_scores}.items():
         for m_name, m_map in metric_maps.items():
             bins = analysis.binned_summary(s_map, m_map, n_bins=cfg.bins,
                                            log_bins=cfg.log_bins)
@@ -365,51 +370,39 @@ def stage_report(cfg: PipelineConfig, workdir: Path) -> None:
             _write_csv(report_dir / f"{name}.csv",
                        ["bin", "lo", "hi", "count", "min", "q1", "median",
                         "q3", "max", "mean"],
-                       [[i, s.lo, s.hi, s.count, s.minimum, s.q1, s.median,
-                         s.q3, s.maximum, s.mean]
-                        for i, s in enumerate(bins)])
-            _atomic_write(report_dir / f"{name}.svg", lambda fh, b=bins,
-                          sn=s_name, mn=m_name: fh.write(
-                svg.boxplot_svg(b, f"{sn} score bins", mn,
-                                f"{mn} by {sn} score")))
+                       [[i, *astuple(s)] for i, s in enumerate(bins)])
+            _write_text(report_dir / f"{name}.svg", svg.boxplot_svg(
+                bins, f"{s_name} score bins", m_name,
+                f"{m_name} by {s_name} score"))
 
-    if blogs:
-        partition = analysis.classify({b: (p_scores[b], l_scores[b])
-                                       for b in blogs})
-        _write_csv(report_dir / "classes.csv",
-                   ["blog_id", "P", "L", "cls", "p_threshold", "l_threshold"],
-                   [[b, p_scores[b], l_scores[b], partition.assignment[b],
-                     partition.thresholds[0], partition.thresholds[1]]
-                    for b in blogs])
-        table = analysis.significance_table(
-            partition, {b: float(degrees[b]) for b in blogs})
-        _write_csv(report_dir / "significance.csv",
-                   ["class_a", "class_b", "n_a", "n_b", "mean_a", "mean_b",
-                    "statistic", "p_value", "stars"],
-                   [[r["class_a"], r["class_b"], r["n_a"], r["n_b"],
-                     r["mean_a"], r["mean_b"], r["statistic"], r["p_value"],
-                     r["stars"]] for r in table])
+    partition = analysis.classify({b: (p_scores[b], l_scores[b])
+                                   for b in blogs})
+    _write_csv(report_dir / "classes.csv",
+               ["blog_id", "P", "L", "cls", "p_threshold", "l_threshold"],
+               [[b, p_scores[b], l_scores[b], partition.assignment[b],
+                 *partition.thresholds] for b in blogs])
+    _write_csv(report_dir / "significance.csv",
+               ["class_a", "class_b", "n_a", "n_b", "mean_a", "mean_b",
+                "statistic", "p_value", "stars"],
+               [list(r.values()) for r in
+                analysis.significance_table(partition, in_degrees)])
 
-        points = [(p_scores[b], l_scores[b], float(degrees[b])) for b in blogs]
-        cells = analysis.hexbin(points, grid_size=cfg.hex_grid)
-        _write_csv(report_dir / "hexbin.csv",
-                   ["q", "r", "center_p", "center_l", "count", "mean_metric"],
-                   [[c.q, c.r, c.center_x, c.center_y, c.count, c.mean_metric]
-                    for c in cells])
-        _atomic_write(report_dir / "hexbin.svg", lambda fh: fh.write(
-            svg.hexbin_svg(cells, analysis.hex_size_for(points, cfg.hex_grid),
-                           "precursor score P", "laggard score L",
-                           "Mean in-degree per (P, L) region")))
+    points = [(p_scores[b], l_scores[b], in_degrees[b]) for b in blogs]
+    cells = analysis.hexbin(points, grid_size=cfg.hex_grid)
+    _write_csv(report_dir / "hexbin.csv",
+               ["q", "r", "center_p", "center_l", "count", "mean_metric"],
+               map(astuple, cells))
+    _write_text(report_dir / "hexbin.svg", svg.hexbin_svg(
+        cells, analysis.hex_size_for(points, cfg.hex_grid),
+        "precursor score P", "laggard score L",
+        "Mean in-degree per (P, L) region"))
 
-        corners = analysis.corner_lists(p_scores, degrees)
-        corner_rows = []
-        for corner in ("ll", "lh", "hl", "hh"):
-            for rank, (blog, dist) in enumerate(corners[corner], start=1):
-                corner_rows.append([corner, rank, blog, p_scores[blog],
-                                    degrees[blog], dist])
-        _write_csv(report_dir / "corner_lists.csv",
-                   ["corner", "rank", "blog_id", "P", "in_degree", "distance"],
-                   corner_rows)
+    corners = analysis.corner_lists(p_scores, degrees)
+    _write_csv(report_dir / "corner_lists.csv",
+               ["corner", "rank", "blog_id", "P", "in_degree", "distance"],
+               [[corner, rank, blog, p_scores[blog], degrees[blog], dist]
+                for corner, ranked in corners.items()
+                for rank, (blog, dist) in enumerate(ranked, start=1)])
     logger.info("[report] wrote report/ tables and figures for %d blogs",
                 len(blogs))
 
@@ -515,7 +508,7 @@ def _from_json(hint, value, where: str):
 
 
 def run_synth(spec_path: str | Path, out_dir: str | Path,
-              seed: int | None = None, rate_ramp: float | None = None) -> None:
+              seed: int | None = None) -> None:
     """Generate a synthetic corpus + ground truth from a JSON spec file.
 
     The spec is an object of `synth.SynthSpec` fields: n_blogs, window_days,
@@ -523,8 +516,8 @@ def run_synth(spec_path: str | Path, out_dir: str | Path,
     rate_multipliers (blog id -> rate factor), seed and topics, each topic
     an object of `synth.PlantedTopic` fields: words, start_day,
     duration_days, participants, and optionally leader and lead_hours.  An
-    optional key left out takes the class default; `seed` and `rate_ramp`,
-    when given, replace the spec's.  A spec that is not valid JSON, not an
+    optional key left out takes the class default; `seed`, when given,
+    replaces the spec's.  A spec that is not valid JSON, not an
     object, misses a required key, has an unknown one or a value of another
     type raises ValueError naming the file.
     """
@@ -537,8 +530,6 @@ def run_synth(spec_path: str | Path, out_dir: str | Path,
     spec = _from_json(synth.SynthSpec, obj, where)
     if seed is not None:
         spec.seed = seed
-    if rate_ramp is not None:
-        spec.rate_ramp = rate_ramp
     records, truth = synth.generate(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -67,7 +67,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .corpus import Corpus, post_count
-from .ngrams import _heads
+from .ngrams import run_heads
 from .topics import Topic
 
 # Unused here: perfbench/tracing.py reads it at import and labels the gamma
@@ -298,7 +298,7 @@ def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
     order = np.lexsort((left, blog[right], blog[left]))
     left, right = left[order], right[order]
     b, b2 = blog[left], blog[right]
-    head = _heads(b * len(names) + b2)
+    head = run_heads(b * len(names) + b2)
     dyad = np.cumsum(head) - 1
     n_dyads = int(dyad[-1]) + 1
 
@@ -320,7 +320,7 @@ def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
     key = (np.repeat(dyad, n) * n_posts
            + inc_post[_expand((np.cumsum(per_member) - per_member)[right], n)])
     key.sort()
-    participating = np.bincount(key[_heads(key)] // n_posts,
+    participating = np.bincount(key[run_heads(key)] // n_posts,
                                 minlength=n_dyads).tolist()
 
     scores = []

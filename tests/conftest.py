@@ -331,6 +331,8 @@ def reference_corpus_from_records(records, config=None) -> Corpus:
             raise MalformedRecord(line_no, "missing post_id")
         if not blog_id or not isinstance(blog_id, str):
             raise MalformedRecord(line_no, "missing blog_id")
+        if "\r" in blog_id:
+            raise MalformedRecord(line_no, "carriage return in blog_id")
         if "timestamp" not in record:
             raise MalformedRecord(line_no, "missing timestamp")
         if post_id in seen_ids:
@@ -342,9 +344,12 @@ def reference_corpus_from_records(records, config=None) -> Corpus:
         links = record.get("links") or []
         if not isinstance(links, list):
             raise MalformedRecord(line_no, "links array expected")
+        links = [str(x) for x in links]
+        if any("\r" in target for target in links):
+            raise MalformedRecord(line_no, "carriage return in a link target")
         parsed.append((Post(post_id=post_id, blog_id=blog_id, timestamp=ts,
                             title_tokens=title, body_tokens=body),
-                       [str(x) for x in links]))
+                       links))
     if config.window_start is not None or config.window_end is not None:
         lo = config.window_start if config.window_start is not None else min(
             (p.timestamp for p, _ in parsed), default=0)

@@ -9,6 +9,7 @@ from precursor.config import PipelineConfig
 from precursor.corpus import (DAY, Corpus, EmptyCorpus, MalformedRecord, NonMonotonicWindow, Pos, Token,
                               corpus_from_records, load_corpus, post_count)
 from precursor.pipeline import write_corpus_artifact
+from precursor.synth import generate, leader_follower_spec, write_corpus
 
 from conftest import (corpus_of, json_text, post, reference_corpus_from_records,
                       reference_corpus_line, tok)
@@ -174,6 +175,30 @@ class TestLoadCorpus:
         with pytest.raises(MalformedRecord, match="bad timestamp") as err:
             load_corpus(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("field, reason", [
+        ("blog_id", "carriage return in blog_id"),
+        ("links", "carriage return in a link target")])
+    def test_carriage_return_in_blog_id_or_link_reports_line(
+            self, tmp_path, field, reason):
+        # the CSV artifacts end their lines with a bare newline, so an
+        # unquoted carriage return would split a blog's row in two
+        records, _ = generate(leader_follower_spec(
+            n_blogs=10, n_topics=6, window_days=40, seed=2))
+        name = "blog\r003"
+        for r in records:
+            if field == "blog_id" and r["blog_id"] == "blog_003":
+                r["blog_id"] = name
+            if field == "links":
+                r["links"] = [name if t == "blog_003" else t
+                              for t in r["links"]]
+        first = next(line for line, r in enumerate(records, start=1)
+                     if name == r["blog_id"] or name in r["links"])
+        path = tmp_path / "c.jsonl"
+        write_corpus(records, path)
+        with pytest.raises(MalformedRecord) as err:
+            load_corpus(path)
+        assert (err.value.line, err.value.reason) == (first, reason)
 
     def test_deterministic(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -367,9 +392,9 @@ RAW = {"l": ["Cat", " dog ", "", "1", 1, 1.0, True, ["cat"]],
        "p": ["NOUN", "verb", "XX", 1, True],
        "c": [0, 1, 1, 1.0, True, -3, 2 ** 70, -2 ** 70, 1e300]}
 # one fault a record may have, with the values that make it
-FAULTS = {"post_id": ["", 7], "blog_id": ["", 5],
+FAULTS = {"post_id": ["", 7], "blog_id": ["", 5, "a\rb"],
           "timestamp": [1.5, True, float("nan"), "2020-01-01T00:00:00Z", "bad"],
-          "links": [None, "a", ["a", 3]], "title": [None, "cat"],
+          "links": [None, "a", ["a", 3], ["b", "\r"]], "title": [None, "cat"],
           "token": ["cat", 3, None], "chunk": [2.5, float("nan"),
                                               float("inf"), "x"]}
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from precursor.config import PipelineConfig
 from precursor.corpus import Pos
-from precursor.ngrams import (Ngram, Occurrence, _heads,
+from precursor.ngrams import (Ngram, Occurrence, run_heads,
                               _Windows, build_index, default_stopwords,
                               load_stopwords)
 from precursor.pipeline import write_index_artifact
@@ -30,7 +30,7 @@ def post_ngrams(p, config):
     with the words of its first window in the post."""
     windows = _Windows((p,), **config)
     return {ngram for length, starts, rank in windows.by_length()
-            for ngram in windows.ngrams(starts[_heads(rank)], length)}
+            for ngram in windows.ngrams(starts[run_heads(rank)], length)}
 
 
 class TestEnumerate:

@@ -61,6 +61,10 @@ def run_all(corpus_file, workdir, jobs=1, seed=1):
     return workdir
 
 
+# a full run, and the report stage alone as it is rebuilt on a finished run
+COMMANDS = {"run": ["run"], "report": ["run", "--stages", "report"]}
+
+
 class TestConfig:
     def test_parse_file_and_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -82,10 +86,10 @@ class TestConfig:
                            match="unknown option 'likelihood_variant'"):
             build_config(path)
 
-    @pytest.mark.parametrize("command", ["run", "report"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_removed_variant_flag_rejected(self, captured_configs, command):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--likelihood-variant", "verbatim"])
+            main([*COMMANDS[command], "--likelihood-variant", "verbatim"])
         assert exc.value.code == 2 and not captured_configs
 
     @pytest.mark.parametrize("name, bad, good", [
@@ -160,33 +164,35 @@ def captured_configs(monkeypatch, restore_log_level):
 
 
 class TestConfigSurface:
-    """Every PipelineConfig field is settable from `run` and `report` as
-    --kebab-name, and from a config file as snake_name or kebab-name, with
-    the field's type."""
+    """Every PipelineConfig field is settable from `run` and from
+    `run --stages report` as --kebab-name, and from a config file as
+    snake_name or kebab-name, with the field's type."""
 
-    @pytest.mark.parametrize("command", ["run", "report"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_no_flags_give_defaults(self, command, captured_configs):
-        assert main([command]) == 0
+        assert main(COMMANDS[command]) == 0
         assert captured_configs == [PipelineConfig()]
 
-    @pytest.mark.parametrize("command", ["run", "report"])
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("name", FIELD_NAMES)
     def test_flag_sets_typed_value(self, command, name, captured_configs):
         flag = "--" + name.replace("_", "-")
         text, value = sample_value(name)
-        argv = [command, flag] if value is True else [command, flag, text]
+        argv = [*COMMANDS[command], flag]
+        if value is not True:
+            argv.append(text)
         assert main(argv) == 0
         cfg, = captured_configs
         assert type(getattr(cfg, name)) is type(value)
         assert cfg == replace(PipelineConfig(), **{name: value})
         assert cfg != PipelineConfig()
 
-    @pytest.mark.parametrize("command", ["run", "report"])
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("name", [n for n in FIELD_NAMES
                                       if field_type(n) is bool])
     def test_bool_flag_takes_no_value(self, command, name, captured_configs):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--" + name.replace("_", "-"), "false"])
+            main([*COMMANDS[command], "--" + name.replace("_", "-"), "false"])
         assert exc.value.code == 2 and not captured_configs
 
     @pytest.mark.parametrize("spelling", ["snake", "kebab"])
@@ -349,6 +355,18 @@ def test_written_burst_and_topic_lines_equal_the_json_dumps_reference():
     assert covered == set(JSON_ODD) | {"burst outside every topic"}
 
 
+REPORT_FILES = ("scatter.csv", "scatter.svg",
+                *(f"boxplots_{s}_{m}.{ext}" for s in ("precursor", "laggard")
+                  for m in ("indegree", "pagerank") for ext in ("csv", "svg")),
+                "classes.csv", "significance.csv", "hexbin.csv", "hexbin.svg",
+                "corner_lists.csv")
+
+
+def read_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestRunPipeline:
     def test_full_run_writes_all_artifacts(self, small_corpus_file, tmp_path):
         workdir = run_all(small_corpus_file, tmp_path / "out")
@@ -357,16 +375,58 @@ class TestRunPipeline:
                      "graph_edges.csv"):
             assert (workdir / name).exists(), name
         report = workdir / "report"
-        for name in ("scatter.csv", "scatter.svg", "classes.csv",
-                     "significance.csv", "hexbin.csv", "hexbin.svg",
-                     "corner_lists.csv", "boxplots_precursor_indegree.csv",
-                     "boxplots_precursor_pagerank.csv",
-                     "boxplots_laggard_indegree.csv",
-                     "boxplots_laggard_pagerank.csv",
-                     "boxplots_precursor_indegree.svg"):
-            assert (report / name).exists(), name
-        header = (workdir / "global_scores.csv").read_text().splitlines()[0]
-        assert header == "blog_id,P,L,in_degree,pagerank"
+        assert sorted(p.name for p in report.iterdir()) == sorted(REPORT_FILES)
+        scores = (workdir / "global_scores.csv").read_bytes()
+        assert scores.startswith(b"blog_id,P,L,in_degree,pagerank\n")
+        assert (report / "scatter.csv").read_bytes() == scores
+
+    def test_rerun_without_eligible_blogs_rewrites_every_report_file(
+            self, small_corpus_file, tmp_path):
+        cfg = PipelineConfig(input=str(small_corpus_file),
+                             workdir=str(tmp_path / "rerun"))
+        run_pipeline(cfg)
+        report = Path(cfg.workdir) / "report"
+        assert len(read_rows(report / "classes.csv")) == 8
+        none_eligible = replace(cfg, min_posts=100000)
+        run_pipeline(none_eligible, stages=["score", "network", "report"])
+        # every file equals the one a run without eligible blogs writes
+        fresh = replace(none_eligible, workdir=str(tmp_path / "fresh"))
+        run_pipeline(fresh)
+        for name in REPORT_FILES:
+            assert ((report / name).read_bytes() == (
+                Path(fresh.workdir) / "report" / name).read_bytes()), name
+        for name in ("scatter.csv", "classes.csv", "hexbin.csv",
+                     "corner_lists.csv"):
+            assert not read_rows(report / name), name
+        significance = read_rows(report / "significance.csv")
+        assert len(significance) == 6
+        assert all(r["n_a"] == r["n_b"] == "0" for r in significance)
+
+    def test_report_without_network_metrics_refused(self, small_corpus_file,
+                                                    tmp_path):
+        cfg = PipelineConfig(input=str(small_corpus_file),
+                             workdir=str(tmp_path / "no_network"))
+        run_pipeline(cfg)
+        for min_posts in (cfg.min_posts, 100000):  # with and without rows
+            with pytest.raises(StageError, match="lacks network metrics"):
+                run_pipeline(replace(cfg, min_posts=min_posts),
+                             stages=["score", "report"])
+
+    def test_newline_in_blog_id_round_trips(self, tmp_path):
+        # csv quotes a field with a newline, so the row reads back whole
+        records, _ = generate(leader_follower_spec(
+            n_blogs=10, n_topics=6, window_days=40, seed=2))
+        name = "blog\n003"
+        for r in records:
+            if r["blog_id"] == "blog_003":
+                r["blog_id"] = name
+            r["links"] = [name if t == "blog_003" else t for t in r["links"]]
+        synth.write_corpus(records, tmp_path / "corpus.jsonl")
+        workdir = run_all(tmp_path / "corpus.jsonl", tmp_path / "run")
+        blogs = [r["blog_id"] for r in read_rows(workdir / "global_scores.csv")]
+        assert name in blogs and len(blogs) == 10
+        assert [r["blog_id"] for r in read_rows(
+            workdir / "report" / "classes.csv")] == blogs
 
     def test_resume_requires_prior_artifacts(self, small_corpus_file, tmp_path):
         cfg = PipelineConfig(input=str(small_corpus_file),
@@ -766,7 +826,15 @@ class TestCli:
         assert main(["run", "--input", str(small_corpus_file),
                      "--workdir", str(workdir), "--seed", "3"]) == 0
         assert (workdir / "global_scores.csv").exists()
-        assert main(["report", "--workdir", str(workdir), "--bins", "3"]) == 0
+        assert main(["run", "--stages", "report", "--workdir", str(workdir),
+                     "--bins", "3"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["report"], ["synth", "--spec", "s", "--out", "o", "--rate-ramp", "2"]])
+    def test_removed_commands_exit_two(self, argv, captured_configs):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and not captured_configs
 
     def test_missing_artifact_exits_nonzero(self, tmp_path, capsys):
         assert main(["run", "--workdir", str(tmp_path / "void"),
