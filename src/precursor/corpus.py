@@ -1,21 +1,31 @@
 """Corpus ingestion, validation and time-windowed post counting.
 
-Input is a line-delimited file of JSON records (one post per line) with
-fields ``post_id``, ``blog_id``, ``timestamp`` (integer epoch seconds or an
-ISO-8601 string), ``title`` and ``body`` (arrays of ``{l, p, c}`` token
-objects: lemma, part-of-speech tag, chunk index) and ``links`` (array of
-cited blog ids).  The loader normalizes lemmas to lowercase, coerces unknown
-part-of-speech tags to OTHER, drops self-links and (by default) links to
-blogs that never post in the corpus, and sorts posts by (timestamp, post_id).
-A blog id or link target that contains a carriage return is refused: the
-CSV artifacts end their lines with a bare newline, so such a field would
-not be quoted and its row would read back split in two.
+A corpus is a line-delimited file of JSON records, one post per line.  Each
+field, its JSON type, what absent or null means, and its normalisation:
 
-Tokens are looked up in a table keyed by their raw ``(l, p, c)`` values, so
-a repeated token costs one dict lookup and every occurrence shares one
-`Token`.  Only raw values of exactly (str, str, int) are entered: JSON
-``1``, ``1.0`` and ``true`` are one dict key but give different lemmas, so
-any other value is converted on every occurrence.
+- ``post_id``: non-empty string, unique; required.
+- ``blog_id``: non-empty string without a carriage return; required.
+- ``timestamp``: epoch seconds as a number (truncated to an integer), or an
+  ISO-8601 string (UTC if it gives no offset); required.
+- ``title``, ``body``: arrays of token objects; absent or null: no tokens.
+- token ``l`` (lemma): string; absent: "".  Lowercased and stripped; a
+  token whose lemma is then empty is dropped.
+- token ``p`` (tag): string; absent: "".  A `Pos` name in any case, else
+  OTHER (counted as a pos warning); every tag is NOUN under assume_nouns.
+- token ``c`` (chunk index): integer, not a boolean; absent: 0.  Must not
+  decrease within a title or body.
+- ``links``: array of blog id strings without a carriage return; absent or
+  null: no links.  Self-links are dropped, and so are links to blogs that
+  never post in the corpus unless keep_external_links is set.
+
+Any other value raises `MalformedRecord` naming the line and the field.
+Posts are sorted by (timestamp, post_id).  The CSV artifacts end their
+lines with a bare newline and so would not quote a carriage return: a blog
+id holding one would split its rows in two.
+
+`write_records` is the one writer of the format.  It and the loader key
+tokens by their raw (lemma, tag, chunk) values, which a `Token` equals and
+hashes as, so each distinct token is encoded once and built once.
 """
 
 from __future__ import annotations
@@ -25,15 +35,15 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cache
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .config import PipelineConfig
 
 # One record and one token object as `json.dumps(..., sort_keys=True,
-# ensure_ascii=False)` writes them, for writers that emit the keys in order:
-# each %s takes a `json.encoder.encode_basestring` string, or a ", "-joined
-# list of such strings or of filled token objects.
+# ensure_ascii=False)` writes them, for `write_records` to fill.
 RECORD_LINE = ('{"blog_id": %s, "body": [%s], "links": [%s], "post_id": %s, '
                '"timestamp": %d, "title": [%s]}\n')
 TOKEN_OBJECT = '{"c": %d, "l": %s, "p": %s}'
@@ -149,28 +159,21 @@ def _parse_timestamp(raw, line: int) -> int:
 
 def _token_entry(raw: tuple, line: int, assume_nouns: bool,
                  table: dict) -> tuple[Token | None, bool]:
-    """The token for raw (lemma, tag, chunk) values, None for an empty lemma,
-    and whether the tag was coerced to OTHER.  The entry is kept in `table`
-    under the raw values only when they are exactly (str, str, int): 1, 1.0
-    and True are one dict key but normalise to different lemmas."""
+    """The token for raw (lemma, tag, chunk) values whose chunk is an int,
+    None for an empty lemma, and whether the tag was coerced to OTHER; the
+    entry is also kept in `table` under the raw values."""
     lemma, tag, chunk = raw
-    try:
-        index = int(chunk)
-    except (TypeError, ValueError, OverflowError):
-        raise MalformedRecord(line, f"bad chunk index {chunk!r}") from None
-    text = str(lemma).strip().lower()
+    if type(lemma) is not str:
+        raise MalformedRecord(line, f"bad lemma {lemma!r}: not a string")
+    if type(tag) is not str:
+        raise MalformedRecord(line, f"bad tag {tag!r}: not a string")
+    text = lemma.strip().lower()
     if not text:
         entry = None, False
-    elif assume_nouns:
-        entry = Token(text, Pos.NOUN, index), False
     else:
-        pos = _POS_BY_NAME.get(str(tag).upper())
-        if pos is None:
-            entry = Token(text, Pos.OTHER, index), True
-        else:
-            entry = Token(text, pos, index), False
-    if type(lemma) is str and type(tag) is str and type(chunk) is int:
-        table[raw] = entry
+        pos = Pos.NOUN if assume_nouns else _POS_BY_NAME.get(tag.upper())
+        entry = Token(text, pos or Pos.OTHER, chunk), pos is None
+    table[raw] = entry
     return entry
 
 
@@ -199,7 +202,7 @@ def corpus_from_records(records: Iterable[tuple[int, dict]],
         raise NonMonotonicWindow(f"window start {start} > end {end}")
 
     records_read = pos_warnings = empty_lemma_tokens = 0
-    out_of_window = self_links = external_links = 0
+    self_links = external_links = 0
     # (post_id, blog_id, timestamp, title, body, links) per record
     parsed: list[tuple] = []
     seen_ids: set[str] = set()
@@ -223,19 +226,22 @@ def corpus_from_records(records: Iterable[tuple[int, dict]],
         streams = []
         for raw in (record.get("title"), record.get("body")):
             if raw is None:
-                streams.append(())
-                continue
-            if not isinstance(raw, list):
+                raw = ()
+            elif not isinstance(raw, list):
                 raise MalformedRecord(line_no, "token array expected")
             tokens = []
             prev_chunk = None
             for item in raw:
                 if not isinstance(item, dict):
                     raise MalformedRecord(line_no, "token object expected")
-                key = (item.get("l", ""), item.get("p", ""), item.get("c", 0))
+                chunk = item.get("c", 0)
+                if type(chunk) is not int:  # 1.0 or true finds chunk 1's entry
+                    raise MalformedRecord(
+                        line_no, f"bad chunk index {chunk!r}: not an integer")
+                key = (item.get("l", ""), item.get("p", ""), chunk)
                 try:
                     token, coerced = table[key]
-                except (KeyError, TypeError):  # unseen, or a list value
+                except (KeyError, TypeError):  # unseen, or an unhashable value
                     token, coerced = _token_entry(key, line_no,
                                                   cfg.assume_nouns, table)
                 if token is None:
@@ -248,36 +254,33 @@ def corpus_from_records(records: Iterable[tuple[int, dict]],
                 prev_chunk = token.chunk
                 tokens.append(token)
             streams.append(tuple(tokens))
-        links = record.get("links") or []
-        if not isinstance(links, list):
-            raise MalformedRecord(line_no, "links array expected")
-        if any("\r" in str(target) for target in links):
-            raise MalformedRecord(line_no, "carriage return in a link target")
+        links = record.get("links")
+        if links is None:
+            links = ()
+        elif type(links) is not list:
+            raise MalformedRecord(line_no, f"bad links {links!r}: not an array")
+        for target in links:
+            if type(target) is not str:
+                raise MalformedRecord(
+                    line_no, f"bad link target {target!r}: not a string")
+            if "\r" in target:
+                raise MalformedRecord(line_no,
+                                      "carriage return in a link target")
         parsed.append((post_id, blog_id, ts, *streams, links))
 
-    if start is not None or end is not None:
-        lo = start if start is not None else min((p[2] for p in parsed),
-                                                 default=0)
-        hi = end if end is not None else max((p[2] for p in parsed), default=0)
-        kept = [p for p in parsed if lo <= p[2] <= hi]
-        out_of_window = len(parsed) - len(kept)
-        parsed = kept
-        window = (lo, hi)
-    elif parsed:
-        times = [p[2] for p in parsed]
-        window = (min(times), max(times))
-    else:
-        window = (0, 0)
-
-    if not parsed:
+    times = [p[2] for p in parsed]
+    lo = start if start is not None else min(times, default=0)
+    hi = end if end is not None else max(times, default=0)
+    kept = [p for p in parsed if lo <= p[2] <= hi]
+    if not kept:
         raise EmptyCorpus("no valid posts")
 
-    blogs = frozenset(p[1] for p in parsed)
+    blogs = frozenset(p[1] for p in kept)
     keep_external = cfg.keep_external_links
     posts = []
-    for post_id, blog_id, ts, title, body, links in parsed:
+    for post_id, blog_id, ts, title, body, links in kept:
         cleaned = set()
-        for target in map(str, links):
+        for target in links:
             if target == blog_id:
                 self_links += 1
             elif target not in blogs and not keep_external:
@@ -289,19 +292,35 @@ def corpus_from_records(records: Iterable[tuple[int, dict]],
     report = LoadReport(records_read=records_read, posts_loaded=len(posts),
                         pos_warnings=pos_warnings,
                         empty_lemma_tokens=empty_lemma_tokens,
-                        out_of_window=out_of_window, self_links=self_links,
-                        external_links=external_links)
-    return Corpus(posts=tuple(posts), blogs=blogs, window=window, report=report)
+                        out_of_window=len(parsed) - len(kept),
+                        self_links=self_links, external_links=external_links)
+    return Corpus(posts=tuple(posts), blogs=blogs, window=(lo, hi),
+                  report=report)
 
 
 def load_corpus(path: str | Path, cfg: PipelineConfig | None = None) -> Corpus:
     """Load and validate a line-delimited corpus file (`corpus_from_records`).
 
     Raises MalformedRecord (with the offending line number) on the first
-    unparseable or incomplete record, EmptyCorpus when no valid post
+    unparseable, incomplete or mistyped record, EmptyCorpus when no post
     survives, and NonMonotonicWindow for an inverted observation window.
     """
     return corpus_from_records(iter_records(path), cfg)
+
+
+def write_records(fh: IO[str], records: Iterable[tuple]) -> None:
+    """Each (blog_id, body, links, post_id, timestamp, title) record, its
+    links in the order given, as a `json.dumps(..., sort_keys=True,
+    ensure_ascii=False)` line.  A body or title holds `Token`s or raw
+    (lemma, tag, chunk) tuples."""
+    token_object = cache(lambda token: TOKEN_OBJECT % (
+        token[2], encode_basestring(token[0]), encode_basestring(token[1])))
+    join = ", ".join
+    for blog_id, body, links, post_id, timestamp, title in records:
+        fh.write(RECORD_LINE % (
+            encode_basestring(blog_id), join(map(token_object, body)),
+            join(map(encode_basestring, links)), encode_basestring(post_id),
+            timestamp, join(map(token_object, title))))
 
 
 def post_count(corpus: Corpus, blog: str, t: int, t2: int) -> int:

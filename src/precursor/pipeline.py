@@ -52,7 +52,7 @@ from typing import (Callable, Iterable, Sequence, get_args, get_origin,
 from . import analysis, network, scoring, svg, synth
 from .bursts import Burst, detect_all, filter_bursts
 from .config import PipelineConfig
-from .corpus import DAY, RECORD_LINE, TOKEN_OBJECT, Corpus, Pos, load_corpus
+from .corpus import DAY, Corpus, Pos, load_corpus, write_records
 from .ngrams import Ngram, Occurrence, build_index, load_stopwords
 from .topics import Topic, merge_bursts
 
@@ -89,23 +89,10 @@ _TAGS = {pos: encode_basestring(pos.value) for pos in Pos}
 
 
 def write_corpus_artifact(corpus: Corpus, path: Path) -> None:
-    """One line per post, in corpus order, holding its ids, timestamp,
-    title and body tokens ({"c": chunk, "l": lemma, "p": tag}) and sorted
-    links, as `json.dumps(..., sort_keys=True, ensure_ascii=False)` writes
-    them.  Each distinct token's object is encoded once."""
-    fragments = cache(lambda token: TOKEN_OBJECT % (
-        token.chunk, encode_basestring(token.lemma), _TAGS[token.pos]))
-    join = ", ".join
-
-    def writer(fh):
-        for post in corpus.posts:
-            fh.write(RECORD_LINE % (
-                encode_basestring(post.blog_id),
-                join(map(fragments, post.body_tokens)),
-                join(map(encode_basestring, sorted(post.out_links))),
-                encode_basestring(post.post_id), post.timestamp,
-                join(map(fragments, post.title_tokens))))
-    _atomic_write(path, writer)
+    """One line per post, in corpus order, with its links sorted."""
+    _atomic_write(path, lambda fh: write_records(fh, (
+        (p.blog_id, p.body_tokens, sorted(p.out_links), p.post_id,
+         p.timestamp, p.title_tokens) for p in corpus.posts)))
 
 
 def _lemmas_text(ngram: Ngram) -> str:
@@ -423,13 +410,13 @@ def _read_input(name: str, cfg: PipelineConfig, workdir: Path, stage: str):
     """A stage input no earlier stage of this run produced, from its artifact."""
     path = workdir / f"{name}.jsonl"
     _require(stage, path)
-    if name == "corpus":
-        return load_corpus(path, cfg)
-    if name == "index":
-        return read_index_artifact(path)
-    if name == "bursts":
-        return read_bursts_artifact(path)
-    return read_topics_artifact(path)
+    reader = {"index": read_index_artifact, "bursts": read_bursts_artifact,
+              "topics": read_topics_artifact}.get(name)
+    try:
+        return reader(path) if reader else load_corpus(path, cfg)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StageError(stage, f"malformed artifact {path} "
+                                f"({type(exc).__name__}: {exc})") from None
 
 
 def run_pipeline(cfg: PipelineConfig, stages: Sequence[str] | None = None,

@@ -41,13 +41,13 @@ A weighted draw (a tag or an entry position) is the one uniform that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring
+from operator import itemgetter
 
 import numpy as np
 
 from .bursts import Burst, burst_passes
 from .config import PipelineConfig
-from .corpus import DAY, HOUR, RECORD_LINE, TOKEN_OBJECT
+from .corpus import DAY, HOUR, write_records
 from .ngrams import Ngram, Occurrence
 
 
@@ -327,19 +327,11 @@ def generate(spec: SynthSpec) -> tuple[list[dict], GroundTruth]:
 def write_corpus(records: list[dict], path) -> None:
     """One corpus line per record, as `json.dumps(record, sort_keys=True,
     ensure_ascii=False)` writes it."""
-    join = ", ".join
-
-    def tokens(objs: list[dict]) -> str:
-        return join([TOKEN_OBJECT % (t["c"], encode_basestring(t["l"]),
-                                     encode_basestring(t["p"])) for t in objs])
-
+    token = itemgetter("l", "p", "c")
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(RECORD_LINE % (
-                encode_basestring(r["blog_id"]), tokens(r["body"]),
-                join(map(encode_basestring, r["links"])),
-                encode_basestring(r["post_id"]), r["timestamp"],
-                tokens(r["title"])))
+        write_records(fh, ((r["blog_id"], map(token, r["body"]), r["links"],
+                            r["post_id"], r["timestamp"],
+                            map(token, r["title"])) for r in records))
 
 
 def leader_follower_spec(n_blogs: int = 20, n_topics: int = 30,

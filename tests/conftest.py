@@ -277,7 +277,8 @@ def reference_topic_line(topic: Topic) -> str:
 
 
 def _reference_tokens(raw, line, config, report):
-    """Tokens of one title or body, each raw value converted before use."""
+    """Tokens of one title or body, each raw value's type checked before
+    use: the chunk first, then the lemma and the tag."""
     if raw is None:
         return ()
     if not isinstance(raw, list):
@@ -287,12 +288,15 @@ def _reference_tokens(raw, line, config, report):
     for item in raw:
         if not isinstance(item, dict):
             raise MalformedRecord(line, "token object expected")
-        try:
-            lemma, tag, chunk = (str(item.get("l", "")), str(item.get("p", "")),
-                                 int(item.get("c", 0)))
-        except (TypeError, ValueError, OverflowError):
-            raise MalformedRecord(
-                line, f"bad chunk index {item.get('c')!r}") from None
+        lemma, tag, chunk = (item.get("l", ""), item.get("p", ""),
+                             item.get("c", 0))
+        if isinstance(chunk, bool) or not isinstance(chunk, int):
+            raise MalformedRecord(line, f"bad chunk index {chunk!r}: "
+                                        "not an integer")
+        for name, value in (("lemma", lemma), ("tag", tag)):
+            if not isinstance(value, str):
+                raise MalformedRecord(line, f"bad {name} {value!r}: "
+                                            "not a string")
         lemma = lemma.strip().lower()
         if not lemma:
             report.empty_lemma_tokens += 1
@@ -341,12 +345,18 @@ def reference_corpus_from_records(records, config=None) -> Corpus:
         ts = _parse_timestamp(record["timestamp"], line_no)
         title = _reference_tokens(record.get("title"), line_no, config, report)
         body = _reference_tokens(record.get("body"), line_no, config, report)
-        links = record.get("links") or []
+        links = record.get("links")
+        if links is None:
+            links = []
         if not isinstance(links, list):
-            raise MalformedRecord(line_no, "links array expected")
-        links = [str(x) for x in links]
-        if any("\r" in target for target in links):
-            raise MalformedRecord(line_no, "carriage return in a link target")
+            raise MalformedRecord(line_no, f"bad links {links!r}: not an array")
+        for target in links:
+            if not isinstance(target, str):
+                raise MalformedRecord(
+                    line_no, f"bad link target {target!r}: not a string")
+            if "\r" in target:
+                raise MalformedRecord(line_no,
+                                      "carriage return in a link target")
         parsed.append((Post(post_id=post_id, blog_id=blog_id, timestamp=ts,
                             title_tokens=title, body_tokens=body),
                        links))

@@ -3,7 +3,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from precursor.config import PipelineConfig
 from precursor.corpus import (DAY, Corpus, EmptyCorpus, MalformedRecord, NonMonotonicWindow, Pos, Token,
@@ -365,6 +365,10 @@ def written_cases(corpus) -> set[str]:
     return {case for case, holds in cases.items() if holds}
 
 
+def raw_tokens_of(tokens) -> list[dict]:
+    return [{"l": t.lemma, "p": t.pos.value, "c": t.chunk} for t in tokens]
+
+
 def test_written_corpus_lines_equal_the_json_dumps_reference():
     covered = set()
     with tempfile.TemporaryDirectory() as tmp:
@@ -373,9 +377,17 @@ def test_written_corpus_lines_equal_the_json_dumps_reference():
         @settings(max_examples=200, deadline=None)
         @given(written_corpora())
         def check(corpus):
+            expected = "".join(reference_corpus_line(p) for p in corpus.posts)
             write_corpus_artifact(corpus, path)
-            assert path.read_text(encoding="utf-8") == "".join(
-                reference_corpus_line(p) for p in corpus.posts)
+            assert path.read_text(encoding="utf-8") == expected
+            # the same posts as synth records, with token dicts and tag names
+            write_corpus([{"post_id": p.post_id, "blog_id": p.blog_id,
+                           "timestamp": p.timestamp,
+                           "title": raw_tokens_of(p.title_tokens),
+                           "body": raw_tokens_of(p.body_tokens),
+                           "links": sorted(p.out_links)}
+                          for p in corpus.posts], path)
+            assert path.read_text(encoding="utf-8") == expected
             covered.update(written_cases(corpus))
 
         check()
@@ -386,29 +398,34 @@ def test_written_corpus_lines_equal_the_json_dumps_reference():
                        "text with 'é'"}
 
 
-# raw token values: JSON strings, numbers and booleans that are equal dict
-# keys but convert differently (1, 1.0 and True), lists, and huge chunks
-RAW = {"l": ["Cat", " dog ", "", "1", 1, 1.0, True, ["cat"]],
-       "p": ["NOUN", "verb", "XX", 1, True],
-       "c": [0, 1, 1, 1.0, True, -3, 2 ** 70, -2 ** 70, 1e300]}
-# one fault a record may have, with the values that make it
+# raw token values the loader accepts: text to normalise, unknown tags, an
+# empty lemma, and chunks beyond 64 bits
+RAW = {"l": ["Cat", " dog ", "", "1", "été"],
+       "p": ["NOUN", "verb", "XX", ""],
+       "c": [0, 1, 1, -3, 2 ** 70, -2 ** 70]}
+# values for one field of the last record: the faults, and values next to
+# them that load.  A lemma, tag or chunk value goes into one token; these
+# are all faults, among them each value the loader once converted (a null
+# lemma to "none", a chunk of 2.5 to 2, "1" or true to 1)
 FAULTS = {"post_id": ["", 7], "blog_id": ["", 5, "a\rb"],
           "timestamp": [1.5, True, float("nan"), "2020-01-01T00:00:00Z", "bad"],
-          "links": [None, "a", ["a", 3], ["b", "\r"]], "title": [None, "cat"],
-          "token": ["cat", 3, None], "chunk": [2.5, float("nan"),
-                                              float("inf"), "x"]}
+          "links": [None, "a", 0, {}, False, ["a", 3], ["b", None],
+                    ["b", "\r"]],
+          "title": [None, "cat"], "token": ["cat", 3, None],
+          "lemma": [None, 1, 1.0, True, ["cat"]],
+          "tag": [None, 1, True, ["NOUN"]],
+          "chunk": [1.0, True, 2.5, "1", "x", None, [1], float("nan"),
+                    float("inf")]}
+TOKEN_KEYS = {"lemma": "l", "tag": "p", "chunk": "c"}
 
 
 @st.composite
-def raw_token_arrays(draw):
-    tokens = []
-    for _ in range(draw(st.integers(0, 5))):
-        item = {key: draw(st.sampled_from(values))
-                for key, values in RAW.items()}
-        for key in draw(st.sets(st.sampled_from("lpc"), max_size=1)):
-            del item[key]
-        tokens.append(item)
-    return sorted(tokens, key=lambda t: t.get("c", 0))
+def raw_tokens(draw):
+    """A token object of RAW values, with at most one key left out."""
+    item = {key: draw(st.sampled_from(values)) for key, values in RAW.items()}
+    for key in draw(st.sets(st.sampled_from("lpc"), max_size=1)):
+        del item[key]
+    return item
 
 
 @st.composite
@@ -416,13 +433,14 @@ def raw_records(draw, fault):
     """Loadable records; with a fault, the last one has it, so that the
     records before it load and the fault is met."""
     records = []
+    token_arrays = st.lists(raw_tokens(), max_size=5).map(
+        lambda tokens: sorted(tokens, key=lambda t: t.get("c", 0)))
     n = draw(st.integers(2 if fault == "duplicate" else 1, 5))
     for i in range(n):
         record = {"post_id": f"p{i}", "blog_id": draw(st.sampled_from("ab")),
                   "timestamp": draw(st.sampled_from(range(0, 21, 4))),
                   "links": draw(st.sampled_from([[], ["a"], ["b", "c"]])),
-                  "title": draw(raw_token_arrays()),
-                  "body": draw(raw_token_arrays())}
+                  "title": draw(token_arrays), "body": draw(token_arrays)}
         records.append(record)
     tokens = record[draw(st.sampled_from(["title", "body"]))]
     if fault == "duplicate":
@@ -431,10 +449,11 @@ def raw_records(draw, fault):
         del record[draw(st.sampled_from(sorted(record)))]
     elif fault == "decreasing":
         tokens += [{"l": "late", "c": 2 ** 71}, {"l": "early", "c": -2 ** 71}]
-    elif fault in ("token", "chunk"):
+    elif fault == "token" or fault in TOKEN_KEYS:
         bad = draw(st.sampled_from(FAULTS[fault]))
-        tokens.insert(draw(st.integers(0, len(tokens))),
-                      bad if fault == "token" else {"l": "x", "c": bad})
+        if fault in TOKEN_KEYS:
+            bad = {**draw(raw_tokens()), TOKEN_KEYS[fault]: bad}
+        tokens.insert(draw(st.integers(0, len(tokens))), bad)
     elif fault is not None:
         record[fault] = draw(st.sampled_from(FAULTS[fault]))
     lo, hi = draw(bounds), draw(bounds)
@@ -455,16 +474,56 @@ def load_outcome(load, records, config):
 
 
 def raw_load_cases(records) -> set[str]:
-    values = [(item.get("l", ""), item.get("p", ""), item.get("c", 0))
-              for r in records for field in ("title", "body")
-              for item in r.get(field) or ()]
-    exact = {raw for raw in values
-             if tuple(map(type, raw)) == (str, str, int)}
-    cases = {f"{type(v).__name__} value" for raw in values for v in raw}
-    if any(raw in exact and tuple(map(type, raw)) != (str, str, int)
-           for raw in values if not isinstance(raw[0], list)):
-        cases.add("raw value equal to a cached one of other types")
+    """The token cases among the records, taken in order.  A token's raw
+    values count as cached when an earlier token had equal ones, of exactly
+    the types (str, str, int)."""
+    cases, cached = set(), set()
+    tag_names = {pos.value for pos in Pos}
+    for record in records:
+        for field in ("title", "body"):
+            items = record.get(field)
+            for item in items if isinstance(items, list) else ():
+                if not isinstance(item, dict):
+                    continue
+                lemma, tag, chunk = raw = (item.get("l", ""), item.get("p", ""),
+                                           item.get("c", 0))
+                texts = isinstance(lemma, str) and isinstance(tag, str)
+                exact = texts and type(chunk) is int
+                cases.update(case for case, holds in {
+                    "token key left out": len(item) < 3,
+                    "empty lemma": isinstance(lemma, str) and not lemma.strip(),
+                    "unknown tag": (isinstance(tag, str)
+                                    and tag.upper() not in tag_names),
+                    "chunk beyond 64 bits": exact and abs(chunk) >= 2 ** 63,
+                    "repeated raw token": exact and raw in cached,
+                    "non-integer chunk equal to a cached one": (
+                        texts and not exact
+                        and isinstance(chunk, (int, float)) and raw in cached),
+                }.items() if holds)
+                if exact:
+                    cached.add(raw)
     return cases
+
+
+def example_records(*bodies):
+    """Records of blog a, 4 s apart, with these bodies and no title."""
+    return [{"post_id": f"p{i}", "blog_id": "a", "timestamp": 4 * i,
+             "links": [], "title": [], "body": body}
+            for i, body in enumerate(bodies)], PipelineConfig()
+
+
+# records that cover each fault's cases, whatever the random draws
+EXAMPLES = {
+    None: [example_records(
+        [{"l": "", "p": "NOUN", "c": 0}, {"p": "verb", "c": 2 ** 70}],
+        [{"l": " Cat", "p": "XX", "c": 1}, {"l": " Cat", "p": "XX", "c": 1}])],
+    "chunk": [example_records([{"l": "x", "p": "NOUN", "c": 1}],
+                              [{"l": "x", "p": "NOUN", "c": bad}])
+              for bad in (1.0, True)],
+}
+COVERED = {None: {"token key left out", "empty lemma", "unknown tag",
+                  "chunk beyond 64 bits", "repeated raw token"},
+           "chunk": {"non-integer chunk equal to a cached one"}}
 
 
 @pytest.mark.parametrize("fault", [None, "decreasing", "duplicate", "missing",
@@ -472,20 +531,30 @@ def raw_load_cases(records) -> set[str]:
 def test_loader_equals_reference_on_raw_records(fault):
     covered = set()
 
-    @settings(max_examples=150 if fault is None else 15, deadline=None)
-    @given(raw_records(fault))
     def check(case):
         records, config = case
         outcome = load_outcome(corpus_from_records, records, config)
         expected = load_outcome(reference_corpus_from_records, records, config)
         assert outcome == expected
+        if fault in TOKEN_KEYS and outcome[0] is not NonMonotonicWindow:
+            assert outcome[:2] == (MalformedRecord, len(records))
+            assert outcome[2].startswith(f"bad {fault} ")
         if not isinstance(outcome, tuple):
             assert outcome.report == expected.report
             assert all(type(t.chunk) is int for p in outcome.posts
                        for t in p.title_tokens + p.body_tokens)
-            covered.update(raw_load_cases(records))
+        covered.update(raw_load_cases(records))
 
-    check()
-    if fault is None:
-        assert {"bool value", "float value", "list value",
-                "raw value equal to a cached one of other types"} <= covered
+    check = given(raw_records(fault))(check)
+    for case in EXAMPLES.get(fault, ()):
+        check = example(case)(check)
+    settings(max_examples=150 if fault is None else 15, deadline=None)(check)()
+    assert COVERED.get(fault, set()) <= covered
+
+
+@pytest.mark.parametrize("pos", list(Pos))
+def test_token_equals_and_hashes_as_its_raw_values(pos):
+    # write_records keys one encoding cache by either form
+    raw = ("été", pos.value, 2 ** 70)
+    assert Token("été", pos, 2 ** 70) == raw
+    assert hash(Token("été", pos, 2 ** 70)) == hash(raw)

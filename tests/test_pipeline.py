@@ -872,6 +872,55 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: line 2: bad timestamp {shown}\n")
 
+    @pytest.mark.parametrize("key, value, reason", [
+        ("l", None, "bad lemma None: not a string"),
+        ("l", 1, "bad lemma 1: not a string"),
+        ("l", True, "bad lemma True: not a string"),
+        ("l", ["cat"], "bad lemma ['cat']: not a string"),
+        ("p", None, "bad tag None: not a string"),
+        ("p", 1, "bad tag 1: not a string"),
+        ("p", True, "bad tag True: not a string"),
+        ("p", ["NOUN"], "bad tag ['NOUN']: not a string"),
+        ("c", 2.5, "bad chunk index 2.5: not an integer"),
+        ("c", True, "bad chunk index True: not an integer"),
+        ("c", "1", "bad chunk index '1': not an integer"),
+        ("links", ["a", 3], "bad link target 3: not a string"),
+        ("links", 0, "bad links 0: not an array"),
+        ("links", {}, "bad links {}: not an array")])
+    def test_mistyped_value_exits_one_naming_line_and_field(
+            self, tmp_path, capsys, key, value, reason):
+        token = {"l": "cat", "p": "NOUN", "c": 0}
+        record = {"post_id": "p2", "blog_id": "b", "timestamp": 200,
+                  "body": [token], "links": ["a"]}
+        (token if key in token else record)[key] = value
+        corpus_file = tmp_path / "c.jsonl"
+        corpus_file.write_text(
+            '{"post_id": "p1", "blog_id": "a", "timestamp": 100}\n'
+            + json.dumps(record) + "\n")
+        assert main(["run", "--input", str(corpus_file), "--workdir",
+                     str(tmp_path / "w"), "--stages", "ingest"]) == 1
+        assert capsys.readouterr().err == f"error: line 2: {reason}\n"
+
+    @pytest.mark.parametrize("artifact, key, stage", [
+        ("index.jsonl", "occurrences", "bursts"),
+        ("bursts.jsonl", "start", "topics"),
+        ("topics.jsonl", "start", "score")])
+    def test_malformed_artifact_exits_one_naming_it(
+            self, small_corpus_file, tmp_path, capsys, artifact, key, stage):
+        workdir = tmp_path / "w"
+        assert main(["run", "--input", str(small_corpus_file),
+                     "--workdir", str(workdir),
+                     "--stages", "ingest,ngrams,bursts,topics"]) == 0
+        path = workdir / artifact
+        first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        obj = json.loads(first)
+        del obj[key]
+        path.write_text(json.dumps(obj) + "\n" + rest, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["run", "--workdir", str(workdir), "--stages", stage]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: [{stage}] malformed artifact {path} (KeyError: {key!r})\n")
+
     def test_chunk_indices_beyond_64_bits_index_as_small_ones(self, tmp_path):
         def corpus_with_chunks(first, second):
             lines = []
