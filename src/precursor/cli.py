@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="key = value config file")
     run.add_argument("--stages", help="comma-separated subset of: "
                                       + ",".join(STAGES))
-    run.add_argument("--dry-run", action="store_true")
+    run.add_argument("--dry-run", action="store_true",
+                     help="print the stage plan and the config, run nothing")
     _add_override_flags(run)
 
     synth_p = sub.add_parser("synth", parents=[verbosity],

@@ -25,35 +25,48 @@ class PipelineConfig:
     # ingest
     input: str = _key("", "corpus file (line-delimited JSON records)")
     workdir: str = _key("out", "artifact directory (default: out)")
-    window_start: int | None = None
-    window_end: int | None = None
+    window_start: int | None = _key(
+        None, "first second of the observation window, in epoch seconds "
+              "(default: the earliest post)")
+    window_end: int | None = _key(
+        None, "last second of the observation window, in epoch seconds "
+              "(default: the latest post)")
     assume_nouns: bool = _key(False,
                               "treat every token as a noun (untagged corpora)")
     keep_external_links: bool = _key(
         False, "keep links to blogs that never post in the corpus (they "
                "join the citation graph as nodes)")
     # ngrams
-    max_ngram_len: int = 5
+    max_ngram_len: int = _key(5, "longest n-gram, in lemmas (the shortest "
+                                 "is 2)")
     stopwords: str | None = _key(None,
                                  "stop-word list file (one lemma per line)")
     # bursts
     alpha: float = _key(5.0, "minimum accepted burst ratio")
     beta_days: float = _key(5.0, "minimum inter-burst gap in days")
-    min_blogs: int = 4
-    min_mean_gap_hours: float = 1.0
-    max_mean_gap_days: float = 1.0
-    min_burst_days: float = 3.0
-    max_total_burst_days: float = 30.0
+    min_blogs: int = _key(4, "minimum distinct blogs in a kept burst")
+    min_mean_gap_hours: float = _key(
+        1.0, "minimum mean gap between a kept burst's posts, in hours")
+    max_mean_gap_days: float = _key(
+        1.0, "maximum mean gap between a kept burst's posts, in days")
+    min_burst_days: float = _key(3.0,
+                                 "minimum length of a kept burst, in days")
+    max_total_burst_days: float = _key(
+        30.0, "maximum summed length of all bursts detected for one n-gram, "
+              "in days; an n-gram over it keeps none")
     # topics
-    keep_singletons: bool = False
+    keep_singletons: bool = _key(
+        False, "keep a burst that merges with no other as a one-burst topic")
     # scoring
-    min_posts: int = 7
+    min_posts: int = _key(7, "minimum posts in the window for a blog to be "
+                             "scored")
     # network
-    damping: float = 0.85
+    damping: float = _key(0.85, "PageRank damping factor, in (0, 1)")
     # report
     bins: int = _key(4, "score bins for the box-plot summaries")
-    hex_grid: int = 10
-    log_bins: bool = False
+    hex_grid: int = _key(10, "about how many hexagons span the P range of "
+                             "the hexbin map")
+    log_bins: bool = _key(False, "bin the box-plot scores on a log10 scale")
     # execution
     jobs: int = _key(1, "accepted for compatibility; does nothing (scoring "
                         "runs in one process)")

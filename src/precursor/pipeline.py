@@ -17,16 +17,17 @@ Within one `run_pipeline` call each stage hands its result to the stages
 after it in memory: the corpus (parsed once, by the ingest stage or else by
 the first stage that needs it) goes to the ngrams, score and network stages,
 the occurrence index to the bursts stage, the kept bursts to the topics
-stage and the topics to the score stage.  Each artifact is written from
-the result of its own stage alone, and a result is released once no later
-stage of the call needs it.  A stage run on its own, or the first stage of
-a call that needs an input no earlier stage of the call produced, reads
-that input from the artifact in the working directory (`corpus.jsonl`,
-`index.jsonl`, `bursts.jsonl`, `topics.jsonl`).  The network and report
-stages always read `global_scores.csv`, and the report stage rewrites every
-file under `report/` on each run, so none is left from an earlier one.  No
-stage draws random numbers, so re-running a stage with unchanged inputs and
-config reproduces its artifacts byte for byte, whatever the seed.
+stage, the topics to the score stage, the per-blog scores to the network
+stage and those scores with their link metrics to the report stage.  Each
+artifact is written from the result of its own stage alone, and a result is
+released once no later stage of the call needs it.  A stage run on its own,
+or the first stage of a call that needs an input no earlier stage of the
+call produced, reads that input from its artifact in the working directory
+(`corpus.jsonl`, `index.jsonl`, `bursts.jsonl`, `topics.jsonl`,
+`global_scores.csv`) before it writes anything.  The report stage rewrites
+every file under `report/` on each run, so none is left from an earlier one.
+No stage draws random numbers, so re-running a stage with unchanged inputs
+and config reproduces its artifacts byte for byte, whatever the seed.
 
 `dyadic_scores.csv` lists only the ordered pairs of eligible blogs that
 share a topic (|A| > 0), in (b, b2) order.  Every absent eligible pair has
@@ -75,12 +76,6 @@ def _atomic_write(path: Path, writer: Callable) -> None:
         tmp.unlink(missing_ok=True)
         raise
     os.replace(tmp, path)
-
-
-def _require(stage: str, *paths: Path) -> None:
-    for path in paths:
-        if not path.exists():
-            raise StageError(stage, f"missing prerequisite artifact {path}")
 
 
 # ---------------------------------------------------------------- artifacts
@@ -279,7 +274,7 @@ def stage_topics(cfg: PipelineConfig, workdir: Path,
 
 
 def stage_score(cfg: PipelineConfig, workdir: Path, corpus: Corpus,
-                topics: list[Topic]) -> None:
+                topics: list[Topic]) -> list[tuple]:
     blogs = scoring.eligible_blogs(corpus, cfg.min_posts)
     shared = scoring.score_shared_dyads(corpus, topics, blogs)
     _write_csv(workdir / "dyadic_scores.csv",
@@ -287,70 +282,69 @@ def stage_score(cfg: PipelineConfig, workdir: Path, corpus: Corpus,
                ([s.b, s.b2, s.a_size, s.y_size, s.gamma, s.pr_h, s.omega]
                 for s in shared))
     pl = scoring.global_scores(shared, blogs)
-    _write_csv(workdir / "global_scores.csv", ["blog_id", "P", "L"],
-               [[b, pl[b][0], pl[b][1]] for b in blogs])
+    scores = [(b, *pl[b]) for b in blogs]
+    _write_csv(workdir / "global_scores.csv", ["blog_id", "P", "L"], scores)
     logger.info("[score] %d dyads scored over %d eligible blogs "
                 "(%d with shared topics)", len(blogs) * (len(blogs) - 1),
                 len(blogs), len(shared))
+    return scores
 
 
-def read_global_scores(path: Path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+_GLOBAL_COLUMNS = {"blog_id": str, "P": float, "L": float, "in_degree": int,
+                   "pagerank": float}
 
 
-def stage_network(cfg: PipelineConfig, workdir: Path, corpus: Corpus) -> None:
-    scores_path = workdir / "global_scores.csv"
-    _require("network", scores_path)
+def read_global_scores(path: Path, network: bool = True) -> list[tuple]:
+    """Typed rows of `global_scores.csv`: (blog_id, P, L, in_degree,
+    pagerank), or the score stage's (blog_id, P, L) when not `network`."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = csv.DictReader(fh)
+        if network and "in_degree" not in (rows.fieldnames or ()):
+            raise ValueError("lacks network metrics; run the network stage "
+                             "first")
+        typed = list(_GLOBAL_COLUMNS.items())[:5 if network else 3]
+        return [tuple(kind(row[k]) for k, kind in typed) for row in rows]
+
+
+def stage_network(cfg: PipelineConfig, workdir: Path, corpus: Corpus,
+                  scores: list[tuple]) -> list[tuple]:
     graph = network.build_graph(corpus)
     _write_csv(workdir / "graph_edges.csv", ["source", "target", "count"],
                [list(edge) for edge in graph.edges()])
     degrees = network.in_degrees(graph)
     ranks = network.pagerank(graph, damping=cfg.damping)
-    rows = read_global_scores(scores_path)
-    merged = [[row["blog_id"], float(row["P"]), float(row["L"]),
-               degrees.get(row["blog_id"], 0),
-               ranks.get(row["blog_id"], 0.0)] for row in rows]
-    _write_csv(scores_path, ["blog_id", "P", "L", "in_degree", "pagerank"],
-               merged)
+    linked = [(b, p, l, degrees.get(b, 0), ranks.get(b, 0.0))
+              for b, p, l in scores]
+    _write_csv(workdir / "global_scores.csv", list(_GLOBAL_COLUMNS), linked)
     logger.info("[network] %d edges, %d nodes", len(graph.weights),
                 len(graph.nodes))
+    return linked
 
 
 def _write_text(path: Path, text: str) -> None:
     _atomic_write(path, lambda fh: fh.write(text))
 
 
-def stage_report(cfg: PipelineConfig, workdir: Path) -> None:
+def stage_report(cfg: PipelineConfig, workdir: Path,
+                 linked: list[tuple]) -> None:
     """All fifteen files under report/, each rewritten on every run.  With
     no eligible blog the class, hexbin and corner tables hold only their
     header, and the significance table compares six pairs of empty
     classes."""
-    scores_path = workdir / "global_scores.csv"
-    _require("report", scores_path)
-    scores = scores_path.read_bytes().decode("utf-8")
-    if "in_degree" not in scores.partition("\n")[0]:
-        raise StageError("report", "global_scores.csv lacks network metrics; "
-                                   "run the network stage first")
-    rows = read_global_scores(scores_path)
     report_dir = workdir / "report"
     report_dir.mkdir(exist_ok=True)
-    _write_text(report_dir / "scatter.csv", scores)
+    _write_csv(report_dir / "scatter.csv", list(_GLOBAL_COLUMNS), linked)
 
-    p_scores = {r["blog_id"]: float(r["P"]) for r in rows}
-    l_scores = {r["blog_id"]: float(r["L"]) for r in rows}
-    degrees = {r["blog_id"]: int(r["in_degree"]) for r in rows}
+    p_scores, l_scores, degrees, ranks = (
+        {row[0]: row[i] for row in linked} for i in range(1, 5))
     in_degrees = {b: float(d) for b, d in degrees.items()}
     blogs = list(p_scores)
     _write_text(report_dir / "scatter.svg", svg.scatter_svg(
         [(p_scores[b], l_scores[b]) for b in blogs], "precursor score P",
         "laggard score L", "Precursor vs laggard scores"))
 
-    metric_maps = {"indegree": in_degrees,
-                   "pagerank": {r["blog_id"]: float(r["pagerank"])
-                                for r in rows}}
     for s_name, s_map in {"precursor": p_scores, "laggard": l_scores}.items():
-        for m_name, m_map in metric_maps.items():
+        for m_name, m_map in {"indegree": in_degrees, "pagerank": ranks}.items():
             bins = analysis.binned_summary(s_map, m_map, n_bins=cfg.bins,
                                            log_bins=cfg.log_bins)
             name = f"boxplots_{s_name}_{m_name}"
@@ -400,20 +394,28 @@ _STAGES = {"ingest": (stage_ingest, (), "corpus"),
            "ngrams": (stage_ngrams, ("corpus",), "index"),
            "bursts": (stage_bursts, ("index",), "bursts"),
            "topics": (stage_topics, ("bursts",), "topics"),
-           "score": (stage_score, ("corpus", "topics"), None),
-           "network": (stage_network, ("corpus",), None),
-           "report": (stage_report, (), None)}
+           "score": (stage_score, ("corpus", "topics"), "scores"),
+           "network": (stage_network, ("corpus", "scores"), "linked"),
+           "report": (stage_report, ("linked",), None)}
 STAGES = tuple(_STAGES)
+
+# each result's artifact and reader (a module global, looked up when called)
+_INPUTS = {"corpus": ("corpus.jsonl", lambda p, cfg: load_corpus(p, cfg)),
+           "index": ("index.jsonl", lambda p, _: read_index_artifact(p)),
+           "bursts": ("bursts.jsonl", lambda p, _: read_bursts_artifact(p)),
+           "topics": ("topics.jsonl", lambda p, _: read_topics_artifact(p)),
+           "scores": ("global_scores.csv",
+                      lambda p, _: read_global_scores(p, network=False)),
+           "linked": ("global_scores.csv", lambda p, _: read_global_scores(p))}
 
 
 def _read_input(name: str, cfg: PipelineConfig, workdir: Path, stage: str):
     """A stage input no earlier stage of this run produced, from its artifact."""
-    path = workdir / f"{name}.jsonl"
-    _require(stage, path)
-    reader = {"index": read_index_artifact, "bursts": read_bursts_artifact,
-              "topics": read_topics_artifact}.get(name)
+    path = workdir / _INPUTS[name][0]
+    if not path.exists():
+        raise StageError(stage, f"missing prerequisite artifact {path}")
     try:
-        return reader(path) if reader else load_corpus(path, cfg)
+        return _INPUTS[name][1](path, cfg)
     except (KeyError, TypeError, ValueError) as exc:
         raise StageError(stage, f"malformed artifact {path} "
                                 f"({type(exc).__name__}: {exc})") from None
@@ -421,11 +423,10 @@ def _read_input(name: str, cfg: PipelineConfig, workdir: Path, stage: str):
 
 def run_pipeline(cfg: PipelineConfig, stages: Sequence[str] | None = None,
                  dry_run: bool = False) -> None:
-    selected = list(stages) if stages else list(STAGES)
-    unknown = [s for s in selected if s not in STAGES]
-    if unknown:
-        raise StageError(unknown[0], "unknown stage")
-    selected = [s for s in STAGES if s in selected]
+    for stage in stages or ():
+        if stage not in _STAGES:
+            raise StageError(stage, "unknown stage")
+    selected = [s for s in STAGES if not stages or s in stages]
     workdir = Path(cfg.workdir)
     if dry_run:
         print("dry run; stage plan: " + " -> ".join(selected))
@@ -440,9 +441,8 @@ def run_pipeline(cfg: PipelineConfig, stages: Sequence[str] | None = None,
         for i, stage in enumerate(selected):
             start, cpu_start = time.perf_counter(), time.process_time()
             function, inputs, output = _STAGES[stage]
-            for name in inputs:
-                if name not in held:
-                    held[name] = _read_input(name, cfg, workdir, stage)
+            held.update({n: _read_input(n, cfg, workdir, stage)
+                         for n in inputs if n not in held})
             held[output] = function(cfg, workdir, *(held[n] for n in inputs))
             later = {n for s in selected[i + 1:] for n in _STAGES[s][1]}
             held = {n: value for n, value in held.items() if n in later}

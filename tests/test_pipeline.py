@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import json
@@ -260,7 +261,7 @@ def test_csv_floats_are_plain_numbers_whatever_their_type(tmp_path):
     pipeline._write_csv(path, ["blog_id", "P", "n"],
                         [["a", np.float64(0.77), np.int64(3)],
                          ["b", np.float32(0.5), 7], ["c", 0.1 + 0.2, None]])
-    rows = pipeline.read_global_scores(path)
+    rows = read_rows(path)
     assert rows == [{"blog_id": "a", "P": "0.77", "n": "3"},
                     {"blog_id": "b", "P": "0.5", "n": "7"},
                     {"blog_id": "c", "P": repr(0.1 + 0.2), "n": ""}]
@@ -570,13 +571,14 @@ class TestCorpusParsedOnce:
 
 @pytest.fixture
 def artifact_reads(monkeypatch):
-    """How often the index, bursts and topics artifacts are read, by file."""
+    """How often the index, bursts, topics and global scores artifacts are
+    read, by file."""
     reads = Counter()
     for name in ("read_index_artifact", "read_bursts_artifact",
-                 "read_topics_artifact"):
-        def counting(path, real=getattr(pipeline, name)):
+                 "read_topics_artifact", "read_global_scores"):
+        def counting(path, *args, real=getattr(pipeline, name), **kwargs):
             reads[Path(path).name] += 1
-            return real(path)
+            return real(path, *args, **kwargs)
         monkeypatch.setattr(pipeline, name, counting)
     return reads
 
@@ -605,7 +607,21 @@ class TestInMemoryHandoff:
         artifact_reads.clear()
         assert main(["run", "--workdir", str(workdir),
                      "--stages", "topics,network"]) == 0
-        assert artifact_reads == {"bursts.jsonl": 1}
+        assert artifact_reads == {"bursts.jsonl": 1, "global_scores.csv": 1}
+        assert artifact_bytes(workdir) == before
+
+    @pytest.mark.parametrize("stages, reads", [
+        ("score,network,report", {"topics.jsonl": 1}),
+        ("network,report", {"global_scores.csv": 1}),
+        ("report", {"global_scores.csv": 1})])
+    def test_scores_are_read_back_only_by_the_first_stage_of_a_run(
+            self, small_corpus_file, tmp_path, artifact_reads, stages, reads):
+        workdir = run_all(small_corpus_file, tmp_path / "w")
+        before = artifact_bytes(workdir)
+        artifact_reads.clear()
+        assert main(["run", "--workdir", str(workdir),
+                     "--stages", stages]) == 0
+        assert artifact_reads == reads
         assert artifact_bytes(workdir) == before
 
 
@@ -836,6 +852,14 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2 and not captured_configs
 
+    def test_every_run_option_has_help(self):
+        subparsers, = [a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        actions = subparsers.choices["run"]._actions
+        assert len(actions) > len(fields(PipelineConfig))
+        assert [a.option_strings for a in actions
+                if not (a.help or "").strip()] == []
+
     def test_missing_artifact_exits_nonzero(self, tmp_path, capsys):
         assert main(["run", "--workdir", str(tmp_path / "void"),
                      "--stages", "score"]) == 1
@@ -920,6 +944,42 @@ class TestCli:
         assert main(["run", "--workdir", str(workdir), "--stages", stage]) == 1
         assert capsys.readouterr().err.endswith(
             f"error: [{stage}] malformed artifact {path} (KeyError: {key!r})\n")
+
+    @pytest.mark.parametrize("stage, row, column, value, error", [
+        pytest.param("network", 0, 2, "late", "KeyError: 'L')",
+                     id="L-renamed"),
+        pytest.param("report", 0, 4, "rank", "KeyError: 'pagerank')",
+                     id="pagerank-renamed"),
+        *(pytest.param(stage, 1, 1, "abc", "ValueError: could not convert "
+                       "string to float: 'abc')", id=f"bad-P-{stage}")
+          for stage in ("network", "report")),
+        *(pytest.param(stage, 1, slice(1, None), [],  # the blog id alone
+                       "TypeError: float() argument must be",
+                       id=f"short-row-{stage}")
+          for stage in ("network", "report"))])
+    def test_malformed_global_scores_exits_one_naming_it(
+            self, small_corpus_file, tmp_path, capsys, stage, row, column,
+            value, error):
+        workdir = tmp_path / "w"
+        assert main(["run", "--input", str(small_corpus_file),
+                     "--workdir", str(workdir)]) == 0
+        path = workdir / "global_scores.csv"
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[row][column] = value
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        # the first file the stage writes: it must read its input before it
+        first_written = {"network": "graph_edges.csv",
+                         "report": "report/scatter.csv"}[stage]
+        (workdir / first_written).unlink()
+        capsys.readouterr()
+        assert main(["run", "--workdir", str(workdir), "--stages", stage]) == 1
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message.startswith(
+            f"error: [{stage}] malformed artifact {path} ({error}")
+        assert message.endswith(")")
+        assert not (workdir / first_written).exists()
 
     def test_chunk_indices_beyond_64_bits_index_as_small_ones(self, tmp_path):
         def corpus_with_chunks(first, second):
