@@ -27,7 +27,7 @@ corpus = corpus_from_records(enumerate(records, 1))
 topics = merge_bursts(filter_bursts(detect_all(build_index(corpus))))
 blogs = eligible_blogs(corpus)
 scores = score_shared_dyads(corpus, topics, blogs)
-pl = global_scores(scores, blogs)
+pl = global_scores(scores)
 
 graph = build_graph(corpus)
 degrees = in_degrees(graph)

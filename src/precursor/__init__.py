@@ -18,8 +18,8 @@ from .ngrams import (Ngram, Occurrence, build_index, default_stopwords,
 from .bursts import (Burst, burst_ratio, detect_bursts, filter_bursts,
                      inter_burst_mean, intra_burst_mean, segment_bursts)
 from .topics import Topic, is_generalization, merge_bursts
-from .scoring import (DyadContext, DyadScore, chance_prob, gamma,
-                      global_scores, omega, score_shared_dyads)
+from .scoring import (DyadContext, DyadScores, chance_prob, gamma,
+                      global_scores, score_shared_dyads)
 from .network import CitationGraph, build_graph, in_degrees, pagerank
 from .analysis import (ClassPartition, binned_summary, classify, corner_lists,
                        hexbin, significance_table, wilcoxon_rank_sum)

@@ -99,7 +99,10 @@ def _tags_text(ngram: Ngram) -> str:
 
 
 def _ngram_from_json(obj: dict) -> Ngram:
-    return Ngram(tuple(zip(obj["lemmas"], (Pos(p) for p in obj["pos"]))))
+    lemmas, tags = obj["lemmas"], obj["pos"]
+    if not (isinstance(lemmas, list) and isinstance(tags, list)):
+        raise ValueError("lemmas and pos must be arrays")
+    return Ngram(tuple(zip(lemmas, map(Pos, tags), strict=True)))
 
 
 def _occurrence_text(occ: Occurrence) -> str:
@@ -198,6 +201,8 @@ def read_topics_artifact(path: Path) -> list[Topic]:
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             obj = json.loads(line)
+            if not isinstance(obj["participations"], dict):
+                raise ValueError("participations must be an object")
             bursts = tuple(_burst_from_json(b) for b in obj["bursts"])
             ngrams = tuple(_ngram_from_json(n) for n in obj["ngrams"])
             topics.append(Topic(
@@ -277,16 +282,18 @@ def stage_score(cfg: PipelineConfig, workdir: Path, corpus: Corpus,
                 topics: list[Topic]) -> list[tuple]:
     blogs = scoring.eligible_blogs(corpus, cfg.min_posts)
     shared = scoring.score_shared_dyads(corpus, topics, blogs)
+    names = shared.blogs
     _write_csv(workdir / "dyadic_scores.csv",
                ["b", "b2", "a_size", "y_size", "gamma", "pr_h", "omega"],
-               ([s.b, s.b2, s.a_size, s.y_size, s.gamma, s.pr_h, s.omega]
-                for s in shared))
-    pl = scoring.global_scores(shared, blogs)
+               zip([names[j] for j in shared.b.tolist()],
+                   [names[j] for j in shared.b2.tolist()],
+                   *(column.tolist() for column in shared[3:])))
+    pl = scoring.global_scores(shared)
     scores = [(b, *pl[b]) for b in blogs]
     _write_csv(workdir / "global_scores.csv", ["blog_id", "P", "L"], scores)
     logger.info("[score] %d dyads scored over %d eligible blogs "
                 "(%d with shared topics)", len(blogs) * (len(blogs) - 1),
-                len(blogs), len(shared))
+                len(blogs), len(shared.b))
     return scores
 
 

@@ -25,7 +25,9 @@ integrates to a Beta function, so gamma is computed exactly:
 
 The adjusted score omega multiplies gamma by the co-participation
 probability Pr(H); per-blog P and L are means of outgoing and incoming omega
-over all eligible dyads.
+over all eligible dyads.  `global_scores` takes each blog's two sums with
+one `np.bincount` per direction, which adds the terms in (b, b2) order as a
+loop over the dyads does, so P and L equal the loop's bit for bit.
 
 Only co-participating dyads (|A| > 0) are computed, and only they are
 listed in `dyadic_scores.csv`, so the work grows with the number of such
@@ -51,6 +53,8 @@ eligible pair has by definition the fixed row |A| = |Y| = 0, gamma = 0.5
   as a DP over one dyad, and each dyad keeps its own lgamma weights,
   weighted mean and `DegenerateLikelihood` warning, so every gamma equals
   the one-dyad computation bit for bit.
+- The dyads leave as `DyadScores` columns, built from those arrays: the
+  blog ids, b and b2 as codes, |A|, |Y|, gamma, Pr(H) and omega.
 
 `gamma` runs the same kernel on the `DyadContext` of one dyad, as
 `build_dyad_context` collects it.
@@ -61,7 +65,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,15 +106,17 @@ class DyadContext:
                                  f"{r!r} lies outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class DyadScore:
-    b: str
-    b2: str
-    a_size: int
-    y_size: int
-    gamma: float
-    pr_h: float
-    omega: float
+class DyadScores(NamedTuple):
+    """Scored dyads as columns in (b, b2) order; b and b2 index `blogs`."""
+
+    blogs: list[str]
+    b: np.ndarray
+    b2: np.ndarray
+    a_size: np.ndarray
+    y_size: np.ndarray
+    gamma: np.ndarray
+    pr_h: np.ndarray
+    omega: np.ndarray
 
 
 def chance_prob(corpus: Corpus, b: str, b2: str, topic: Topic) -> float:
@@ -212,11 +218,6 @@ def gamma(ctx: DyadContext) -> float:
     return _gammas([n_a], [len(ctx.y_topics)], c_y, [zero])[0]
 
 
-def omega(gamma_value: float, pr_h_value: float) -> float:
-    """Adjusted dyadic precursor score: gamma * Pr(H)."""
-    return gamma_value * pr_h_value
-
-
 def eligible_blogs(corpus: Corpus,
                    min_posts: int = PipelineConfig.min_posts) -> list[str]:
     """Blogs with at least min_posts posts in the observation window."""
@@ -249,7 +250,7 @@ def _expand(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
-                       blogs: Sequence[str]) -> list[DyadScore]:
+                       blogs: Sequence[str]) -> DyadScores:
     """Scores of the ordered pairs of `blogs` that share a topic, in (b, b2) order.
 
     A member row is one participant in `blogs` of a topic with two or more
@@ -284,7 +285,8 @@ def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
                     inc_post.append(post_code.setdefault(post_id,
                                                          len(post_code)))
     if not sizes:
-        return []
+        ints, floats = np.zeros(0, dtype=np.int64), np.zeros(0)
+        return DyadScores(names, ints, ints, ints, ints, floats, floats, floats)
 
     # every ordered pair of distinct members of one topic is an entry
     sizes = np.array(sizes)
@@ -306,10 +308,11 @@ def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
     in_y = rank[left] < rank[right]  # strict precedence; ties carry no direction
     both = posts[left] + posts[right]
     c = np.where(both > 0, posts[left] / np.maximum(both, 1), 0.5)
-    a_size = np.bincount(dyad, minlength=n_dyads).tolist()
-    y_size = np.bincount(dyad[in_y], minlength=n_dyads).tolist()
+    a_size = np.bincount(dyad, minlength=n_dyads)
+    y_size = np.bincount(dyad[in_y], minlength=n_dyads)
     zero = np.bincount(dyad[~in_y & (c >= 1.0)], minlength=n_dyads) > 0
-    gammas = _gammas(a_size, y_size, c[in_y], zero.tolist())
+    gammas = np.array(_gammas(a_size.tolist(), y_size.tolist(), c[in_y],
+                              zero.tolist()))
 
     # Pr(H): each dyad's distinct posts of b2 over the member rows of b2
     inc_row = np.array(inc_row, dtype=np.int64)
@@ -321,34 +324,21 @@ def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
            + inc_post[_expand((np.cumsum(per_member) - per_member)[right], n)])
     key.sort()
     participating = np.bincount(key[run_heads(key)] // n_posts,
-                                minlength=n_dyads).tolist()
-
-    scores = []
-    heads = np.flatnonzero(head)
-    for d, (j, j2) in enumerate(zip(b[heads].tolist(), b2[heads].tolist())):
-        total = len(corpus.posts_by_blog(names[j2]))
-        h = participating[d] / total if total else 0.0
-        g = gammas[d]
-        scores.append(DyadScore(b=names[j], b2=names[j2], a_size=a_size[d],
-                                y_size=y_size[d], gamma=g, pr_h=h,
-                                omega=omega(g, h)))
-    return scores
+                                minlength=n_dyads)
+    b, b2 = b[head], b2[head]
+    total = np.array([len(corpus.posts_by_blog(name)) for name in names])[b2]
+    pr_h = np.where(total > 0, participating / np.maximum(total, 1), 0.0)
+    return DyadScores(names, b, b2, a_size, y_size, gammas, pr_h, gammas * pr_h)
 
 
-def global_scores(dyad_scores: Sequence[DyadScore],
-                  blogs: Sequence[str]) -> dict[str, tuple[float, float]]:
-    """Per-blog precursor P (mean outgoing omega) and laggard L (incoming).
+def global_scores(scores: DyadScores) -> dict[str, tuple[float, float]]:
+    """Per-blog precursor P (mean outgoing omega) and laggard L (incoming)
+    of every blog in `scores.blogs`.
 
-    Dyads left out of `dyad_scores` count as omega = 0, so the scores of the
+    Dyads left out of `scores` count as omega = 0, so the scores of the
     co-participating dyads alone give the same means.
     """
-    n = len(blogs)
-    out: dict[str, float] = {b: 0.0 for b in blogs}
-    inc: dict[str, float] = {b: 0.0 for b in blogs}
-    for score in dyad_scores:
-        if score.b in out and score.b2 in inc:
-            out[score.b] += score.omega
-            inc[score.b2] += score.omega
-    if n < 2:
-        return {b: (0.0, 0.0) for b in blogs}
-    return {b: (out[b] / (n - 1), inc[b] / (n - 1)) for b in blogs}
+    n = len(scores.blogs)  # a lone blog has no dyad: its sums are 0.0
+    p, l = (np.bincount(codes, weights=scores.omega, minlength=n)
+            / max(n - 1, 1) for codes in (scores.b, scores.b2))
+    return dict(zip(scores.blogs, zip(p.tolist(), l.tolist())))

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
@@ -23,8 +24,7 @@ from precursor.corpus import (_POS_BY_NAME, _parse_timestamp, CONTENT_POS,
                               Token)
 from precursor.ngrams import Ngram, Occurrence
 from precursor.bursts import Burst, _gaps, _theta, burst_ratio
-from precursor.scoring import (DegenerateLikelihood, DyadScore,
-                               build_dyad_context, gamma, omega)
+from precursor.scoring import DegenerateLikelihood, build_dyad_context, gamma
 from precursor.topics import Topic
 
 
@@ -215,16 +215,50 @@ def pr_h(corpus: Corpus, topics, b: str, b2: str) -> float:
     return len(participating) / total
 
 
+@dataclass(frozen=True)
+class DyadScore:
+    """One scored dyad as a row."""
+
+    b: str
+    b2: str
+    a_size: int
+    y_size: int
+    gamma: float
+    pr_h: float
+    omega: float
+
+
+def dyad_rows(scores) -> list[DyadScore]:
+    """The rows of a `DyadScores`, each column's values as Python numbers
+    and the blog codes as blog ids."""
+    return [DyadScore(scores.blogs[b], scores.blogs[b2], *rest)
+            for b, b2, *rest in zip(*(c.tolist() for c in scores[1:]))]
+
+
 def reference_score_dyad(corpus: Corpus, topics, b: str, b2: str,
                          gamma_of=gamma) -> DyadScore:
     """One dyad's score from its `build_dyad_context`, `gamma_of` (the
-    library's `gamma` unless given) and `pr_h`."""
+    library's `gamma` unless given) and `pr_h`; omega = gamma * Pr(H)."""
     ctx = build_dyad_context(corpus, topics, b, b2)
     g = gamma_of(ctx)
     h = pr_h(corpus, topics, b, b2)
     return DyadScore(b=b, b2=b2, a_size=len(ctx.a_topics),
-                     y_size=len(ctx.y_topics), gamma=g, pr_h=h,
-                     omega=omega(g, h))
+                     y_size=len(ctx.y_topics), gamma=g, pr_h=h, omega=g * h)
+
+
+def reference_global_scores(rows, blogs) -> dict[str, tuple[float, float]]:
+    """Per-blog P and L by a plain loop over the dyad rows: each blog's
+    outgoing and incoming omega summed in row order, over n - 1 dyads."""
+    n = len(blogs)
+    out = {b: 0.0 for b in blogs}
+    inc = {b: 0.0 for b in blogs}
+    for row in rows:
+        if row.b in out and row.b2 in inc:
+            out[row.b] += row.omega
+            inc[row.b2] += row.omega
+    if n < 2:
+        return {b: (0.0, 0.0) for b in blogs}
+    return {b: (out[b] / (n - 1), inc[b] / (n - 1)) for b in blogs}
 
 
 def reference_corpus_line(post: Post) -> str:

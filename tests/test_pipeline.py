@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -33,9 +33,9 @@ from precursor.synth import SynthSpec, blog_ids, generate, leader_follower_spec
 from precursor.topics import Topic, merge_bursts
 from precursor import pipeline, synth
 
-from conftest import (JSON_ODD, json_text, ngram_of, reference_burst_line,
-                      reference_collapse, reference_index_line,
-                      reference_topic_line)
+from conftest import (JSON_ODD, dyad_rows, json_text, ngram_of,
+                      reference_burst_line, reference_collapse,
+                      reference_index_line, reference_topic_line)
 
 
 @pytest.fixture(scope="module")
@@ -811,14 +811,19 @@ def test_library_defaults_are_the_pipeline_defaults(small_corpus_file,
     for corpus_file in (small_corpus_file, lead_file):
         workdir = run_all(corpus_file, tmp_path / corpus_file.stem)
         bursts, topics, scores = no_argument_chain(corpus_file)
-        assert bursts and topics and scores
+        assert bursts and topics and len(scores.b)
         assert read_bursts_artifact(workdir / "bursts.jsonl") == bursts
         assert read_topics_artifact(workdir / "topics.jsonl") == topics
         with open(workdir / "dyadic_scores.csv", encoding="utf-8") as fh:
             rows = [(b, b2, int(a), int(y), float(g), float(h), float(w))
                     for b, b2, a, y, g, h, w in list(csv.reader(fh))[1:]]
-        assert rows == [(s.b, s.b2, s.a_size, s.y_size, s.gamma, s.pr_h,
-                         s.omega) for s in scores]
+        assert rows == [astuple(s) for s in dyad_rows(scores)]
+
+
+def first_ngram(obj: dict) -> dict:
+    """The first n-gram object of an `index.jsonl`, `bursts.jsonl` or
+    `topics.jsonl` line."""
+    return obj["ngrams"][0] if "ngrams" in obj else obj
 
 
 @pytest.fixture
@@ -925,12 +930,30 @@ class TestCli:
                      str(tmp_path / "w"), "--stages", "ingest"]) == 1
         assert capsys.readouterr().err == f"error: line 2: {reason}\n"
 
-    @pytest.mark.parametrize("artifact, key, stage", [
-        ("index.jsonl", "occurrences", "bursts"),
-        ("bursts.jsonl", "start", "topics"),
-        ("topics.jsonl", "start", "score")])
+    @pytest.mark.parametrize("artifact, stage, change, error", [
+        *(pytest.param(artifact, stage, lambda obj, key=key: obj.pop(key),
+                       f"KeyError: {key!r}", id=f"{artifact}-{key}-{stage}")
+          for artifact, key, stage in (("index.jsonl", "occurrences", "bursts"),
+                                       ("bursts.jsonl", "start", "topics"),
+                                       ("topics.jsonl", "start", "score"))),
+        pytest.param("topics.jsonl", "score",
+                     lambda obj: obj.update(participations=[1, 2]),
+                     "ValueError: participations must be an object",
+                     id="topics.jsonl-participations-array-score"),
+        *(pytest.param(artifact, stage, change, error,
+                       id=f"{artifact}-{fault}-{stage}")
+          for artifact, stage in (("index.jsonl", "bursts"),
+                                  ("bursts.jsonl", "topics"),
+                                  ("topics.jsonl", "score"))
+          for fault, change, error in (
+              ("pos-one-short", lambda obj: first_ngram(obj)["pos"].pop(),
+               "ValueError: zip() argument 2 is shorter than argument 1"),
+              ("lemmas-string",
+               lambda obj: first_ngram(obj).update(lemmas="ab"),
+               "ValueError: lemmas and pos must be arrays")))])
     def test_malformed_artifact_exits_one_naming_it(
-            self, small_corpus_file, tmp_path, capsys, artifact, key, stage):
+            self, small_corpus_file, tmp_path, capsys, artifact, stage,
+            change, error):
         workdir = tmp_path / "w"
         assert main(["run", "--input", str(small_corpus_file),
                      "--workdir", str(workdir),
@@ -938,12 +961,14 @@ class TestCli:
         path = workdir / artifact
         first, rest = path.read_text(encoding="utf-8").split("\n", 1)
         obj = json.loads(first)
-        del obj[key]
+        change(obj)
         path.write_text(json.dumps(obj) + "\n" + rest, encoding="utf-8")
         capsys.readouterr()
         assert main(["run", "--workdir", str(workdir), "--stages", stage]) == 1
-        assert capsys.readouterr().err.endswith(
-            f"error: [{stage}] malformed artifact {path} (KeyError: {key!r})\n")
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.endswith(
+            f"error: [{stage}] malformed artifact {path} ({error})\n")
 
     @pytest.mark.parametrize("stage, row, column, value, error", [
         pytest.param("network", 0, 2, "late", "KeyError: 'L')",

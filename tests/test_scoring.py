@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from precursor.scoring import (DegenerateLikelihood, DyadContext, DyadScore,
+from precursor.scoring import (DegenerateLikelihood, DyadContext, DyadScores,
                                chance_prob, build_dyad_context, eligible_blogs,
-                               gamma, global_scores, omega, score_shared_dyads)
+                               gamma, global_scores, score_shared_dyads)
 
-from conftest import (brute_force_likelihood, burst_of, corpus_of, grid_gamma,
-                      likelihood, likelihood_sampled, post, pr_h, quad_gamma,
-                      reference_gamma, reference_score_dyad, split_polynomial,
-                      topic_of)
+from conftest import (DyadScore, brute_force_likelihood, burst_of, corpus_of,
+                      dyad_rows, grid_gamma, likelihood, likelihood_sampled,
+                      post, pr_h, quad_gamma, reference_gamma,
+                      reference_global_scores, reference_score_dyad,
+                      split_polynomial, topic_of)
 
 
 def ctx_of(n_a, n_y, c_values, b="a", b2="b"):
@@ -333,37 +334,27 @@ class TestPrH:
         assert pr_h(corpus, [topic], "a", "b") == 1.0
 
 
-class TestOmega:
-    def test_zero_pr_h(self):
-        assert omega(0.9, 0.0) == 0.0
-
-    def test_product(self):
-        assert omega(0.5, 0.2) == pytest.approx(0.1)
-
-    def test_omega_never_exceeds_gamma(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            g, h = rng.uniform(), rng.uniform()
-            assert omega(g, h) <= g
-
-
 class TestGlobalScores:
-    def make_score(self, b, b2, om):
-        return DyadScore(b=b, b2=b2, a_size=1, y_size=0, gamma=0.5,
-                         pr_h=om / 0.5, omega=om)
+    def scores_of(self, blogs, omegas):
+        """The columns of dyads {(b, b2): omega}, each with |A| = 1, |Y| = 0
+        and gamma = 0.5."""
+        code = {b: j for j, b in enumerate(blogs)}
+        b, b2 = (np.array([code[pair[i]] for pair in omegas]) for i in (0, 1))
+        om = np.array(list(omegas.values()))
+        return DyadScores(blogs, b, b2, np.ones_like(b), np.zeros_like(b),
+                          np.full_like(om, 0.5), om / 0.5, om)
 
     def test_two_blogs_single_term(self):
-        scores = [self.make_score("a", "b", 0.12),
-                  self.make_score("b", "a", 0.3)]
-        result = global_scores(scores, ["a", "b"])
+        scores = self.scores_of(["a", "b"], {("a", "b"): 0.12,
+                                             ("b", "a"): 0.3})
+        result = global_scores(scores)
         assert result["a"] == pytest.approx((0.12, 0.3))
         assert result["b"] == pytest.approx((0.3, 0.12))
 
     def test_three_blog_hand_means(self):
         values = {("a", "b"): 0.2, ("a", "c"): 0.4, ("b", "a"): 0.1,
                   ("b", "c"): 0.0, ("c", "a"): 0.3, ("c", "b"): 0.5}
-        scores = [self.make_score(b, b2, om) for (b, b2), om in values.items()]
-        result = global_scores(scores, ["a", "b", "c"])
+        result = global_scores(self.scores_of(["a", "b", "c"], values))
         assert result["a"] == pytest.approx(((0.2 + 0.4) / 2, (0.1 + 0.3) / 2))
         assert result["b"] == pytest.approx(((0.1 + 0.0) / 2, (0.2 + 0.5) / 2))
         assert result["c"] == pytest.approx(((0.3 + 0.5) / 2, (0.4 + 0.0) / 2))
@@ -371,8 +362,7 @@ class TestGlobalScores:
     def test_blog_without_topics_scores_zero(self):
         corpus, topics = scored_corpus()
         blogs = eligible_blogs(corpus, 7)
-        scores = score_shared_dyads(corpus, topics, blogs)
-        result = global_scores(scores, blogs)
+        result = global_scores(score_shared_dyads(corpus, topics, blogs))
         assert result["c"] == (0.0, 0.0)
 
 
@@ -405,7 +395,7 @@ class TestScoreDyads:
         blogs = eligible_blogs(corpus)
         first = score_shared_dyads(corpus, topics, blogs)
         second = score_shared_dyads(corpus, topics, blogs)
-        assert first == second
+        assert dyad_rows(first) == dyad_rows(second)
 
 
 @st.composite
@@ -488,16 +478,16 @@ def test_batched_scores_equal_the_per_dyad_reference_at_large_y():
         expected, n_expected = degenerate_warnings(lambda: [
             reference_score_dyad(corpus, topics, b, b2, reference_gamma)
             for b, b2 in pairs])
-        assert shared == expected
-        assert all(type(v) is float for s in shared
-                   for v in (s.gamma, s.pr_h, s.omega))
+        assert dyad_rows(shared) == expected
+        assert ([c.dtype for c in shared[1:]]
+                == [np.int64] * 4 + [np.float64] * 3)
         assert n_warned == n_expected
         covered.update(case for case, holds in (
-            ("no shared dyad", not shared),
-            ("|Y| of 300 or more", any(s.y_size >= 300 for s in shared)),
+            ("no shared dyad", not expected),
+            ("|Y| of 300 or more", any(s.y_size >= 300 for s in expected)),
             ("degenerate dyad", n_warned),
             ("degenerate next to scored", n_warned and any(
-                s.gamma != 0.5 for s in shared))) if holds)
+                s.gamma != 0.5 for s in expected))) if holds)
 
     check()
     assert covered == {"no shared dyad", "|Y| of 300 or more",
@@ -532,6 +522,9 @@ class TestSparseScoring:
     `conftest.reference_score_dyad` (build_dyad_context + gamma + pr_h)."""
 
     def check_against_reference(self, corpus, topics, min_posts):
+        """The columns against the reference rows, omega against
+        gamma * Pr(H) element by element, and P and L against the plain
+        loop over every eligible pair."""
         blogs = eligible_blogs(corpus, min_posts)
         expected = [reference_score_dyad(corpus, topics, b, b2)
                     for b in blogs for b2 in blogs if b != b2]
@@ -540,15 +533,33 @@ class TestSparseScoring:
                                   gamma=0.5, pr_h=0.0, omega=0.0)
                    for s in expected if s.a_size == 0)
         shared = score_shared_dyads(corpus, topics, blogs)
-        assert shared == [s for s in expected if s.a_size > 0]
-        assert global_scores(shared, blogs) == global_scores(expected, blogs)
+        assert shared.blogs == blogs
+        assert dyad_rows(shared) == [s for s in expected if s.a_size > 0]
+        assert (shared.omega == shared.gamma * shared.pr_h).all()
+        assert global_scores(shared) == reference_global_scores(expected,
+                                                                blogs)
         return expected
 
-    @settings(max_examples=150, deadline=None)
-    @given(case=corpora_with_topics(), min_posts=st.integers(1, 5))
-    def test_matches_per_pair_reference(self, case, min_posts):
-        corpus, topics = case
-        self.check_against_reference(corpus, topics, min_posts)
+    def test_matches_per_pair_reference(self):
+        covered = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(case=corpora_with_topics(), min_posts=st.integers(1, 5))
+        def check(case, min_posts):
+            corpus, topics = case
+            expected = self.check_against_reference(corpus, topics, min_posts)
+            n_blogs = len(eligible_blogs(corpus, min_posts))
+            alone = {s.b for s in expected} - {
+                b for s in expected if s.a_size for b in (s.b, s.b2)}
+            covered.update(case for case, holds in (
+                ("no eligible blog", n_blogs == 0),
+                ("one eligible blog", n_blogs == 1),
+                ("a blog sharing no topic next to a shared dyad",
+                 alone and any(s.a_size for s in expected))) if holds)
+
+        check()
+        assert covered == {"no eligible blog", "one eligible blog",
+                           "a blog sharing no topic next to a shared dyad"}
 
     def test_fixture_cases(self):
         corpus, topics = sparse_fixture()
