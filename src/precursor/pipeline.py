@@ -1,6 +1,6 @@
 """Staged pipeline orchestration with resumable intermediate artifacts.
 
-Stages run in a fixed order (ingest, ngrams, bursts, topics, score, network,
+Stages run in a fixed order (ingest, ngrams, bursts, topics, network, score,
 report); each writes its artifacts atomically (temp file + rename) to the
 working directory, so any suffix of the pipeline can be re-run without
 repeating earlier stages.  One table, `_STAGES`, declares each stage's
@@ -13,21 +13,20 @@ collecting, so a collection would only traverse the growing heap.  No other
 code of the package touches the collector: a library function called on its
 own runs under whatever state its caller set.
 
-Within one `run_pipeline` call each stage hands its result to the stages
-after it in memory: the corpus (parsed once, by the ingest stage or else by
-the first stage that needs it) goes to the ngrams, score and network stages,
-the occurrence index to the bursts stage, the kept bursts to the topics
-stage, the topics to the score stage, the per-blog scores to the network
-stage and those scores with their link metrics to the report stage.  Each
-artifact is written from the result of its own stage alone, and a result is
-released once no later stage of the call needs it.  A stage run on its own,
-or the first stage of a call that needs an input no earlier stage of the
-call produced, reads that input from its artifact in the working directory
-(`corpus.jsonl`, `index.jsonl`, `bursts.jsonl`, `topics.jsonl`,
-`global_scores.csv`) before it writes anything.  The report stage rewrites
-every file under `report/` on each run, so none is left from an earlier one.
-No stage draws random numbers, so re-running a stage with unchanged inputs
-and config reproduces its artifacts byte for byte, whatever the seed.
+Within one `run_pipeline` call each stage hands its result on in memory,
+and a result is released once no later stage of the call needs it: the
+corpus (parsed once, by the ingest stage or else by the first stage that
+needs it) goes to the ngrams, network and score stages, the index to the
+bursts stage, the kept bursts to the topics stage, the topics and the link
+metrics to the score stage, and the scores with their link metrics to the
+report stage.  A stage whose input no earlier stage of the call produced
+reads it from its artifact (`corpus.jsonl`, `index.jsonl`, `bursts.jsonl`,
+`topics.jsonl`, `network_scores.csv`, `global_scores.csv`) before it writes
+anything.  Each artifact has one writing stage and changes only when that
+stage runs: after `--stages network` alone, `global_scores.csv` and
+`report/` keep the old link metrics until score and report run again.  No
+stage draws random numbers, so re-running a stage with unchanged inputs and
+config reproduces its artifacts byte for byte, whatever the seed.
 
 `dyadic_scores.csv` lists only the ordered pairs of eligible blogs that
 share a topic (|A| > 0), in (b, b2) order.  Every absent eligible pair has
@@ -47,8 +46,8 @@ from functools import cache
 from json.encoder import encode_basestring
 from pathlib import Path
 from resource import RUSAGE_SELF, getrusage
-from typing import (Callable, Iterable, Sequence, get_args, get_origin,
-                    get_type_hints)
+from typing import (Callable, Collection, Iterable, Sequence, get_args,
+                    get_origin, get_type_hints)
 
 from . import analysis, network, scoring, svg, synth
 from .bursts import Burst, detect_all, filter_bursts
@@ -102,7 +101,17 @@ def _ngram_from_json(obj: dict) -> Ngram:
     lemmas, tags = obj["lemmas"], obj["pos"]
     if not (isinstance(lemmas, list) and isinstance(tags, list)):
         raise ValueError("lemmas and pos must be arrays")
+    if not all(type(lemma) is str for lemma in lemmas):
+        raise ValueError(f"lemmas must be strings, got {lemmas!r}")
     return Ngram(tuple(zip(lemmas, map(Pos, tags), strict=True)))
+
+
+def _occurrences(triples: list) -> list[Occurrence]:
+    occurrences = [Occurrence(*triple) for triple in triples]
+    for t, b, p in occurrences:
+        if not (type(t) is int and type(b) is type(p) is str):
+            raise ValueError(f"occurrence {[t, b, p]!r} is not [int, str, str]")
+    return occurrences
 
 
 def _occurrence_text(occ: Occurrence) -> str:
@@ -118,31 +127,23 @@ def write_index_artifact(index: dict[Ngram, list[Occurrence]], path: Path) -> No
     once."""
     line = '{"lemmas": [%s], "occurrences": [%s], "pos": [%s]}\n'
     occurrences = cache(_occurrence_text)
-    join = ", ".join
-
-    def writer(fh):
-        for ngram in sorted(index, key=lambda n: n.lemmas):
-            fh.write(line % (_lemmas_text(ngram),
-                             join(map(occurrences, index[ngram])),
-                             _tags_text(ngram)))
-    _atomic_write(path, writer)
+    _atomic_write(path, lambda fh: fh.writelines(
+        line % (_lemmas_text(ngram), ", ".join(map(occurrences, index[ngram])),
+                _tags_text(ngram))
+        for ngram in sorted(index, key=lambda n: n.lemmas)))
 
 
 def read_index_artifact(path: Path) -> dict[Ngram, list[Occurrence]]:
-    index = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            index[_ngram_from_json(obj)] = [Occurrence(int(t), b, p)
-                                            for t, b, p in obj["occurrences"]]
-    return index
+        return {_ngram_from_json(obj): _occurrences(obj["occurrences"])
+                for obj in map(json.loads, fh)}
 
 
 def _burst_from_json(obj: dict) -> Burst:
-    return Burst(ngram=_ngram_from_json(obj), start=int(obj["start"]),
-                 end=int(obj["end"]),
-                 occurrences=tuple(Occurrence(int(t), b, p)
-                                   for t, b, p in obj["occurrences"]))
+    return Burst(ngram=_ngram_from_json(obj),
+                 start=_from_json(int, obj["start"], "start: "),
+                 end=_from_json(int, obj["end"], "end: "),
+                 occurrences=tuple(_occurrences(obj["occurrences"])))
 
 
 _BURST = ('{"end": %d, "lemmas": [%s], "occurrences": [%s], "pos": [%s], '
@@ -199,16 +200,16 @@ def write_topics_artifact(topics: Sequence[Topic], path: Path) -> None:
 def read_topics_artifact(path: Path) -> list[Topic]:
     topics = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
+        for obj in map(json.loads, fh):
             if not isinstance(obj["participations"], dict):
                 raise ValueError("participations must be an object")
-            bursts = tuple(_burst_from_json(b) for b in obj["bursts"])
-            ngrams = tuple(_ngram_from_json(n) for n in obj["ngrams"])
             topics.append(Topic(
-                topic_id=obj["topic_id"], ngrams=ngrams, start=int(obj["start"]),
-                end=int(obj["end"]), bursts=bursts,
-                participations={b: int(t)
+                topic_id=_from_json(str, obj["topic_id"], "topic_id: "),
+                ngrams=tuple(map(_ngram_from_json, obj["ngrams"])),
+                start=_from_json(int, obj["start"], "start: "),
+                end=_from_json(int, obj["end"], "end: "),
+                bursts=tuple(map(_burst_from_json, obj["bursts"])),
+                participations={b: _from_json(int, t, f"participations: {b}: ")
                                 for b, t in obj["participations"].items()}))
     return topics
 
@@ -278,8 +279,22 @@ def stage_topics(cfg: PipelineConfig, workdir: Path,
     return topics
 
 
+def stage_network(cfg: PipelineConfig, workdir: Path,
+                  corpus: Corpus) -> list[tuple]:
+    graph = network.build_graph(corpus)
+    _write_csv(workdir / "graph_edges.csv", ["source", "target", "count"],
+               [list(edge) for edge in graph.edges()])
+    degrees = network.in_degrees(graph)
+    ranks = network.pagerank(graph, damping=cfg.damping)
+    links = [(b, degrees[b], ranks[b]) for b in graph.nodes]
+    _write_csv(workdir / "network_scores.csv", _NETWORK_COLUMNS, links)
+    logger.info("[network] %d edges, %d nodes", len(graph.weights),
+                len(graph.nodes))
+    return links
+
+
 def stage_score(cfg: PipelineConfig, workdir: Path, corpus: Corpus,
-                topics: list[Topic]) -> list[tuple]:
+                topics: list[Topic], links: list[tuple]) -> list[tuple]:
     blogs = scoring.eligible_blogs(corpus, cfg.min_posts)
     shared = scoring.score_shared_dyads(corpus, topics, blogs)
     names = shared.blogs
@@ -289,43 +304,27 @@ def stage_score(cfg: PipelineConfig, workdir: Path, corpus: Corpus,
                    [names[j] for j in shared.b2.tolist()],
                    *(column.tolist() for column in shared[3:])))
     pl = scoring.global_scores(shared)
-    scores = [(b, *pl[b]) for b in blogs]
-    _write_csv(workdir / "global_scores.csv", ["blog_id", "P", "L"], scores)
+    metrics = {b: (degree, rank) for b, degree, rank in links}
+    linked = [(b, *pl[b], *metrics.get(b, (0, 0.0))) for b in blogs]
+    _write_csv(workdir / "global_scores.csv", list(_COLUMNS), linked)
     logger.info("[score] %d dyads scored over %d eligible blogs "
                 "(%d with shared topics)", len(blogs) * (len(blogs) - 1),
                 len(blogs), len(shared.b))
-    return scores
-
-
-_GLOBAL_COLUMNS = {"blog_id": str, "P": float, "L": float, "in_degree": int,
-                   "pagerank": float}
-
-
-def read_global_scores(path: Path, network: bool = True) -> list[tuple]:
-    """Typed rows of `global_scores.csv`: (blog_id, P, L, in_degree,
-    pagerank), or the score stage's (blog_id, P, L) when not `network`."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = csv.DictReader(fh)
-        if network and "in_degree" not in (rows.fieldnames or ()):
-            raise ValueError("lacks network metrics; run the network stage "
-                             "first")
-        typed = list(_GLOBAL_COLUMNS.items())[:5 if network else 3]
-        return [tuple(kind(row[k]) for k, kind in typed) for row in rows]
-
-
-def stage_network(cfg: PipelineConfig, workdir: Path, corpus: Corpus,
-                  scores: list[tuple]) -> list[tuple]:
-    graph = network.build_graph(corpus)
-    _write_csv(workdir / "graph_edges.csv", ["source", "target", "count"],
-               [list(edge) for edge in graph.edges()])
-    degrees = network.in_degrees(graph)
-    ranks = network.pagerank(graph, damping=cfg.damping)
-    linked = [(b, p, l, degrees.get(b, 0), ranks.get(b, 0.0))
-              for b, p, l in scores]
-    _write_csv(workdir / "global_scores.csv", list(_GLOBAL_COLUMNS), linked)
-    logger.info("[network] %d edges, %d nodes", len(graph.weights),
-                len(graph.nodes))
     return linked
+
+
+# every per-blog column, and the type it reads back as
+_COLUMNS = {"blog_id": str, "P": float, "L": float, "in_degree": int,
+            "pagerank": float}
+_NETWORK_COLUMNS = ["blog_id", "in_degree", "pagerank"]
+
+
+def read_global_scores(path: Path, columns: Collection[str]) -> list[tuple]:
+    """The given columns of every row of a per-blog table, `global_scores.csv`
+    or `network_scores.csv`, each value typed by its column's name."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [tuple(_COLUMNS[name](row[name]) for name in columns)
+                for row in csv.DictReader(fh)]
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -340,7 +339,7 @@ def stage_report(cfg: PipelineConfig, workdir: Path,
     classes."""
     report_dir = workdir / "report"
     report_dir.mkdir(exist_ok=True)
-    _write_csv(report_dir / "scatter.csv", list(_GLOBAL_COLUMNS), linked)
+    _write_csv(report_dir / "scatter.csv", list(_COLUMNS), linked)
 
     p_scores, l_scores, degrees, ranks = (
         {row[0]: row[i] for row in linked} for i in range(1, 5))
@@ -401,8 +400,8 @@ _STAGES = {"ingest": (stage_ingest, (), "corpus"),
            "ngrams": (stage_ngrams, ("corpus",), "index"),
            "bursts": (stage_bursts, ("index",), "bursts"),
            "topics": (stage_topics, ("bursts",), "topics"),
-           "score": (stage_score, ("corpus", "topics"), "scores"),
-           "network": (stage_network, ("corpus", "scores"), "linked"),
+           "network": (stage_network, ("corpus",), "links"),
+           "score": (stage_score, ("corpus", "topics", "links"), "linked"),
            "report": (stage_report, ("linked",), None)}
 STAGES = tuple(_STAGES)
 
@@ -411,9 +410,10 @@ _INPUTS = {"corpus": ("corpus.jsonl", lambda p, cfg: load_corpus(p, cfg)),
            "index": ("index.jsonl", lambda p, _: read_index_artifact(p)),
            "bursts": ("bursts.jsonl", lambda p, _: read_bursts_artifact(p)),
            "topics": ("topics.jsonl", lambda p, _: read_topics_artifact(p)),
-           "scores": ("global_scores.csv",
-                      lambda p, _: read_global_scores(p, network=False)),
-           "linked": ("global_scores.csv", lambda p, _: read_global_scores(p))}
+           "links": ("network_scores.csv",
+                     lambda p, _: read_global_scores(p, _NETWORK_COLUMNS)),
+           "linked": ("global_scores.csv",
+                      lambda p, _: read_global_scores(p, _COLUMNS))}
 
 
 def _read_input(name: str, cfg: PipelineConfig, workdir: Path, stage: str):

@@ -373,13 +373,19 @@ class TestRunPipeline:
         workdir = run_all(small_corpus_file, tmp_path / "out")
         for name in ("corpus.jsonl", "index.jsonl", "bursts.jsonl",
                      "topics.jsonl", "dyadic_scores.csv", "global_scores.csv",
-                     "graph_edges.csv"):
+                     "graph_edges.csv", "network_scores.csv"):
             assert (workdir / name).exists(), name
         report = workdir / "report"
         assert sorted(p.name for p in report.iterdir()) == sorted(REPORT_FILES)
         scores = (workdir / "global_scores.csv").read_bytes()
         assert scores.startswith(b"blog_id,P,L,in_degree,pagerank\n")
         assert (report / "scatter.csv").read_bytes() == scores
+        links = read_rows(workdir / "network_scores.csv")
+        assert list(links[0]) == ["blog_id", "in_degree", "pagerank"]
+        # one row per graph node: every blog of the corpus, in sorted order
+        assert [r["blog_id"] for r in links] == sorted(
+            {json.loads(line)["blog_id"] for line in
+             (workdir / "corpus.jsonl").read_text().splitlines()})
 
     def test_rerun_without_eligible_blogs_rewrites_every_report_file(
             self, small_corpus_file, tmp_path):
@@ -403,15 +409,29 @@ class TestRunPipeline:
         assert len(significance) == 6
         assert all(r["n_a"] == r["n_b"] == "0" for r in significance)
 
-    def test_report_without_network_metrics_refused(self, small_corpus_file,
-                                                    tmp_path):
-        cfg = PipelineConfig(input=str(small_corpus_file),
-                             workdir=str(tmp_path / "no_network"))
-        run_pipeline(cfg)
-        for min_posts in (cfg.min_posts, 100000):  # with and without rows
-            with pytest.raises(StageError, match="lacks network metrics"):
-                run_pipeline(replace(cfg, min_posts=min_posts),
-                             stages=["score", "report"])
+    def test_score_then_report_after_a_full_run_rewrite_the_same_bytes(
+            self, small_corpus_file, tmp_path):
+        workdir = run_all(small_corpus_file, tmp_path / "rescore")
+        before = artifact_bytes(workdir)
+        for stage in ("score", "report"):
+            assert main(["run", "--workdir", str(workdir),
+                         "--stages", stage]) == 0
+            assert artifact_bytes(workdir) == before, stage
+
+    def test_network_stage_needs_only_the_corpus(self, small_corpus_file,
+                                                 tmp_path):
+        full = run_all(small_corpus_file, tmp_path / "full")
+        workdir = tmp_path / "w"
+        workdir.mkdir()
+        (workdir / "corpus.jsonl").write_bytes(
+            (full / "corpus.jsonl").read_bytes())
+        assert main(["run", "--workdir", str(workdir),
+                     "--stages", "network"]) == 0
+        written = artifact_bytes(workdir)
+        assert sorted(written) == ["corpus.jsonl", "graph_edges.csv",
+                                   "network_scores.csv"]
+        assert written == {name: (full / name).read_bytes()
+                           for name in written}
 
     def test_newline_in_blog_id_round_trips(self, tmp_path):
         # csv quotes a field with a newline, so the row reads back whole
@@ -571,8 +591,8 @@ class TestCorpusParsedOnce:
 
 @pytest.fixture
 def artifact_reads(monkeypatch):
-    """How often the index, bursts, topics and global scores artifacts are
-    read, by file."""
+    """How often the index, bursts, topics, network scores and global
+    scores artifacts are read, by file."""
     reads = Counter()
     for name in ("read_index_artifact", "read_bursts_artifact",
                  "read_topics_artifact", "read_global_scores"):
@@ -599,7 +619,7 @@ class TestInMemoryHandoff:
         artifact_reads.clear()
         assert main(["run", "--workdir", str(workdir),
                      "--stages", "bursts,topics,score"]) == 0
-        assert artifact_reads == {"index.jsonl": 1}
+        assert artifact_reads == {"index.jsonl": 1, "network_scores.csv": 1}
         artifact_reads.clear()
         assert main(["run", "--workdir", str(workdir),
                      "--stages", "score,network"]) == 0
@@ -607,11 +627,12 @@ class TestInMemoryHandoff:
         artifact_reads.clear()
         assert main(["run", "--workdir", str(workdir),
                      "--stages", "topics,network"]) == 0
-        assert artifact_reads == {"bursts.jsonl": 1, "global_scores.csv": 1}
+        assert artifact_reads == {"bursts.jsonl": 1}
         assert artifact_bytes(workdir) == before
 
     @pytest.mark.parametrize("stages, reads", [
         ("score,network,report", {"topics.jsonl": 1}),
+        ("score,report", {"topics.jsonl": 1, "network_scores.csv": 1}),
         ("network,report", {"global_scores.csv": 1}),
         ("report", {"global_scores.csv": 1})])
     def test_scores_are_read_back_only_by_the_first_stage_of_a_run(
@@ -623,6 +644,46 @@ class TestInMemoryHandoff:
                      "--stages", stages]) == 0
         assert artifact_reads == reads
         assert artifact_bytes(workdir) == before
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """(stage, path) of every `_atomic_write` call, in order."""
+    calls, running = [], []
+    for name, (function, inputs, output) in pipeline._STAGES.items():
+        def marked(*args, name=name, function=function):
+            running.append(name)
+            try:
+                return function(*args)
+            finally:
+                running.pop()
+        monkeypatch.setitem(pipeline._STAGES, name, (marked, inputs, output))
+    real = pipeline._atomic_write
+
+    def recording(path, writer):
+        calls.append((running[-1], Path(path)))
+        return real(path, writer)
+    monkeypatch.setattr(pipeline, "_atomic_write", recording)
+    return calls
+
+
+def test_every_artifact_is_written_once_by_one_stage(small_corpus_file,
+                                                     tmp_path, writes):
+    full = run_all(small_corpus_file, tmp_path / "full")
+    in_full = [(stage, str(path.relative_to(full))) for stage, path in writes]
+    writes.clear()
+    staged = tmp_path / "staged"
+    cfg = PipelineConfig(input=str(small_corpus_file), workdir=str(staged))
+    for stage in STAGES:
+        run_pipeline(cfg, stages=[stage])
+    in_staged = [(stage, str(path.relative_to(staged)))
+                 for stage, path in writes]
+    assert in_staged == in_full
+    paths = [path for _, path in in_full]
+    assert len(paths) == len(set(paths))  # so each has one writing stage
+    assert sorted(paths) == sorted(artifact_bytes(full))
+    assert {path: stage for stage, path in in_full}["global_scores.csv"] == \
+        "score"
 
 
 @pytest.fixture
@@ -826,6 +887,12 @@ def first_ngram(obj: dict) -> dict:
     return obj["ngrams"][0] if "ngrams" in obj else obj
 
 
+def first_occurrences(obj: dict) -> list:
+    """The occurrences of an `index.jsonl` or `bursts.jsonl` line, or of the
+    first burst of a `topics.jsonl` line."""
+    return (obj["bursts"][0] if "bursts" in obj else obj)["occurrences"]
+
+
 @pytest.fixture
 def restore_log_level():
     """main() sets the package logger's level; put it back afterwards."""
@@ -950,14 +1017,46 @@ class TestCli:
                "ValueError: zip() argument 2 is shorter than argument 1"),
               ("lemmas-string",
                lambda obj: first_ngram(obj).update(lemmas="ab"),
-               "ValueError: lemmas and pos must be arrays")))])
+               "ValueError: lemmas and pos must be arrays"),
+              ("lemmas-integers",
+               lambda obj: first_ngram(obj).update(lemmas=[1, 1]),
+               "ValueError: lemmas must be strings, got [1, 1]"),
+              # what a JSON writer other than the artifact's own may write
+              *((fault,
+                 lambda obj, occ=occ: first_occurrences(obj).__setitem__(0, occ),
+                 f"ValueError: occurrence {occ!r} is not [int, str, str]")
+                for fault, occ in (("time-float", [86400.9, "b", "p"]),
+                                   ("time-string", ["86400", "b", "p"]),
+                                   ("time-bool", [True, "b", "p"]),
+                                   ("blog-integer", [86400, 1, "p"]),
+                                   ("post-integer", [86400, "b", 2]))))),
+        *(pytest.param(artifact, stage,
+                       lambda obj, key=key, value=value: obj.update({key: value}),
+                       f"ValueError: {key}: expected an integer, got {value!r}",
+                       id=f"{artifact}-{key}-{fault}-{stage}")
+          for artifact, stage in (("bursts.jsonl", "topics"),
+                                  ("topics.jsonl", "score"))
+          for key, fault, value in (("start", "float", 86400.9),
+                                    ("start", "string", "86400"),
+                                    ("end", "bool", True))),
+        pytest.param("topics.jsonl", "score",
+                     lambda obj: obj.update(topic_id=7),
+                     "ValueError: topic_id: expected a string, got 7",
+                     id="topics.jsonl-topic_id-integer-score"),
+        *(pytest.param("topics.jsonl", "score",
+                       lambda obj, value=value: obj.update(
+                           participations={"b": value}),
+                       "ValueError: participations: b: expected an integer, "
+                       f"got {value!r}",
+                       id=f"topics.jsonl-participation-{fault}-score")
+          for fault, value in (("float", 86400.9), ("string", "86400")))])
     def test_malformed_artifact_exits_one_naming_it(
             self, small_corpus_file, tmp_path, capsys, artifact, stage,
             change, error):
         workdir = tmp_path / "w"
         assert main(["run", "--input", str(small_corpus_file),
                      "--workdir", str(workdir),
-                     "--stages", "ingest,ngrams,bursts,topics"]) == 0
+                     "--stages", "ingest,ngrams,bursts,topics,network"]) == 0
         path = workdir / artifact
         first, rest = path.read_text(encoding="utf-8").split("\n", 1)
         obj = json.loads(first)
@@ -970,32 +1069,37 @@ class TestCli:
         assert err.endswith(
             f"error: [{stage}] malformed artifact {path} ({error})\n")
 
-    @pytest.mark.parametrize("stage, row, column, value, error", [
-        pytest.param("network", 0, 2, "late", "KeyError: 'L')",
-                     id="L-renamed"),
-        pytest.param("report", 0, 4, "rank", "KeyError: 'pagerank')",
-                     id="pagerank-renamed"),
-        *(pytest.param(stage, 1, 1, "abc", "ValueError: could not convert "
-                       "string to float: 'abc')", id=f"bad-P-{stage}")
-          for stage in ("network", "report")),
-        *(pytest.param(stage, 1, slice(1, None), [],  # the blog id alone
-                       "TypeError: float() argument must be",
+    @pytest.mark.parametrize("stage, artifact, row, column, value, error", [
+        pytest.param("score", "network_scores.csv", 0, 1, "indegree",
+                     "KeyError: 'in_degree')", id="in_degree-renamed"),
+        pytest.param("report", "global_scores.csv", 0, 4, "rank",
+                     "KeyError: 'pagerank')", id="pagerank-renamed"),
+        pytest.param("score", "network_scores.csv", 1, 1, "abc",
+                     "ValueError: invalid literal for int() with base 10: "
+                     "'abc')", id="bad-in_degree-score"),
+        pytest.param("report", "global_scores.csv", 1, 1, "abc",
+                     "ValueError: could not convert string to float: 'abc')",
+                     id="bad-P-report"),
+        *(pytest.param(stage, artifact, 1, slice(1, None), [],  # the blog id
+                       f"TypeError: {kind}() argument must be",  # alone
                        id=f"short-row-{stage}")
-          for stage in ("network", "report"))])
+          for stage, artifact, kind in (("score", "network_scores.csv", "int"),
+                                        ("report", "global_scores.csv",
+                                         "float")))])
     def test_malformed_global_scores_exits_one_naming_it(
-            self, small_corpus_file, tmp_path, capsys, stage, row, column,
-            value, error):
+            self, small_corpus_file, tmp_path, capsys, stage, artifact, row,
+            column, value, error):
         workdir = tmp_path / "w"
         assert main(["run", "--input", str(small_corpus_file),
                      "--workdir", str(workdir)]) == 0
-        path = workdir / "global_scores.csv"
+        path = workdir / artifact
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         rows[row][column] = value
         with open(path, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
         # the first file the stage writes: it must read its input before it
-        first_written = {"network": "graph_edges.csv",
+        first_written = {"score": "dyadic_scores.csv",
                          "report": "report/scatter.csv"}[stage]
         (workdir / first_written).unlink()
         capsys.readouterr()
@@ -1254,7 +1358,7 @@ def test_artifacts_do_not_depend_on_the_string_hash_seed(tmp_path):
                       "--workdir", str(tmp_path / f"hash{seed}")], seed)
     first, second = (artifact_bytes(tmp_path / f"hash{seed}")
                      for seed in (0, 1))
-    assert len(first) == 22
+    assert len(first) == 23
     assert first == second
     assert len(first["topics.jsonl"].splitlines()) > 1
     assert len(first["dyadic_scores.csv"].splitlines()) > 1

@@ -234,19 +234,29 @@ class TestGamma:
         # Y = A with C = 0: every topic counts for the relationship, L = p^n
         assert gamma(ctx_of(n_a, n_a, [0.0] * n_a)) == (n_a + 1) / (n_a + 2)
 
-    @pytest.mark.parametrize("c, n", [(0.2, 60), (0.01, 1100), (0.3, 5),
-                                      (0.99, 1100)])
-    def test_uniform_chance_closed_form(self, c, n):
-        # Y = A with one C for all: L = (a + b p)^n with a = C, b = 1-2C
-        # (negative at C = 0.99), and at n = 1100 the split coefficients
-        # span more than the float range
-        a, b = c, 1.0 - 2.0 * c
+    @pytest.mark.parametrize("c, n_a, n_y", [
+        *(pytest.param(c, n, n, id=f"{c}-{n}")
+          for c, n in ((0.2, 60), (0.01, 1100), (0.3, 5), (0.99, 1100))),
+        *((0.5, n_a, n_y) for n_a, n_y in ((1, 0), (1, 1), (7, 3), (150, 75),
+                                           (400, 400), (1100, 1), (1100, 1090),
+                                           (3000, 0), (3000, 2990)))])
+    def test_uniform_chance_closed_form(self, c, n_a, n_y):
+        if c == 0.5:
+            # each topic of Y has the factor p/2 + (1-p)/2 = 1/2 whatever p,
+            # so L(p) is proportional to (1-p)^|A\Y|, the Beta(1, |A\Y|+1)
+            # density, whose mean is 1/(|A\Y| + 2)
+            expected = 1 / (n_a - n_y + 2)
+        else:
+            # Y = A with one C for all: L = (a + b p)^n with a = C, b = 1-2C
+            # (negative at C = 0.99), and at n = 1100 the split coefficients
+            # span more than the float range
+            a, b, n = c, 1.0 - 2.0 * c, n_a
 
-        def moment(j):  # integral of u^j over u = a + b p, p in [0, 1]
-            return ((a + b) ** (j + 1) - a ** (j + 1)) / (j + 1)
+            def moment(j):  # integral of u^j over u = a + b p, p in [0, 1]
+                return ((a + b) ** (j + 1) - a ** (j + 1)) / (j + 1)
 
-        expected = (moment(n + 1) - a * moment(n)) / (b * moment(n))
-        got = gamma(ctx_of(n, n, [c] * n))
+            expected = (moment(n + 1) - a * moment(n)) / (b * moment(n))
+        got = gamma(ctx_of(n_a, n_y, [c] * n_a))
         assert got == pytest.approx(expected, rel=1e-10)
 
     @settings(max_examples=60, deadline=None)
@@ -542,9 +552,18 @@ class TestSparseScoring:
 
     def test_matches_per_pair_reference(self):
         covered = set()
+        # b0 (two posts) and b1 share a topic, and b2 shares none: at
+        # min_posts 1, 2 and 3 every coverage case below is met once for sure
+        lone = corpus_of([post("b0_0", "b0", 1), post("b0_1", "b0", 5),
+                          post("b1_0", "b1", 2), post("b2_0", "b2", 3)]), [
+            topic_of("t0", 0, 10, {"b0": 1, "b1": 2}, bursts=(burst_of(
+                ("w", "00"), 0, 10, [(1, "b0", "b0_0"), (2, "b1", "b1_0")]),))]
 
         @settings(max_examples=150, deadline=None)
         @given(case=corpora_with_topics(), min_posts=st.integers(1, 5))
+        @example(case=lone, min_posts=1)
+        @example(case=lone, min_posts=2)
+        @example(case=lone, min_posts=3)
         def check(case, min_posts):
             corpus, topics = case
             expected = self.check_against_reference(corpus, topics, min_posts)
