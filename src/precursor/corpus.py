@@ -23,9 +23,11 @@ Posts are sorted by (timestamp, post_id).  The CSV artifacts end their
 lines with a bare newline and so would not quote a carriage return: a blog
 id holding one would split its rows in two.
 
-`write_records` is the one writer of the format.  It and the loader key
-tokens by their raw (lemma, tag, chunk) values, which a `Token` equals and
-hashes as, so each distinct token is encoded once and built once.
+`write_records` writes the format for `synth`; the pipeline writes no
+corpus records, as its `corpus.jsonl` is a byte copy of the input.  The
+writer and the loader key tokens by their raw (lemma, tag, chunk) values,
+which a `Token` equals and hashes as, so each distinct token is encoded
+once and built once.
 """
 
 from __future__ import annotations
@@ -124,15 +126,15 @@ class Corpus:
     blogs: frozenset[str]
     window: tuple[int, int]
     report: LoadReport = field(default_factory=LoadReport)
-    _blog_times: dict[str, list[int]] = field(default_factory=dict, repr=False)
+    _blog_times: dict[str, list[int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.posts = tuple(sorted(self.posts,
                                   key=lambda p: (p.timestamp, p.post_id)))
-        if not self._blog_times:
-            for p in self.posts:
-                self._blog_times.setdefault(p.blog_id, []).append(p.timestamp)
-            # posts are sorted globally, so each per-blog list is sorted too
+        # posts are sorted globally, so each per-blog list is sorted too
+        self._blog_times = {}
+        for p in self.posts:
+            self._blog_times.setdefault(p.blog_id, []).append(p.timestamp)
 
     def posts_by_blog(self, blog: str) -> list[int]:
         return self._blog_times.get(blog, [])

@@ -22,11 +22,13 @@ metrics to the score stage, and the scores with their link metrics to the
 report stage.  A stage whose input no earlier stage of the call produced
 reads it from its artifact (`corpus.jsonl`, `index.jsonl`, `bursts.jsonl`,
 `topics.jsonl`, `network_scores.csv`, `global_scores.csv`) before it writes
-anything.  Each artifact has one writing stage and changes only when that
-stage runs: after `--stages network` alone, `global_scores.csv` and
-`report/` keep the old link metrics until score and report run again.  No
-stage draws random numbers, so re-running a stage with unchanged inputs and
-config reproduces its artifacts byte for byte, whatever the seed.
+anything.  `corpus.jsonl` holds the input's bytes as they are, so a stage
+that reads it applies the current window, link and noun keys to the
+original records.  Each artifact has one writing stage and changes only
+when that stage runs: after `--stages network` alone, `global_scores.csv`
+and `report/` keep the old link metrics until score and report run again.
+No stage draws random numbers, so re-running a stage with unchanged inputs
+and config reproduces its artifacts byte for byte, whatever the seed.
 
 `dyadic_scores.csv` lists only the ordered pairs of eligible blogs that
 share a topic (|A| > 0), in (b, b2) order.  Every absent eligible pair has
@@ -40,10 +42,9 @@ import gc
 import json
 import logging
 import os
+import shutil
 import time
 from dataclasses import MISSING, astuple, fields, is_dataclass
-from functools import cache
-from json.encoder import encode_basestring
 from pathlib import Path
 from resource import RUSAGE_SELF, getrusage
 from typing import (Callable, Collection, Iterable, Sequence, get_args,
@@ -52,7 +53,7 @@ from typing import (Callable, Collection, Iterable, Sequence, get_args,
 from . import analysis, network, scoring, svg, synth
 from .bursts import Burst, detect_all, filter_bursts
 from .config import PipelineConfig
-from .corpus import DAY, Corpus, Pos, load_corpus, write_records
+from .corpus import DAY, Corpus, Pos, load_corpus
 from .ngrams import Ngram, Occurrence, build_index, load_stopwords
 from .topics import Topic, merge_bursts
 
@@ -79,22 +80,21 @@ def _atomic_write(path: Path, writer: Callable) -> None:
 
 # ---------------------------------------------------------------- artifacts
 
-_TAGS = {pos: encode_basestring(pos.value) for pos in Pos}
+# the objects are built afresh from tuples and lists and hold no cycle
+_encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                           check_circular=False).encode
 
 
-def write_corpus_artifact(corpus: Corpus, path: Path) -> None:
-    """One line per post, in corpus order, with its links sorted."""
-    _atomic_write(path, lambda fh: write_records(fh, (
-        (p.blog_id, p.body_tokens, sorted(p.out_links), p.post_id,
-         p.timestamp, p.title_tokens) for p in corpus.posts)))
+def _write_jsonl(path: Path, objects: Iterable[dict]) -> None:
+    """One line per object, as `json.dumps(..., sort_keys=True,
+    ensure_ascii=False)` writes it: an `Occurrence` as its array
+    [timestamp, blog, post] and a `Pos` as its name."""
+    _atomic_write(path, lambda fh: fh.writelines(
+        _encode(obj) + "\n" for obj in objects))
 
 
-def _lemmas_text(ngram: Ngram) -> str:
-    return ", ".join(map(encode_basestring, ngram.lemmas))
-
-
-def _tags_text(ngram: Ngram) -> str:
-    return ", ".join([_TAGS[pos] for _, pos in ngram.words])
+def _ngram_json(ngram: Ngram) -> dict:
+    return {"lemmas": ngram.lemmas, "pos": [pos for _, pos in ngram.words]}
 
 
 def _ngram_from_json(obj: dict) -> Ngram:
@@ -114,29 +114,22 @@ def _occurrences(triples: list) -> list[Occurrence]:
     return occurrences
 
 
-def _occurrence_text(occ: Occurrence) -> str:
-    return "[%d, %s, %s]" % (occ.timestamp, encode_basestring(occ.blog_id),
-                             encode_basestring(occ.post_id))
-
-
 def write_index_artifact(index: dict[Ngram, list[Occurrence]], path: Path) -> None:
     """One line per n-gram, in lemma order, holding its lemmas, its
-    occurrences ([timestamp, blog, post]) and its tags, as
-    `json.dumps(..., sort_keys=True, ensure_ascii=False)` writes them.
-    Each distinct occurrence (`build_index` shares one per post) is encoded
-    once."""
-    line = '{"lemmas": [%s], "occurrences": [%s], "pos": [%s]}\n'
-    occurrences = cache(_occurrence_text)
-    _atomic_write(path, lambda fh: fh.writelines(
-        line % (_lemmas_text(ngram), ", ".join(map(occurrences, index[ngram])),
-                _tags_text(ngram))
-        for ngram in sorted(index, key=lambda n: n.lemmas)))
+    occurrences and its tags."""
+    _write_jsonl(path, ({**_ngram_json(ngram), "occurrences": index[ngram]}
+                        for ngram in sorted(index, key=lambda n: n.lemmas)))
 
 
 def read_index_artifact(path: Path) -> dict[Ngram, list[Occurrence]]:
     with open(path, encoding="utf-8") as fh:
         return {_ngram_from_json(obj): _occurrences(obj["occurrences"])
                 for obj in map(json.loads, fh)}
+
+
+def _burst_json(burst: Burst) -> dict:
+    return {**_ngram_json(burst.ngram), "start": burst.start,
+            "end": burst.end, "occurrences": burst.occurrences}
 
 
 def _burst_from_json(obj: dict) -> Burst:
@@ -146,25 +139,10 @@ def _burst_from_json(obj: dict) -> Burst:
                  occurrences=tuple(_occurrences(obj["occurrences"])))
 
 
-_BURST = ('{"end": %d, "lemmas": [%s], "occurrences": [%s], "pos": [%s], '
-          '"start": %d}')
-
-
-def _burst_text(burst: Burst, occurrence_text: Callable) -> str:
-    """The burst's JSON object ({"end", "lemmas", "occurrences", "pos",
-    "start"}), as `json.dumps(..., sort_keys=True, ensure_ascii=False)`
-    writes it."""
-    return _BURST % (burst.end, _lemmas_text(burst.ngram),
-                     ", ".join(map(occurrence_text, burst.occurrences)),
-                     _tags_text(burst.ngram), burst.start)
-
-
 def write_bursts_artifact(bursts: Sequence[Burst], path: Path) -> None:
-    """One line per burst, in the given order.  Each distinct occurrence
-    (`build_index` shares one per post) is encoded once."""
-    occurrences = cache(_occurrence_text)
-    _atomic_write(path, lambda fh: fh.writelines(
-        _burst_text(burst, occurrences) + "\n" for burst in bursts))
+    """One line per burst, in the given order: its end, lemmas,
+    occurrences, tags and start."""
+    _write_jsonl(path, map(_burst_json, bursts))
 
 
 def read_bursts_artifact(path: Path) -> list[Burst]:
@@ -172,29 +150,15 @@ def read_bursts_artifact(path: Path) -> list[Burst]:
         return [_burst_from_json(json.loads(line)) for line in fh]
 
 
-_TOPIC = ('{"bursts": [%s], "end": %d, "ngrams": [%s], "participations": {%s}, '
-          '"start": %d, "topic_id": %s}\n')
-_NGRAM = '{"lemmas": [%s], "pos": [%s]}'
-
-
 def write_topics_artifact(topics: Sequence[Topic], path: Path) -> None:
     """One line per topic: its member bursts, end, n-grams, first
-    participation per blog (sorted by blog), start and id, as
-    `json.dumps(..., sort_keys=True, ensure_ascii=False)` writes them.
-    Each distinct occurrence is encoded once."""
-    occs = cache(_occurrence_text)
-    join = ", ".join
-
-    def writer(fh):
-        for topic in topics:
-            fh.write(_TOPIC % (
-                join([_burst_text(b, occs) for b in topic.bursts]), topic.end,
-                join([_NGRAM % (_lemmas_text(n), _tags_text(n))
-                      for n in topic.ngrams]),
-                join(["%s: %d" % (encode_basestring(blog), first)
-                      for blog, first in sorted(topic.participations.items())]),
-                topic.start, encode_basestring(topic.topic_id)))
-    _atomic_write(path, writer)
+    participation per blog (sorted by blog), start and id."""
+    _write_jsonl(path, ({"bursts": [_burst_json(b) for b in topic.bursts],
+                         "end": topic.end,
+                         "ngrams": [_ngram_json(n) for n in topic.ngrams],
+                         "participations": topic.participations,
+                         "start": topic.start, "topic_id": topic.topic_id}
+                        for topic in topics))
 
 
 def read_topics_artifact(path: Path) -> list[Topic]:
@@ -235,7 +199,9 @@ def stage_ingest(cfg: PipelineConfig, workdir: Path) -> Corpus:
     if not Path(cfg.input).exists():
         raise StageError("ingest", f"input file {cfg.input} not found")
     corpus = load_corpus(cfg.input, cfg)
-    write_corpus_artifact(corpus, workdir / "corpus.jsonl")
+    with open(cfg.input, "rb") as src:  # the input's bytes as they are
+        _atomic_write(workdir / "corpus.jsonl",
+                      lambda fh: shutil.copyfileobj(src, fh.buffer))
     r = corpus.report
     logger.info("[ingest] %d posts from %d blogs (%d records read, "
                 "%d out of window, %d pos warnings, %d empty-lemma tokens, "
@@ -259,9 +225,12 @@ def stage_ngrams(cfg: PipelineConfig, workdir: Path,
 def stage_bursts(cfg: PipelineConfig, workdir: Path,
                  index: dict[Ngram, list[Occurrence]]) -> list[Burst]:
     # a burst's blogs are a subset of its n-gram's, so an n-gram with fewer
-    # than min_blogs blogs cannot yield a kept burst and is not examined
+    # than min_blogs blogs cannot yield a kept burst and is not examined;
+    # one with fewer occurrences than min_blogs has fewer blogs too, so its
+    # blogs are not counted
     examined = {ngram: occs for ngram, occs in index.items()
-                if len({o.blog_id for o in occs}) >= cfg.min_blogs}
+                if len(occs) >= cfg.min_blogs
+                and len({o.blog_id for o in occs}) >= cfg.min_blogs}
     detected = detect_all(examined, alpha=cfg.alpha, beta=cfg.beta_days * DAY)
     kept = filter_bursts(detected, cfg)
     write_bursts_artifact(kept, workdir / "bursts.jsonl")
@@ -476,24 +445,27 @@ def _from_json(hint, value, where: str):
     from a JSON integer or float, and a str, or a union of str and None, as
     given.  Anything else raises a ValueError whose message starts with
     `where` and the key."""
-    kind, args = get_origin(hint) or hint, get_args(hint)
-    if (is_dataclass(kind) or kind is dict) and not isinstance(value, dict):
-        raise ValueError(f"{where}expected a JSON object")
-    if is_dataclass(kind):
-        hints = get_type_hints(kind)
-        for key in sorted(value.keys() - hints.keys()):
-            raise ValueError(f"{where}unknown key {key!r}")
-        for f in fields(kind):
-            if f.name not in value and f.default is f.default_factory is MISSING:
-                raise ValueError(f"{where}missing key {f.name!r}")
-        return kind(**{key: _from_json(hints[key], v, f"{where}{key}: ")
-                       for key, v in value.items()})
-    if kind is dict:
-        return {key: _from_json(args[1], v, where) for key, v in value.items()}
-    if kind in (tuple, list):
-        if not isinstance(value, list):
-            raise ValueError(f"{where}expected an array, got {value!r}")
-        return kind(_from_json(args[0], v, where) for v in value)
+    if hint in (int, float, str):  # the readers' hot path
+        kind, args = hint, ()
+    else:
+        kind, args = get_origin(hint) or hint, get_args(hint)
+        if (is_dataclass(kind) or kind is dict) and not isinstance(value, dict):
+            raise ValueError(f"{where}expected a JSON object")
+        if is_dataclass(kind):
+            hints = get_type_hints(kind)
+            for key in sorted(value.keys() - hints.keys()):
+                raise ValueError(f"{where}unknown key {key!r}")
+            for f in fields(kind):
+                if f.name not in value and f.default is f.default_factory is MISSING:
+                    raise ValueError(f"{where}missing key {f.name!r}")
+            return kind(**{key: _from_json(hints[key], v, f"{where}{key}: ")
+                           for key, v in value.items()})
+        if kind is dict:
+            return {key: _from_json(args[1], v, where) for key, v in value.items()}
+        if kind in (tuple, list):
+            if not isinstance(value, list):
+                raise ValueError(f"{where}expected an array, got {value!r}")
+            return kind(_from_json(args[0], v, where) for v in value)
     accepted = _NUMBERS.get(kind, args or kind)
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{where}expected " + " or ".join(

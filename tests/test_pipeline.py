@@ -20,8 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 from precursor import cli
 from precursor.cli import main
 from precursor.config import PipelineConfig, build_config, parse_config_file
-from precursor.corpus import (DAY, HOUR, Pos, corpus_from_records,
-                              load_corpus)
+from precursor.corpus import (DAY, HOUR, MalformedRecord, Pos,
+                              corpus_from_records, load_corpus)
 from precursor.ngrams import Ngram, Occurrence, build_index
 from precursor.bursts import Burst, detect_all, filter_bursts
 from precursor.scoring import eligible_blogs, score_shared_dyads
@@ -587,6 +587,35 @@ class TestCorpusParsedOnce:
         assert (r.external_links > 0) != keep_external
         assert (r.pos_warnings > 0) != assume_nouns
         assert (r.out_of_window > 0) == (window != (None, None))
+
+    def test_corpus_artifact_is_the_input_byte_for_byte(self, tmp_path):
+        # an extra key, escaped and plain non-ASCII text, records out of
+        # order and out of window, CRLF line ends, a blank line and no
+        # final newline: none of it is normalised away
+        lines = ['{"post_id": "p2", "blog_id": "b", "timestamp": 500, '
+                 '"mood": "x", "links": ["a", "a", "b"], '
+                 '"body": [{"l": " Caf\\u00e9 ", "p": "noun"}]}',
+                 '{"timestamp": 100, "blog_id": "a", "post_id": "p1", '
+                 '"title": [{"l": "café", "c": 0, "p": "XX"}]}',
+                 '',
+                 '{"post_id": "p3", "blog_id": "a", "timestamp": 9000}']
+        path = tmp_path / "input.jsonl"
+        path.write_bytes("\r\n".join(lines).encode("utf-8"))
+        cfg = PipelineConfig(input=str(path), workdir=str(tmp_path),
+                             window_end=1000)
+        corpus = pipeline.stage_ingest(cfg, tmp_path)
+        assert (corpus.report.records_read, corpus.report.out_of_window) == (3, 1)
+        assert (tmp_path / "corpus.jsonl").read_bytes() == path.read_bytes()
+
+    def test_malformed_input_leaves_no_corpus_artifact(self, tmp_path):
+        path = tmp_path / "input.jsonl"
+        path.write_text('{"post_id": "p1", "blog_id": "a", "timestamp": 1}\n'
+                        '{"post_id": "p2", "blog_id": "a"}\n')
+        workdir = tmp_path / "w"
+        cfg = PipelineConfig(input=str(path), workdir=str(workdir))
+        with pytest.raises(MalformedRecord, match="line 2: missing timestamp"):
+            run_pipeline(cfg, stages=["ingest"])
+        assert list(workdir.iterdir()) == []
 
 
 @pytest.fixture
