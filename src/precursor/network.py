@@ -45,11 +45,8 @@ def build_graph(corpus: Corpus) -> CitationGraph:
 
 def in_degrees(graph: CitationGraph) -> dict[str, int]:
     """Per node, the number of distinct blogs linking to it at least once."""
-    incoming: dict[str, set[str]] = {b: set() for b in graph.nodes}
-    for (src, dst) in graph.weights:
-        if dst in incoming:
-            incoming[dst].add(src)
-    return {b: len(srcs) for b, srcs in incoming.items()}
+    cited = Counter(dst for _, dst in graph.weights)  # a key per citing blog
+    return {b: cited[b] for b in graph.nodes}
 
 
 def pagerank(graph: CitationGraph, damping: float = PipelineConfig.damping,

@@ -3,9 +3,9 @@
 A burst defined by a long n-gram is generalized by a burst whose n-gram is a
 contiguous subsequence of it and whose time interval contains its interval.
 Bursts are traversed in descending order of n-gram length; each burst that
-finds generalizations ahead of it is discarded as a standalone candidate and
-its generalizations are gathered into a topic.  When the found
-generalizations already belong to different topics those topics are merged.
+finds generalizations ahead of it is discarded as a standalone candidate.
+Topics are the connected components of "found as generalizations of one
+burst", kept in a union-find.
 
 Generalizations are looked up, not scanned for: the bursts are indexed once
 by lemma sequence, and a burst of length n asks the index for its at most
@@ -21,7 +21,6 @@ bursts and, per participating blog, its earliest occurrence time.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -29,8 +28,6 @@ from dataclasses import dataclass
 from .bursts import Burst
 from .config import PipelineConfig
 from .ngrams import Ngram
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -98,10 +95,13 @@ def merge_bursts(bursts: list[Burst],
     positions: dict[tuple[str, ...], list[int]] = defaultdict(list)
     for pos, i in enumerate(order):
         positions[bursts[i].ngram.lemmas].append(pos)
-    topic_of: dict[int, int] = {}
-    members: dict[int, list[int]] = {}
+    parent: dict[int, int] = {}
     discarded: set[int] = set()
-    next_tid = 0
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
 
     for pos, i in enumerate(order):
         later: list[int] = []
@@ -113,44 +113,29 @@ def merge_bursts(bursts: list[Burst],
         if not found:
             continue
         discarded.add(i)
-        existing = sorted({topic_of[j] for j in found if j in topic_of})
-        if existing:
-            target = existing[0]
-            for other in existing[1:]:
-                # two generalizations in different topics: merge the topics
-                logger.debug("merging conflicting topics %d and %d", target, other)
-                for k in members.pop(other):
-                    topic_of[k] = target
-                    members[target].append(k)
-        else:
-            target = next_tid
-            next_tid += 1
-            members[target] = []
         for j in found:
-            if topic_of.get(j) != target:
-                topic_of[j] = target
-                members[target].append(j)
+            parent.setdefault(j, j)
+            parent[root(j)] = root(found[0])
 
-    groups = [sorted(set(idxs)) for idxs in members.values() if idxs]
+    components: dict[int, list[int]] = defaultdict(list)
+    for i in parent:  # in the order found: by each component's first finder
+        components[root(i)].append(i)
+    groups = [sorted(idxs) for idxs in components.values()]
     if keep_singletons:
-        for i in range(len(bursts)):
-            if i not in topic_of and i not in discarded:
-                groups.append([i])
+        groups += [[i] for i in range(len(bursts))
+                   if i not in parent and i not in discarded]
 
     topics = []
     for idxs in groups:
         burst_list = sorted((bursts[i] for i in idxs),
                             key=lambda b: (b.start, b.end, b.ngram.lemmas))
-        seen: set[tuple[str, ...]] = set()
-        ngrams = []
-        for b in burst_list:
-            if b.ngram.lemmas not in seen:
-                seen.add(b.ngram.lemmas)
-                ngrams.append(b.ngram)
         topics.append((min(b.start for b in burst_list),
                        max(b.end for b in burst_list),
-                       tuple(ngrams), tuple(burst_list)))
+                       tuple(dict.fromkeys(b.ngram for b in burst_list)),
+                       tuple(burst_list)))
 
+    # Two topics can share this key (a case is in tests/test_topics.py); the
+    # stable sort then keeps them in the order of their first finders.
     topics.sort(key=lambda t: (t[0], t[1], t[2][0].lemmas))
     out = []
     for seq, (start, end, ngrams, burst_list) in enumerate(topics, start=1):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from precursor.scoring import (DegenerateLikelihood, DyadContext, DyadScores,
-                               chance_prob, build_dyad_context, eligible_blogs,
-                               gamma, global_scores, score_shared_dyads)
+                               _gammas, chance_prob, build_dyad_context,
+                               eligible_blogs, gamma, global_scores,
+                               score_shared_dyads)
 
 from conftest import (DyadScore, brute_force_likelihood, burst_of, corpus_of,
                       dyad_rows, grid_gamma, likelihood, likelihood_sampled,
@@ -258,6 +259,16 @@ class TestGamma:
             expected = (moment(n + 1) - a * moment(n)) / (b * moment(n))
         got = gamma(ctx_of(n_a, n_y, [c] * n_a))
         assert got == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("n_a, n_y", [(2, 1), (5, 3), (60, 40), (401, 400),
+                                          (1000, 900), (3000, 1500),
+                                          (3000, 2990)])
+    def test_half_chance_on_part_of_a_closed_form(self, n_a, n_y):
+        # C = 1/2 makes each factor over Y p/2 + (1-p)/2 = 1/2, so L(p) is
+        # proportional to (1-p)^|A\Y| whatever |Y| is, and gamma is the
+        # Beta(1, |A\Y|+1) mean; the kernel never sees C on A\Y
+        [got] = _gammas([n_a], [n_y], np.full(n_y, 0.5), [False])
+        assert got == pytest.approx(1 / (n_a - n_y + 2), rel=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(chance, min_size=1, max_size=6), st.data())

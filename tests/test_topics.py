@@ -1,3 +1,4 @@
+import logging
 from collections import Counter
 
 import numpy as np
@@ -37,6 +38,16 @@ class TestIsGeneralization:
         assert is_generalization(ga, gb)
 
 
+def conflicting_bursts():
+    # the 4-grams are traversed first and create two separate topics; the
+    # bridging 3-gram then finds generalizations in both, which forces the
+    # topics to merge
+    return [burst_of(("q", "q2", "a", "b"), 5, 10),
+            burst_of(("r", "r2", "b", "c"), 5, 10),
+            burst_of(("a", "b", "c"), 10, 20),
+            burst_of(("a", "b"), 0, 30), burst_of(("b", "c"), 0, 30)]
+
+
 class TestMergeBursts:
     def test_pair_merges_into_one_topic(self):
         specific = burst_of(("région", "apporter", "contribution"), 5, 20)
@@ -68,17 +79,29 @@ class TestMergeBursts:
         assert (topics[0].start, topics[0].end) == (5, 25)
 
     def test_conflicting_topics_are_merged(self):
-        # the 4-grams are traversed first and create two separate topics;
-        # the bridging 3-gram then finds generalizations in both, which
-        # forces the topics to merge
-        s1 = burst_of(("q", "q2", "a", "b"), 5, 10)
-        s2 = burst_of(("r", "r2", "b", "c"), 5, 10)
-        bridge = burst_of(("a", "b", "c"), 10, 20)
-        g1 = burst_of(("a", "b"), 0, 30)
-        g2 = burst_of(("b", "c"), 0, 30)
-        topics = merge_bursts([s1, s2, bridge, g1, g2])
+        topics = merge_bursts(conflicting_bursts())
         assert len(topics) == 1
         assert {n.lemmas for n in topics[0].ngrams} == {("a", "b"), ("b", "c")}
+
+    def test_merge_logs_nothing(self, caplog):
+        caplog.set_level(logging.DEBUG)
+        merge_bursts(conflicting_bursts())
+        assert caplog.records == []
+
+    def test_topics_with_one_key_keep_the_order_of_their_first_finders(self):
+        # both topics sort as (0, 5, "a b"): ab@0-4 finds ab@0-5 alone, then
+        # ab@0-1 finds ab@0-2 and a@0-3, and ca@1-2 adds c@0-5 through
+        # a@0-3; the second topic holds the lowest input index, a@0-3, but
+        # ab@0-4 comes first in the traversal, so its topic is T0001
+        bursts = [burst_of(tuple(lemmas), start, end) for lemmas, start, end in
+                  (("a", 0, 3), ("ab", 0, 4), ("ab", 0, 5), ("ab", 0, 1),
+                   ("ab", 0, 2), ("c", 0, 5), ("ca", 1, 2))]
+        topics = merge_bursts(bursts)
+        assert [(t.start, t.end, t.ngrams[0].lemmas) for t in topics] == \
+            [(0, 5, ("a", "b"))] * 2
+        assert [t.bursts for t in topics] == [
+            (bursts[2],), (bursts[4], bursts[0], bursts[5])]
+        assert topics == brute_force_merge(bursts)
 
     def test_each_burst_in_at_most_one_topic(self):
         bursts = [burst_of(("a", "b", "c"), 10, 20),
@@ -166,6 +189,8 @@ COVERAGE = {
     "shared sub-n-gram": lambda bs: any(
         a.ngram != b.ngram and len(a.ngram) > 1 and len(b.ngram) > 1
         and a.ngram.lemmas[:2] == b.ngram.lemmas[-2:] for a, b in _pairs(bs)),
+    "same n-gram and start": lambda bs: any(
+        a.ngram == b.ngram and a.start == b.start for a, b in _pairs(bs)),
     "equal starts": lambda bs: any(
         a.ngram != b.ngram and a.start == b.start for a, b in _pairs(bs)),
     "nested intervals": lambda bs: any(
