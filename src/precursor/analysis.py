@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import PipelineConfig
+from .ngrams import run_heads
 
 CLASSES = ("pl", "Pl", "pL", "PL")
 
@@ -49,19 +50,13 @@ def classify(blog_scores: Mapping[str, tuple[float, float]]) -> ClassPartition:
 
 
 def _rank_with_ties(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mid-ranks and the tie-group sizes."""
+    """Mid-ranks and the tie-group sizes; a NaN ties with nothing."""
     order = np.argsort(values, kind="stable")
+    starts = np.flatnonzero(run_heads(values[order]))
+    sizes = np.diff(np.append(starts, values.size))
     ranks = np.empty(values.size, dtype=np.float64)
-    tie_sizes = []
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        tie_sizes.append(j - i + 1)
-        i = j + 1
-    return ranks, np.array(tie_sizes)
+    ranks[order] = np.repeat(starts + (sizes + 1) / 2, sizes)
+    return ranks, sizes
 
 
 def _exact_u_cdf(n1: int, n2: int) -> np.ndarray:

@@ -15,20 +15,11 @@ alpha or its minimum inter-burst gap falls below beta, and the best trial
 the current rho.  The procedure stops when no candidate qualifies.
 
 `detect_all` runs the greedy split for every n-gram of an index in lockstep
-(`_greedy_splits`), and `detect_bursts` runs the same kernel on one n-gram:
-
-- The gaps of all n-grams are laid end to end in one array.  Each n-gram
-  keeps its split count k, its summed inter-burst gap s_in, its total gap
-  and its smallest inter-burst gap as one entry of per-n-gram arrays.
-- One iteration scores the candidate splits of every n-gram still running,
-  takes each n-gram's best with a segmented maximum (the first position
-  holding it, as `np.argmax` does), and accepts it where it qualifies.  An
-  n-gram that accepts nothing stops, and the sweep ends when none is left,
-  so it runs one iteration more than the most splits any n-gram takes.
-- Occurrence times are integer seconds, so every gap and every sum of gaps
-  is an integer well inside float64's exact range: s_in and the totals are
-  exact whatever order they are added in, and each n-gram's trial ratios
-  are the same floats a one-n-gram loop computes.
+(`_greedy_splits`), and `detect_bursts` runs the same kernel on one n-gram.
+Occurrence times are integer seconds, so every gap and every sum of gaps is
+an integer well inside float64's exact range: the sums are exact whatever
+order they are added in, and each n-gram's trial ratios are the same floats
+a one-n-gram loop computes.
 """
 
 from __future__ import annotations

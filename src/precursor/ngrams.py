@@ -41,9 +41,7 @@ same-blog runs in one pass.  `Ngram` objects and occurrence lists are
 built only for the n-grams kept.
 
 This relies on the `Corpus` order invariant: posts are sorted by
-(timestamp, post_id), so corpus order is occurrence order.  The index
-lists n-grams in the order of their first-seen windows (start, then
-length).
+(timestamp, post_id), so corpus order is occurrence order.
 """
 
 from __future__ import annotations
@@ -81,9 +79,6 @@ class Ngram:
 
     def __hash__(self) -> int:
         return hash(self.lemmas)
-
-    def __str__(self) -> str:
-        return " ".join(self.lemmas)
 
 
 class Occurrence(NamedTuple):
@@ -208,7 +203,8 @@ def build_index(corpus: Corpus, max_len: int = PipelineConfig.max_ngram_len,
     pass then drops any occurrence whose blog equals the previous retained
     occurrence's blog, keeping the earliest of each same-blog run.  N-grams
     with fewer than two retained occurrences are removed.  Each n-gram keeps
-    the words of its first-seen window.
+    the words of its first-seen window, and the index lists the n-grams in
+    lemma order, the order `write_index_artifact` writes them in.
     """
     if stopwords is None:
         stopwords = default_stopwords()
@@ -218,7 +214,7 @@ def build_index(corpus: Corpus, max_len: int = PipelineConfig.max_ngram_len,
     blog_of = np.fromiter(map(blogs.setdefault, [p.blog_id for p in posts],
                               count()), np.int64, count=len(posts))
     occurrence = [Occurrence(p.timestamp, p.blog_id, p.post_id) for p in posts]
-    first_seen, ngrams, occurrences = [], [], []
+    ngrams, occurrences = [], []
     for length, starts, rank in windows.by_length():
         post = windows.post[starts]
         head = run_heads(rank)
@@ -231,12 +227,9 @@ def build_index(corpus: Corpus, max_len: int = PipelineConfig.max_ngram_len,
         sizes = np.bincount(group[kept])
         many = sizes >= 2
         kept &= many[group]
-        firsts = starts[head][many]
-        first_seen.append(firsts * (max_len + 1) + length)
-        ngrams += windows.ngrams(firsts, length)
+        ngrams += windows.ngrams(starts[head][many], length)
         occs = [occurrence[p] for p in post[kept].tolist()]
         ends = np.cumsum(sizes[many]).tolist()
         occurrences += [occs[lo:hi] for lo, hi in zip([0] + ends, ends)]
-    order = (np.argsort(np.concatenate(first_seen)).tolist()
-             if first_seen else [])
-    return {ngrams[i]: occurrences[i] for i in order}
+    return dict(sorted(zip(ngrams, occurrences),
+                       key=lambda item: item[0].lemmas))

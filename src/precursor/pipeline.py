@@ -178,16 +178,15 @@ def read_topics_artifact(path: Path) -> list[Topic]:
     return topics
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
-    """Floats as the shortest repr that reads back equal, also np.float64,
-    a float whose own repr under numpy 2 is "np.float64(...)"."""
+def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
+    """Each row as `csv.writer` writes it: None as an empty field, any other
+    value as its `str()`.  For a Python float or an np.float64 that is the
+    shortest repr that reads back equal; no caller passes an np.float32,
+    whose `str()` has float32's shortest digits."""
     def writer(fh):
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(header)
-        for row in rows:
-            out.writerow(["" if v is None else
-                          (repr(float(v)) if isinstance(v, float) else v)
-                          for v in row])
+        out.writerows(rows)
     _atomic_write(path, writer)
 
 
@@ -252,7 +251,7 @@ def stage_network(cfg: PipelineConfig, workdir: Path,
                   corpus: Corpus) -> list[tuple]:
     graph = network.build_graph(corpus)
     _write_csv(workdir / "graph_edges.csv", ["source", "target", "count"],
-               [list(edge) for edge in graph.edges()])
+               graph.edges())
     degrees = network.in_degrees(graph)
     ranks = network.pagerank(graph, damping=cfg.damping)
     links = [(b, degrees[b], ranks[b]) for b in graph.nodes]
@@ -477,15 +476,11 @@ def run_synth(spec_path: str | Path, out_dir: str | Path,
               seed: int | None = None) -> None:
     """Generate a synthetic corpus + ground truth from a JSON spec file.
 
-    The spec is an object of `synth.SynthSpec` fields: n_blogs, window_days,
-    base_rate, and optionally noise_vocab, link_prob, rate_ramp,
-    rate_multipliers (blog id -> rate factor), seed and topics, each topic
-    an object of `synth.PlantedTopic` fields: words, start_day,
-    duration_days, participants, and optionally leader and lead_hours.  An
-    optional key left out takes the class default; `seed`, when given,
-    replaces the spec's.  A spec that is not valid JSON, not an
-    object, misses a required key, has an unknown one or a value of another
-    type raises ValueError naming the file.
+    The spec is an object of `synth.SynthSpec` fields, each topic an object
+    of `synth.PlantedTopic` fields; an optional key left out takes its
+    default, and `seed`, when given, replaces the spec's.  A spec that is
+    not valid JSON, not an object, misses a required key, has an unknown
+    one or a value of another type raises ValueError naming the file.
     """
     where = f"{spec_path}: "
     with open(spec_path, encoding="utf-8") as fh:

@@ -35,29 +35,9 @@ dyads rather than with the square of the number of blogs.  Every absent
 eligible pair has by definition the fixed row |A| = |Y| = 0, gamma = 0.5
 (the flat prior's mean), Pr(H) = 0 and omega = 0.
 
-`score_shared_dyads` scores them all at once:
-
-- One pass over the topics counts each participant's posts in each topic
-  interval once and lists the member row and post of each burst
-  occurrence by a participant; array operations pair the participants of
-  each topic into (b, b2, topic) entries in dyad order, and give each
-  entry its C_r and precedence and each dyad its distinct participating
-  posts of b2 (Pr(H)).
-- `_gammas` runs the log-space split DP for every dyad together.  Dyads
-  are grouped into width classes, the dyads whose |Y|+1 rounds up to the
-  same power of two, and each class's DP fills one (dyads x width) buffer,
-  adding one topic of Y per step to every dyad that has one left.  Each
-  buffer thus holds fewer than 2 * sum(|Y|+1) floats over all classes,
-  where one rectangle for all D dyads would hold D * (max|Y|+1).
-- Each step does the same + and logaddexp per element, in the same order,
-  as a DP over one dyad, and each dyad keeps its own lgamma weights,
-  weighted mean and `DegenerateLikelihood` warning, so every gamma equals
-  the one-dyad computation bit for bit.
-- The dyads leave as `DyadScores` columns, built from those arrays: the
-  blog ids, b and b2 as codes, |A|, |Y|, gamma, Pr(H) and omega.
-
-`gamma` runs the same kernel on the `DyadContext` of one dyad, as
-`build_dyad_context` collects it.
+`score_shared_dyads` scores them all at once, and `gamma` scores the
+`DyadContext` of one dyad, as `build_dyad_context` collects it; both run
+the `_gammas` kernel, and a dyad's gamma is the same float either way.
 """
 
 from __future__ import annotations
@@ -140,10 +120,13 @@ def _gammas(a_sizes: Sequence[int], y_sizes: Sequence[int], c_y: np.ndarray,
     dyads whose |Y|+1 rounds up to the same power of two), run on all of
     the class's dyads at once: each step adds one topic of Y to every dyad
     that has one left, with the same + and logaddexp per element as a DP
-    over one dyad.  The base factor prod_{A\\Y} (1-C_r) is left out, since
-    gamma does not depend on it (and its product underflows at large
-    |A\\Y|); the DP runs in log space because past about a thousand
-    topics of Y the c_k span more than the float range, and the small ones
+    over one dyad.  Each class fills one (dyads x width) buffer, so the
+    buffers hold fewer than 2 * sum(|Y|+1) floats in all, where one
+    rectangle for all D dyads would hold D * (max|Y|+1).  The base factor
+    prod_{A\\Y} (1-C_r) is left out, since gamma does not depend on it (and
+    its product underflows at large |A\\Y|); the DP runs in log space
+    because past about a thousand topics of Y the c_k span more than the
+    float range, and the small ones
     can still carry gamma's largest weights.
     """
     y = np.asarray(y_sizes, dtype=np.int64)

@@ -21,30 +21,21 @@ def _scale(values: Sequence[float]) -> tuple[float, float]:
     return lo, hi
 
 
-class _Canvas:
-    def __init__(self, x_label: str, y_label: str, title: str):
-        self.parts: list[str] = []
-        self.title = title
-        self.x_label = x_label
-        self.y_label = y_label
-
-    def add(self, element: str) -> None:
-        self.parts.append(element)
-
-    def render(self) -> str:
-        head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
-                f'height="{H}" viewBox="0 0 {W} {H}">\n'
-                f'<rect width="{W}" height="{H}" fill="white"/>\n'
-                f'<text x="{W / 2}" y="20" text-anchor="middle" '
-                f'font-size="14">{self.title}</text>\n'
-                f'<text x="{W / 2}" y="{H - 8}" text-anchor="middle" '
-                f'font-size="11">{self.x_label}</text>\n'
-                f'<text x="14" y="{H / 2}" text-anchor="middle" '
-                f'font-size="11" transform="rotate(-90 14 {H / 2})">'
-                f'{self.y_label}</text>\n'
-                f'<rect x="{MARGIN}" y="{MARGIN}" width="{W - 2 * MARGIN}" '
-                f'height="{H - 2 * MARGIN}" fill="none" stroke="black"/>\n')
-        return head + "\n".join(self.parts) + "\n</svg>\n"
+def _svg(x_label: str, y_label: str, title: str, parts: list[str]) -> str:
+    """The elements in `parts` on the framed, titled and labelled canvas."""
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
+            f'height="{H}" viewBox="0 0 {W} {H}">\n'
+            f'<rect width="{W}" height="{H}" fill="white"/>\n'
+            f'<text x="{W / 2}" y="20" text-anchor="middle" '
+            f'font-size="14">{title}</text>\n'
+            f'<text x="{W / 2}" y="{H - 8}" text-anchor="middle" '
+            f'font-size="11">{x_label}</text>\n'
+            f'<text x="14" y="{H / 2}" text-anchor="middle" '
+            f'font-size="11" transform="rotate(-90 14 {H / 2})">'
+            f'{y_label}</text>\n'
+            f'<rect x="{MARGIN}" y="{MARGIN}" width="{W - 2 * MARGIN}" '
+            f'height="{H - 2 * MARGIN}" fill="none" stroke="black"/>\n'
+            + "\n".join(parts) + "\n</svg>\n")
 
 
 def _to_px(v: float, lo: float, hi: float, axis: str) -> float:
@@ -56,21 +47,17 @@ def _to_px(v: float, lo: float, hi: float, axis: str) -> float:
 
 def scatter_svg(points: Sequence[tuple[float, float]], x_label: str,
                 y_label: str, title: str) -> str:
-    canvas = _Canvas(x_label, y_label, title)
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x_lo, x_hi = _scale(xs)
-    y_lo, y_hi = _scale(ys)
-    for x, y in points:
-        canvas.add(f'<circle cx="{_to_px(x, x_lo, x_hi, "x"):.2f}" '
-                   f'cy="{_to_px(y, y_lo, y_hi, "y"):.2f}" r="3" '
-                   f'fill="steelblue" fill-opacity="0.6"/>')
-    return canvas.render()
+    x_lo, x_hi = _scale([p[0] for p in points])
+    y_lo, y_hi = _scale([p[1] for p in points])
+    return _svg(x_label, y_label, title, [
+        f'<circle cx="{_to_px(x, x_lo, x_hi, "x"):.2f}" '
+        f'cy="{_to_px(y, y_lo, y_hi, "y"):.2f}" r="3" '
+        f'fill="steelblue" fill-opacity="0.6"/>' for x, y in points])
 
 
 def boxplot_svg(summaries, x_label: str, y_label: str, title: str) -> str:
     """One box per score bin from BinSummary records."""
-    canvas = _Canvas(x_label, y_label, title)
+    parts = []
     tops = [s.maximum for s in summaries if s.count]
     bots = [s.minimum for s in summaries if s.count]
     y_lo, y_hi = _scale(bots + tops if tops else [0.0, 1.0])
@@ -78,9 +65,9 @@ def boxplot_svg(summaries, x_label: str, y_label: str, title: str) -> str:
     for i, s in enumerate(summaries):
         cx = MARGIN + (i + 0.5) / n * (W - 2 * MARGIN)
         half = 0.3 / n * (W - 2 * MARGIN)
-        canvas.add(f'<text x="{cx:.2f}" y="{H - MARGIN + 16}" '
-                   f'text-anchor="middle" font-size="10">'
-                   f'[{s.lo:.3g}, {s.hi:.3g}]</text>')
+        parts.append(f'<text x="{cx:.2f}" y="{H - MARGIN + 16}" '
+                     f'text-anchor="middle" font-size="10">'
+                     f'[{s.lo:.3g}, {s.hi:.3g}]</text>')
         if not s.count:
             continue
         y_min = _to_px(s.minimum, y_lo, y_hi, "y")
@@ -88,23 +75,22 @@ def boxplot_svg(summaries, x_label: str, y_label: str, title: str) -> str:
         y_q1 = _to_px(s.q1, y_lo, y_hi, "y")
         y_q3 = _to_px(s.q3, y_lo, y_hi, "y")
         y_med = _to_px(s.median, y_lo, y_hi, "y")
-        canvas.add(f'<line x1="{cx:.2f}" y1="{y_min:.2f}" x2="{cx:.2f}" '
-                   f'y2="{y_max:.2f}" stroke="black"/>')
-        canvas.add(f'<rect x="{cx - half:.2f}" y="{y_q3:.2f}" '
-                   f'width="{2 * half:.2f}" height="{abs(y_q1 - y_q3):.2f}" '
-                   f'fill="lightsteelblue" stroke="black"/>')
-        canvas.add(f'<line x1="{cx - half:.2f}" y1="{y_med:.2f}" '
-                   f'x2="{cx + half:.2f}" y2="{y_med:.2f}" '
-                   f'stroke="black" stroke-width="2"/>')
-    return canvas.render()
+        parts += [f'<line x1="{cx:.2f}" y1="{y_min:.2f}" x2="{cx:.2f}" '
+                  f'y2="{y_max:.2f}" stroke="black"/>',
+                  f'<rect x="{cx - half:.2f}" y="{y_q3:.2f}" '
+                  f'width="{2 * half:.2f}" height="{abs(y_q1 - y_q3):.2f}" '
+                  f'fill="lightsteelblue" stroke="black"/>',
+                  f'<line x1="{cx - half:.2f}" y1="{y_med:.2f}" '
+                  f'x2="{cx + half:.2f}" y2="{y_med:.2f}" '
+                  f'stroke="black" stroke-width="2"/>']
+    return _svg(x_label, y_label, title, parts)
 
 
 def hexbin_svg(cells, size: float, x_label: str, y_label: str,
                title: str) -> str:
     """Pointy-top hexagon cells shaded by mean metric (darker = higher)."""
-    canvas = _Canvas(x_label, y_label, title)
     if not cells:
-        return canvas.render()
+        return _svg(x_label, y_label, title, [])
     xs = [c.center_x for c in cells]
     ys = [c.center_y for c in cells]
     x_lo, x_hi = _scale([x - size for x in xs] + [x + size for x in xs])
@@ -112,6 +98,7 @@ def hexbin_svg(cells, size: float, x_label: str, y_label: str,
     max_metric = max(c.mean_metric for c in cells) or 1.0
     px_per_unit = (W - 2 * MARGIN) / (x_hi - x_lo)
     r = size * px_per_unit
+    parts = []
     for cell in cells:
         cx = _to_px(cell.center_x, x_lo, x_hi, "x")
         cy = _to_px(cell.center_y, y_lo, y_hi, "y")
@@ -122,6 +109,6 @@ def hexbin_svg(cells, size: float, x_label: str, y_label: str,
                        f"{cy + r * math.sin(ang):.2f}")
         shade = 1.0 - 0.85 * min(cell.mean_metric / max_metric, 1.0)
         grey = int(round(255 * shade))
-        canvas.add(f'<polygon points="{" ".join(pts)}" '
-                   f'fill="rgb({grey},{grey},{grey})" stroke="grey"/>')
-    return canvas.render()
+        parts.append(f'<polygon points="{" ".join(pts)}" '
+                     f'fill="rgb({grey},{grey},{grey})" stroke="grey"/>')
+    return _svg(x_label, y_label, title, parts)

@@ -14,7 +14,9 @@ weighted sampling, so the probability that one blog enters before another
 matches their relative posting volumes ("precedence by chance").
 
 Noise posts arrive per blog as exponential inter-arrival processes over a
-disjoint vocabulary and never form topics at desk scale.
+disjoint vocabulary.  With no planted topic, `leader_follower_spec` at seed
+1 with 200 blogs over 90 days, or 40 blogs at base rate 5.0 over 60 days,
+gives no kept burst and so no topic; other shapes are not checked.
 
 Three generators, seeded [seed, 1], [seed, 2] and [seed, 3], draw the
 planted schedules, the noise posts and the links.  The order of draws on

@@ -39,10 +39,6 @@ class Topic:
     bursts: tuple[Burst, ...]
     participations: dict[str, int]
 
-    @property
-    def blogs(self) -> frozenset[str]:
-        return frozenset(self.participations)
-
 
 def _is_contiguous_subsequence(needle: tuple[str, ...],
                                haystack: tuple[str, ...]) -> bool:

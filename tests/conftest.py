@@ -261,6 +261,23 @@ def reference_global_scores(rows, blogs) -> dict[str, tuple[float, float]]:
     return {b: (out[b] / (n - 1), inc[b] / (n - 1)) for b in blogs}
 
 
+def reference_csv(header, rows) -> str:
+    """A CSV artifact's text: each row comma-separated and ended by a
+    newline, a field quoted (its quotes doubled) when it holds a comma, a
+    quote or a newline; None as an empty field, every float (np.float64
+    too) as repr(float(v)) and anything else as str(v).  Rows hold no
+    carriage return, which csv quotes by a rule of its own, and no row of
+    one empty field, which it writes as ""."""
+    def field(v):
+        text = ("" if v is None else repr(float(v)) if isinstance(v, float)
+                else str(v))
+        if any(c in text for c in ',"\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+    return "".join(",".join(map(field, row)) + "\n"
+                   for row in [header, *rows])
+
+
 def reference_corpus_line(post: Post) -> str:
     """A post's `corpus.jsonl` line: one dict per token and per post, encoded
     by `json.dumps` with sorted keys."""
@@ -798,6 +815,23 @@ def wilcoxon_enumeration(x, y) -> float:
     p_le = np.mean(us <= u_obs)
     p_ge = np.mean(us >= u_obs)
     return min(1.0, 2.0 * min(p_le, p_ge))
+
+
+def reference_rank_with_ties(values: np.ndarray):
+    """Mid-ranks and tie-group sizes by walking the stably sorted values;
+    a NaN equals nothing, so it is a group of its own."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    tie_sizes = []
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        tie_sizes.append(j - i + 1)
+        i = j + 1
+    return ranks, np.array(tie_sizes)
 
 
 def hexbin_nearest_center(points, size: float):

@@ -6,11 +6,12 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from precursor.analysis import (binned_summary, classify, corner_lists,
-                                hexbin, hex_size_for, significance_table,
-                                stars, wilcoxon_rank_sum)
+from precursor.analysis import (_rank_with_ties, binned_summary, classify,
+                                corner_lists, hexbin, hex_size_for,
+                                significance_table, stars, wilcoxon_rank_sum)
 
-from conftest import hexbin_nearest_center, wilcoxon_enumeration
+from conftest import (hexbin_nearest_center, reference_rank_with_ties,
+                      wilcoxon_enumeration)
 
 
 class TestClassify:
@@ -96,6 +97,18 @@ class TestWilcoxon:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             wilcoxon_rank_sum([], [1.0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, -math.inf,
+                                 math.nan]) | st.floats(), max_size=40))
+def test_rank_with_ties_equals_the_loop(values):
+    """Few distinct values, so most draws tie; a NaN ties with nothing."""
+    values = np.array(values, dtype=np.float64)
+    ranks, sizes = _rank_with_ties(values)
+    expected_ranks, expected_sizes = reference_rank_with_ties(values)
+    assert ranks.tobytes() == expected_ranks.tobytes()
+    assert sizes.tolist() == expected_sizes.tolist()
 
 
 class TestStars:

@@ -10,7 +10,7 @@ from precursor.corpus import Pos
 from precursor.ngrams import (Ngram, Occurrence, run_heads,
                               _Windows, build_index, default_stopwords,
                               load_stopwords)
-from precursor.pipeline import write_index_artifact
+from precursor.pipeline import read_index_artifact, write_index_artifact
 
 from conftest import (brute_force_index, brute_force_windows, corpus_of,
                       ngram_of, post, reference_build_index, reference_collapse,
@@ -282,16 +282,21 @@ def test_index_equals_brute_force_index():
             index = build_index(corpus, **config)
             expected = brute_force_index(corpus, **config)
             assert index_table(index) == index_table(expected)
-            # in the order of first-seen windows, as the loop built it
+            # in lemma order, each n-gram with its first-seen window's words
+            reference = reference_build_index(corpus, **config)
             assert [(n.words, occs) for n, occs in index.items()] == [
-                (n.words, occs) for n, occs
-                in reference_build_index(corpus, **config).items()]
+                (n.words, reference[n])
+                for n in sorted(reference, key=lambda n: n.lemmas)]
             for p in corpus.posts:
                 assert {n.lemmas: n.words for n in post_ngrams(p, config)
                         } == first_windows(p, config)
             write_index_artifact(index, fast_path)
             write_index_artifact(expected, slow_path)
             assert fast_path.read_bytes() == slow_path.read_bytes()
+            # a bursts stage run on its own gets the index in this order
+            assert [(n.words, occs) for n, occs in index.items()] == [
+                (n.words, occs) for n, occs
+                in read_index_artifact(fast_path).items()]
             covered.update(index_coverage(corpus, config, index))
 
         check()

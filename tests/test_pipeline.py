@@ -3,6 +3,7 @@ import csv
 import gc
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -34,7 +35,7 @@ from precursor.topics import Topic, merge_bursts
 from precursor import pipeline, synth
 
 from conftest import (JSON_ODD, dyad_rows, json_text, ngram_of,
-                      reference_burst_line, reference_collapse,
+                      reference_burst_line, reference_collapse, reference_csv,
                       reference_index_line, reference_topic_line)
 
 
@@ -266,6 +267,48 @@ def test_csv_floats_are_plain_numbers_whatever_their_type(tmp_path):
                     {"blog_id": "b", "P": "0.5", "n": "7"},
                     {"blog_id": "c", "P": repr(0.1 + 0.2), "n": ""}]
     assert [float(r["P"]) for r in rows] == [0.77, 0.5, 0.1 + 0.2]
+
+
+# the floats on both sides of the thresholds where repr switches to exponent
+# notation, the signed zeros and infinities, nan and the extreme subnormals
+_CSV_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                    -5e-324, 2.225073858507201e-308, *(
+                        np.nextafter(x, toward).item() for x in (1e-4, 1e16)
+                        for toward in (0.0, x, math.inf))]
+_CSV_FLOATS = st.floats() | st.sampled_from(_CSV_EDGE_FLOATS)
+_CSV_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\r")
+                    | st.sampled_from(',"\n'))
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and rows of two or more fields: strings with commas, quotes
+    and newlines, int, np.int64, None, and floats as Python floats and as
+    np.float64.  No np.float32: `_write_csv` writes its `str()`, float32's
+    shortest digits (0.1), where `reference_csv` widens it to float64
+    (0.10000000149011612); every float the stages write comes from
+    `tolist()` of a float64 array or is a Python float."""
+    width = draw(st.integers(2, 5))
+    value = st.one_of(_CSV_TEXT, st.integers(), st.none(), _CSV_FLOATS,
+                      _CSV_FLOATS.map(np.float64),
+                      st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+    row = st.lists(value, min_size=width, max_size=width)
+    return (draw(st.lists(_CSV_TEXT, min_size=width, max_size=width)),
+            draw(st.lists(row, max_size=6)))
+
+
+def test_csv_bytes_equal_the_reference_writer():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+
+        @settings(max_examples=400, deadline=None)
+        @given(csv_tables())
+        def check(table):
+            pipeline._write_csv(path, *table)
+            assert path.read_bytes() == reference_csv(*table).encode("utf-8")
+
+        check()
 
 
 @st.composite

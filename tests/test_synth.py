@@ -106,6 +106,15 @@ class TestGenerate:
             assert truth.topics == [] and truth.pairs == []
             assert len(run_topic_stages(records)) <= 2
 
+    @pytest.mark.parametrize("shape", [
+        dict(n_blogs=200, window_days=90),  # the many_blogs benchmark corpus
+        dict(n_blogs=40, window_days=60, base_rate=5.0)])  # text_heavy's
+    def test_noise_alone_keeps_no_burst(self, shape):
+        records, _ = generate(leader_follower_spec(n_topics=0, seed=1, **shape))
+        corpus = corpus_from_records(enumerate(records, 1))
+        # so merge_bursts has nothing to make a topic of
+        assert filter_bursts(detect_all(build_index(corpus))) == []
+
     def test_leader_posts_first_with_lead(self):
         records, truth = generate(base_spec(
             [topic(tuple(blog_ids(6)), leader="blog_000")]))
