@@ -58,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _stage_list(spec: str | None) -> list[str] | None:
-    """--stages as a list of names, with the spaces around each one stripped."""
-    if not spec:
+    """--stages as stripped names; only None (no flag) means every stage."""
+    if spec is None:
         return None
     names = [name.strip() for name in spec.split(",")]
     for position, name in enumerate(names, start=1):

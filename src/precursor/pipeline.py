@@ -43,6 +43,7 @@ import json
 import logging
 import os
 import shutil
+import sys
 import time
 from dataclasses import MISSING, astuple, fields, is_dataclass
 from pathlib import Path
@@ -441,9 +442,9 @@ def _from_json(hint, value, where: str):
     object whose keys are its fields (a field left out takes its default),
     a tuple or list from an array and a dict from an object, each element
     or value as its annotated type; an int from a JSON integer, a float
-    from a JSON integer or float, and a str, or a union of str and None, as
-    given.  Anything else raises a ValueError whose message starts with
-    `where` and the key."""
+    from a finite JSON integer or float, and a str, or a union of str and
+    None, as given.  Anything else raises a ValueError whose message starts
+    with `where` and the key."""
     if hint in (int, float, str):  # the readers' hot path
         kind, args = hint, ()
     else:
@@ -469,6 +470,8 @@ def _from_json(hint, value, where: str):
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{where}expected " + " or ".join(
             _JSON_NAMES[t] for t in args or (kind,)) + f", got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf
+        raise ValueError(f"{where}expected a finite number, got {value!r}")
     return kind(value) if kind in _NUMBERS else value
 
 

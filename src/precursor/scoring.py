@@ -16,12 +16,11 @@ therefore factors as
     L(p) = base * (1-p)^|A\\Y| * prod_{r in Y} (p (1-C_r) + (1-p) C_r)
 
 with base = prod_{r in A\\Y} (1-C_r), so no split needs to be sampled.
-Grouping the splits by |Z| = k instead makes L(p) a polynomial in p,
-L(p) = base * sum_k c_k p^k (1-p)^(n-k) with n = |A|.  The dyadic score
-gamma is the posterior mean of p under a flat prior, and each term
-integrates to a Beta function, so gamma is computed exactly:
-
-    gamma = sum_k c_k B(k+2, n-k+1) / sum_k c_k B(k+1, n-k+1).
+The dyadic score gamma is the posterior mean of p under a flat prior: the
+integral of p L(p) over [0, 1] over that of L(p).  L is a polynomial of
+degree |A|, so an m-point Gauss-Legendre rule (nodes x_j, weights w_j) with
+2m - 1 >= |A| + 1 gives both exactly: gamma = sum w_j x_j L(x_j) / sum
+w_j L(x_j).
 
 The adjusted score omega multiplies gamma by the co-participation
 probability Pr(H); per-blog P and L are means of outgoing and incoming omega
@@ -42,7 +41,7 @@ the `_gammas` kernel, and a dyad's gamma is the same float either way.
 
 from __future__ import annotations
 
-import math
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -77,8 +76,7 @@ class DyadContext:
         a = set(self.a_topics)
         if not set(self.y_topics) <= a:
             raise ValueError("Y must be a subset of A")
-        missing = a - set(self.c)
-        if missing:
+        if missing := a - set(self.c):
             raise ValueError(f"chance probabilities missing for {sorted(missing)}")
         for r in self.a_topics:
             if not 0.0 <= self.c[r] <= 1.0:  # also NaN
@@ -101,11 +99,37 @@ class DyadScores(NamedTuple):
 
 def chance_prob(corpus: Corpus, b: str, b2: str, topic: Topic) -> float:
     """Probability that b precedes b2 on this topic purely by posting volume."""
-    np_b = post_count(corpus, b, topic.start, topic.end)
-    np_b2 = post_count(corpus, b2, topic.start, topic.end)
-    if np_b == 0 and np_b2 == 0:
-        return 0.5
-    return np_b / (np_b + np_b2)
+    np_b, np_b2 = (post_count(corpus, blog, topic.start, topic.end)
+                   for blog in (b, b2))
+    return np_b / (np_b + np_b2) if np_b + np_b2 else 0.5
+
+
+def _expand(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions start, start+1, ..., start+length-1 of every range."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+
+
+@functools.cache
+def _nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule on (0, 1): ascending nodes x = u/2
+    and weights w.  Newton's method finds the roots t = 1 - u >= 0 of P_m in
+    u, by Bonnet's recurrence for d_k = P_k - P_(k-1), which never rounds
+    1 - u; the other nodes mirror them, so 1 - x_j is exactly x_(m-1-j)."""
+    theta = np.pi * (np.arange(1, (m + 1) // 2 + 1) - 0.25) / (m + 0.5)
+    u = 2.0 * np.sin(theta / 2) ** 2
+    step = u
+    while (np.abs(step) > 1e-14 * u).any():
+        p, d = 1.0 - u, -u  # P_1 and d_1
+        for k in range(1, m):
+            d = (k * d - (2 * k + 1) * u * p) / (k + 1)
+            p = p + d
+        slope = m * (u * p - d)  # (1 - t^2) P_m'(t), and 1 - t^2 = u (2 - u)
+        step = p * u * (2.0 - u) / slope
+        u = u + step
+    w = u * (2.0 - u) / slope ** 2  # 2 / ((1 - t^2) P_m'(t)^2), halved
+    return (np.concatenate([u / 2, 1.0 - u[:m // 2][::-1] / 2]),
+            np.concatenate([w, w[:m // 2][::-1]]))
 
 
 def _gammas(a_sizes: Sequence[int], y_sizes: Sequence[int], c_y: np.ndarray,
@@ -116,89 +140,55 @@ def _gammas(a_sizes: Sequence[int], y_sizes: Sequence[int], c_y: np.ndarray,
     chance probabilities C_r of every dyad's Y, dyad after dyad, each in
     topic order, and base_zero[d] says whether some C_r on A\\Y is 1.
 
-    The split coefficients come from one log-space DP per width class (the
-    dyads whose |Y|+1 rounds up to the same power of two), run on all of
-    the class's dyads at once: each step adds one topic of Y to every dyad
-    that has one left, with the same + and logaddexp per element as a DP
-    over one dyad.  Each class fills one (dyads x width) buffer, so the
-    buffers hold fewer than 2 * sum(|Y|+1) floats in all, where one
-    rectangle for all D dyads would hold D * (max|Y|+1).  The base factor
-    prod_{A\\Y} (1-C_r) is left out, since gamma does not depend on it (and
-    its product underflows at large |A\\Y|); the DP runs in log space
-    because past about a thousand topics of Y the c_k span more than the
-    float range, and the small ones
-    can still carry gamma's largest weights.
+    A dyad takes `_nodes(m)` for the least power of two m with 2m - 1 >=
+    |A| + 1.  L, without the base factor (gamma does not depend on it), is
+    taken in log space: at thousands of topics it spans more than the
+    float range.  The log factors over Y come in (rows x m) blocks of about
+    2^16 elements; no sum runs through BLAS or across dyads, so a dyad's
+    gamma does not depend on the batch.
     """
+    a = np.asarray(a_sizes, dtype=np.int64)
     y = np.asarray(y_sizes, dtype=np.int64)
-    with np.errstate(divide="ignore"):
-        log_r = np.log(c_y)
-        log_z = np.log(1.0 - c_y)
     first = np.cumsum(y) - y
-    width = np.array([1 << n.bit_length() for n in y.tolist()], dtype=np.int64)
-    log_c: list[np.ndarray] = [None] * y.size  # each dyad's row, by dyad
-    order = np.lexsort((-y, width))  # by class, then by |Y| descending
-    for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
-        ys, steps = y[group], int(y[group[0]])
-        # -inf (c_k = 0) past each row's end
-        rows = np.full((group.size, int(width[group[0]])), -np.inf)
-        rows[:, 0] = 0.0
-        if steps:
-            # step j's factors of each row, and the rows with a topic of Y
-            # left at step j: a prefix
-            at = np.minimum(first[group] + np.arange(steps)[:, None],
-                            c_y.size - 1)
-            lr, lz = log_r[at, None], log_z[at, None]
-            running = np.searchsorted(-ys, -np.arange(steps), side="left")
-            for j, n in enumerate(running.tolist()):
-                c, r, z = rows[:n], lr[j, :n], lz[j, :n]
-                inner = (c[:, 1:j + 1] + r, c[:, :j] + z)
-                np.add(c[:, j:j + 1], z, out=c[:, j + 1:j + 2])
-                c[:, :1] += r
-                np.logaddexp(*inner, out=c[:, 1:j + 1])
-        for d, n_y, row in zip(group.tolist(), ys.tolist(), rows):
-            log_c[d] = row[:n_y + 1]
-
-    log_factorial = np.array([math.lgamma(k + 1)
-                              for k in range(max(a_sizes, default=0) + 1)])
-    terms: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    out = []
-    for n_a, n_y, zero, log_ck in zip(a_sizes, y.tolist(), base_zero, log_c):
-        # base = prod_{A\Y} (1 - C_r) is zero exactly when some C_r there is 1;
-        # the c_k are not all zero, since each C_r in [0, 1] leaves one of
-        # C_r and 1 - C_r nonzero
-        if zero:
-            warnings.warn("likelihood vanishes for every p; returning 0.5",
-                          DegenerateLikelihood)
-            out.append(0.5)
-            continue
-        if (n_a, n_y) not in terms:
-            # log B(k+1, n-k+1) up to the constant -lgamma(n+2), which
-            # cancels, and the posterior means (k+1)/(n+2)
-            terms[n_a, n_y] = (log_factorial[:n_y + 1]
-                               + log_factorial[n_a - n_y:n_a + 1][::-1],
-                               np.arange(1, n_y + 2) / (n_a + 2))
-        log_beta, means = terms[n_a, n_y]
-        log_w = log_ck + log_beta
-        weights = np.exp(log_w - log_w.max())
-        out.append(float(weights @ means / weights.sum()))
-    return out
+    points = np.array([1 << ((n + 1) // 2).bit_length() for n in a.tolist()])
+    out = np.empty(a.size)
+    for m in sorted(set(points.tolist())):
+        x, w = _nodes(m)
+        x_bar = x[::-1]  # 1 - x
+        # log(1 - x), from whichever of x and 1 - x is exact
+        log_x_bar = np.where(x < 0.5, np.log1p(-x), np.log(x_bar))
+        members = np.flatnonzero(points == m)
+        rows, step = np.cumsum(y[members] + 1), max((1 << 16) // m, 1)
+        for group in np.split(members, np.searchsorted(
+                rows, np.arange(step, rows[-1], step))):
+            ys = y[group]
+            log_l = np.outer(a[group] - ys, log_x_bar)
+            for j in range(0, int(ys.max(initial=0)), step):
+                has = np.flatnonzero(ys > j)
+                n = np.minimum(ys[has] - j, step)
+                c = c_y[_expand(first[group[has]] + j, n)][:, None]
+                log_f = x * (1.0 - c)
+                log_f += x_bar * c
+                log_l[has] += np.add.reduceat(np.log(log_f, out=log_f),
+                                              np.cumsum(n) - n, axis=0)
+            weights = w * np.exp(log_l - log_l.max(axis=1, keepdims=True))
+            out[group] = (weights * x).sum(axis=1) / weights.sum(axis=1)
+    # base = prod_{A\Y} (1 - C_r) is zero exactly when some C_r there is 1;
+    # each factor over Y is positive at every node
+    for d in np.flatnonzero(base_zero).tolist():
+        warnings.warn("likelihood vanishes for every p; returning 0.5",
+                      DegenerateLikelihood)
+        out[d] = 0.5
+    return out.tolist()
 
 
 def gamma(ctx: DyadContext) -> float:
-    """Exact posterior mean of the precedence strength p under a flat prior.
-
-    B(k+2, n-k+1) = B(k+1, n-k+1) * (k+1)/(n+2), so gamma is the mean of
-    (k+1)/(n+2) under weights c_k * B(k+1, n-k+1), which are taken in log
-    space (lgamma) so that |A| in the thousands stays finite.  This is the
-    `_gammas` kernel on one dyad.
-    """
-    n_a = len(ctx.a_topics)
-    if n_a == 0:
+    """Exact posterior mean of p under a flat prior: `_gammas` on one dyad."""
+    if not ctx.a_topics:
         return 0.5  # no shared topic: the flat prior's mean
-    in_y = set(ctx.y_topics)
+    zero = any(ctx.c[r] >= 1.0 for r in set(ctx.a_topics) - set(ctx.y_topics))
     c_y = np.array([ctx.c[r] for r in ctx.y_topics], dtype=np.float64)
-    zero = any(ctx.c[r] >= 1.0 for r in ctx.a_topics if r not in in_y)
-    return _gammas([n_a], [len(ctx.y_topics)], c_y, [zero])[0]
+    return _gammas([len(ctx.a_topics)], [len(ctx.y_topics)], c_y, [zero])[0]
 
 
 def eligible_blogs(corpus: Corpus,
@@ -210,26 +200,14 @@ def eligible_blogs(corpus: Corpus,
 
 def build_dyad_context(corpus: Corpus, topics: Sequence[Topic],
                        b: str, b2: str) -> DyadContext:
-    a_topics = []
-    y_topics = []
-    c = {}
-    for topic in topics:
-        first_b = topic.participations.get(b)
-        first_b2 = topic.participations.get(b2)
-        if first_b is None or first_b2 is None:
-            continue
-        a_topics.append(topic.topic_id)
-        if first_b < first_b2:  # strict precedence; ties carry no direction
-            y_topics.append(topic.topic_id)
-        c[topic.topic_id] = chance_prob(corpus, b, b2, topic)
-    return DyadContext(b=b, b2=b2, a_topics=tuple(a_topics),
-                       y_topics=tuple(y_topics), c=c)
-
-
-def _expand(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The positions start, start+1, ..., start+length-1 of every range."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+    shared = [t for t in topics
+              if b in t.participations and b2 in t.participations]
+    return DyadContext(
+        b=b, b2=b2, a_topics=tuple(t.topic_id for t in shared),
+        # strict precedence; ties carry no direction
+        y_topics=tuple(t.topic_id for t in shared
+                       if t.participations[b] < t.participations[b2]),
+        c={t.topic_id: chance_prob(corpus, b, b2, t) for t in shared})
 
 
 def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
@@ -246,8 +224,7 @@ def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
     names = sorted(set(blogs))
     code = {b: j for j, b in enumerate(names)}
     m_blog, m_rank, m_posts, sizes = [], [], [], []
-    # post-topic incidence: the member row and post of each occurrence by a
-    # member
+    # post-topic incidence: the member row and post of each member's occurrence
     inc_row, inc_post, post_code = [], [], {}
     for topic in topics:
         first = topic.participations

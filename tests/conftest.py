@@ -139,6 +139,21 @@ def reference_gamma(ctx) -> float:
     return float(weights @ means / weights.sum())
 
 
+def mpmath_gamma(ctx, dps: int = 50) -> float:
+    """gamma as the Beta-weighted mean of (k+1)/(n+2) over the split
+    coefficients c_k, all in `dps`-digit mpmath arithmetic."""
+    import mpmath
+
+    n_a = len(ctx.a_topics)
+    with mpmath.workdps(dps):
+        coeffs = split_polynomial(ctx.y_topics, {r: mpmath.mpf(c)
+                                                 for r, c in ctx.c.items()})
+        weights = [ck * mpmath.beta(k + 1, n_a - k + 1)
+                   for k, ck in enumerate(coeffs)]
+        mean = mpmath.fsum(w * (k + 1) for k, w in enumerate(weights))
+        return float(mean / (n_a + 2) / mpmath.fsum(weights))
+
+
 def quad_gamma(a_topics, y_topics, c):
     """gamma by adaptive scipy quadrature of the split polynomial in p.
 
@@ -235,12 +250,11 @@ def dyad_rows(scores) -> list[DyadScore]:
             for b, b2, *rest in zip(*(c.tolist() for c in scores[1:]))]
 
 
-def reference_score_dyad(corpus: Corpus, topics, b: str, b2: str,
-                         gamma_of=gamma) -> DyadScore:
-    """One dyad's score from its `build_dyad_context`, `gamma_of` (the
-    library's `gamma` unless given) and `pr_h`; omega = gamma * Pr(H)."""
+def reference_score_dyad(corpus: Corpus, topics, b: str, b2: str) -> DyadScore:
+    """One dyad's score from its `build_dyad_context`, the library's `gamma`
+    and `pr_h`; omega = gamma * Pr(H)."""
     ctx = build_dyad_context(corpus, topics, b, b2)
-    g = gamma_of(ctx)
+    g = gamma(ctx)
     h = pr_h(corpus, topics, b, b2)
     return DyadScore(b=b, b2=b2, a_size=len(ctx.a_topics),
                      y_size=len(ctx.y_topics), gamma=g, pr_h=h, omega=g * h)

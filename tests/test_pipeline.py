@@ -1017,7 +1017,8 @@ class TestCli:
         assert not (workdir / "bursts.jsonl").exists()
 
     @pytest.mark.parametrize("stages, position", [
-        ("ingest,", 2), (",ngrams", 1), ("ingest, ,ngrams", 2)])
+        ("ingest,", 2), (",ngrams", 1), ("ingest, ,ngrams", 2), ("", 1),
+        (" ", 1)])
     def test_empty_stage_entry_is_named(self, small_corpus_file, tmp_path,
                                         capsys, stages, position):
         workdir = tmp_path / "empty"
@@ -1282,13 +1283,19 @@ class TestCli:
          "topics: expected an array, got {}"),
         ('{"n_blogs": 6,', "Expecting property name enclosed in double "
                            "quotes: line 1 column 15 (char 14)"),
+        # Python's json reads these, RFC 8259 does not
+        ('{"n_blogs": 3, "window_days": Infinity, "base_rate": 1.0}',
+         "window_days: expected a finite number, got inf"),
+        ('{"n_blogs": 3, "window_days": 20, "base_rate": NaN}',
+         "base_rate: expected a finite number, got nan"),
     ], ids=["no n_blogs", "topic without duration_days", "top-level array",
             "unknown key", "badly typed value", "fractional count",
             "boolean seed", "numeric string", "non-numeric rate",
             "null count", "boolean rate", "numeric string window",
             "boolean rate multiplier", "boolean lead_hours",
             "rates not an object", "non-string leader", "words not an array",
-            "non-string participant", "topics not an array", "not JSON"])
+            "non-string participant", "topics not an array", "not JSON",
+            "infinite window", "NaN rate"])
     def test_bad_synth_spec_exits_one_naming_file_and_key(
             self, tmp_path, capsys, spec, message):
         spec_path = tmp_path / "bad.json"

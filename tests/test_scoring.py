@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from precursor.scoring import (DegenerateLikelihood, DyadContext, DyadScores,
-                               _gammas, chance_prob, build_dyad_context,
-                               eligible_blogs, gamma, global_scores,
-                               score_shared_dyads)
+                               _gammas, _nodes, chance_prob,
+                               build_dyad_context, eligible_blogs, gamma,
+                               global_scores, score_shared_dyads)
 
 from conftest import (DyadScore, brute_force_likelihood, burst_of, corpus_of,
                       dyad_rows, grid_gamma, likelihood, likelihood_sampled,
-                      post, pr_h, quad_gamma, reference_gamma,
+                      mpmath_gamma, post, pr_h, quad_gamma, reference_gamma,
                       reference_global_scores, reference_score_dyad,
                       split_polynomial, topic_of)
 
@@ -231,9 +231,12 @@ class TestGamma:
     def test_closed_form_fixtures(self, n_a):
         # Y empty: L = base (1-p)^n, so gamma = B(2, n+1) / B(1, n+1); at
         # C = 0.9 the factor base = 0.1^n underflows for large n and cancels
-        assert gamma(ctx_of(n_a, 0, [0.9] * n_a)) == 1 / (n_a + 2)
+        # (measured: at most 1 ulp up to n = 400)
+        assert gamma(ctx_of(n_a, 0, [0.9] * n_a)) == pytest.approx(
+            1 / (n_a + 2), rel=1e-14)
         # Y = A with C = 0: every topic counts for the relationship, L = p^n
-        assert gamma(ctx_of(n_a, n_a, [0.0] * n_a)) == (n_a + 1) / (n_a + 2)
+        assert gamma(ctx_of(n_a, n_a, [0.0] * n_a)) == pytest.approx(
+            (n_a + 1) / (n_a + 2), rel=1e-14)
 
     @pytest.mark.parametrize("c, n_a, n_y", [
         *(pytest.param(c, n, n, id=f"{c}-{n}")
@@ -303,23 +306,84 @@ chance_or_end = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 class TestGammaKernel:
-    """`gamma` is the batched `_gammas` kernel on one dyad; it must equal the
-    one-dyad DP of `conftest.reference_gamma` to the bit."""
+    """`gamma` (the `_gammas` quadrature on one dyad) and
+    `conftest.reference_gamma` (a log-space DP over the split coefficients)
+    against a 50-digit mpmath evaluation of the Beta-weighted sum: at most
+    1e-14 off for the kernel and 1e-13 for the DP (measured at |Y| <= 400:
+    6.7e-16 and 4.1e-15)."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 7, 60, 400]),
            st.floats(0.0, 1.0), st.lists(chance_or_end, max_size=3))
-    def test_equals_the_one_dyad_loop(self, seed, n_a, y_share, ends):
+    def test_both_kernels_match_mpmath(self, seed, n_a, y_share, ends):
         rng = np.random.default_rng(seed)
         c_values = rng.uniform(0.0, 1.0, n_a)
         # exact 0s and 1s at random places, in A\Y or in Y
         c_values[rng.integers(0, n_a, len(ends))] = ends
         ctx = ctx_of(n_a, int(y_share * n_a), c_values)
         got, n_warned = degenerate_warnings(lambda: gamma(ctx))
-        expected, n_expected = degenerate_warnings(
-            lambda: reference_gamma(ctx))
-        assert got == expected
-        assert n_warned == n_expected
+        dp, n_dp = degenerate_warnings(lambda: reference_gamma(ctx))
+        degenerate = any(ctx.c[r] == 1.0
+                         for r in ctx.a_topics[len(ctx.y_topics):])
+        assert n_warned == n_dp == degenerate
+        if degenerate:
+            assert got == dp == 0.5
+        else:
+            exact = mpmath_gamma(ctx)
+            assert got == pytest.approx(exact, rel=0, abs=1e-14)
+            assert dp == pytest.approx(exact, rel=0, abs=1e-13)
+
+
+class TestNodes:
+    @pytest.mark.parametrize("m", [2 ** i for i in range(12)])
+    def test_integrates_every_power_below_2m(self, m):
+        x, w = _nodes(m)
+        assert 0.0 < x[0] and (np.diff(x) > 0).all() and x[-1] < 1.0
+        assert (w > 0).all()
+        # x^k near x = 1 from the exact 1 - x (the mirror node), so that
+        # the check measures the rule and not the rounding of x
+        log_x = np.where(x > 0.5, np.log1p(-x[::-1]), np.log(x))
+        errors = [abs((w * np.exp(k * log_x)).sum() * (k + 1) - 1.0)
+                  for k in range(2 * m)]
+        assert max(errors) <= 1e-14
+
+
+CALIBRATION_C = (0.1, 0.25, 0.5, 0.75, 0.9)
+CALIBRATION_P = (0.0, 0.3, 0.6)
+
+
+def calibration_table(seed: int, n_a: int = 60, draws: int = 40) -> np.ndarray:
+    """Mean gamma per (C, p) cell, rows C and columns p: `draws` dyads with
+    |A| = n_a and one C on every topic, where b enters each topic first
+    with probability p + (1 - p) C, as a relationship of strength p on top
+    of chance would have it."""
+    rng = np.random.default_rng(seed)
+    table = np.empty((len(CALIBRATION_C), len(CALIBRATION_P)))
+    for i, c in enumerate(CALIBRATION_C):
+        for j, p in enumerate(CALIBRATION_P):
+            n_y = rng.binomial(n_a, p + (1 - p) * c, draws)
+            table[i, j] = np.mean(_gammas([n_a] * draws, n_y.tolist(),
+                                          np.full(int(n_y.sum()), c),
+                                          [False] * draws))
+    return table
+
+
+def test_gamma_recovers_p_at_low_chance_and_hides_it_from_half():
+    """The paper's likelihood gives each topic the weights p (1-C) on Z,
+    (1-p) C on R and (1-p)(1-C) outside Y, which sum to 1 - p C: no outcome
+    has both the relationship and chance put b first.  So gamma recovers p
+    when b rarely leads by chance, and from C = 1/2 on it stays near 0
+    whatever p is.  The bands come from a pilot on seeds 1-100, run with
+    this kernel and with the split-coefficient DP alike (the largest value
+    seen is in brackets); this test runs seed 0, which the pilot left out.
+    """
+    table = calibration_table(seed=0)
+    low, quarter, half, high = table[0], table[1], table[2], table[3:]
+    assert np.abs(low - CALIBRATION_P).max() <= 0.075  # [0.052]
+    assert quarter[2] - quarter[0] >= 0.35  # partial recovery [min 0.44]
+    assert half.max() <= 0.1  # [0.084]
+    assert high.max() <= 0.03  # [0.023]
+    assert (high.max(axis=1) - high.min(axis=1)).max() <= 0.005  # [0.0018]
 
 
 def scored_corpus():
@@ -497,9 +561,13 @@ def test_batched_scores_equal_the_per_dyad_reference_at_large_y():
                  if any(b in t.participations and b2 in t.participations
                         for t in topics)]
         expected, n_expected = degenerate_warnings(lambda: [
-            reference_score_dyad(corpus, topics, b, b2, reference_gamma)
-            for b, b2 in pairs])
+            reference_score_dyad(corpus, topics, b, b2) for b, b2 in pairs])
         assert dyad_rows(shared) == expected
+        # and the one-dyad DP, within TestGammaKernel's bound for it
+        dp, _ = degenerate_warnings(lambda: [
+            reference_gamma(build_dyad_context(corpus, topics, b, b2))
+            for b, b2 in pairs])
+        assert shared.gamma.tolist() == pytest.approx(dp, rel=0, abs=1e-13)
         assert ([c.dtype for c in shared[1:]]
                 == [np.int64] * 4 + [np.float64] * 3)
         assert n_warned == n_expected
