@@ -18,8 +18,10 @@ field, its JSON type, what absent or null means, and its normalisation:
   null: no links.  Self-links are dropped, and so are links to blogs that
   never post in the corpus unless keep_external_links is set.
 
-Any other value raises `MalformedRecord` naming the line and the field.
-Posts are sorted by (timestamp, post_id).  The CSV artifacts end their
+Any other value raises `MalformedRecord` naming the line and the field,
+and so does a line that is not one JSON object (also one nested too deeply
+for the decoder).  Each post is a `Post`, a NamedTuple like `Token`, and
+posts are sorted by (timestamp, post_id).  The CSV artifacts end their
 lines with a bare newline and so would not quote a carriage return: a blog
 id holding one would split its rows in two.
 
@@ -94,8 +96,7 @@ class Token(NamedTuple):
     chunk: int = 0
 
 
-@dataclass(frozen=True)
-class Post:
+class Post(NamedTuple):
     post_id: str
     blog_id: str
     timestamp: int
@@ -179,17 +180,33 @@ def _token_entry(raw: tuple, line: int, assume_nouns: bool,
     return entry
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def iter_records(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, record) pairs from a line-delimited JSON file."""
+    """Yield (line_number, record) pairs from a line-delimited JSON file.
+
+    A stripped line holds no whitespace that `json.loads` would skip, so one
+    `raw_decode` that ends at the line's end reads what `json.loads` reads.
+    Any other line goes to `json.loads`, whose error names the fault.
+    """
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(line_no, f"invalid JSON ({exc.msg})") from None
+                record, end = _raw_decode(line)
+            except (ValueError, RecursionError):
+                end = None
+            if end != len(line):
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecord(line_no, f"invalid JSON ({exc.msg})") from None
+                except RecursionError:
+                    raise MalformedRecord(
+                        line_no, "invalid JSON (nested too deeply)") from None
             if not isinstance(record, dict):
                 raise MalformedRecord(line_no, "object expected")
             yield line_no, record

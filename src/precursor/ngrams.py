@@ -8,9 +8,11 @@ stop word.  Each post contributes at most one occurrence per n-gram.
 
 An n-gram's identity is its lemma tuple: two windows with the same lemmas
 and different part-of-speech tags are one n-gram.  The index maps every
-n-gram with two or more retained occurrences to its time-ordered occurrence
-list, with runs of consecutive same-blog occurrences collapsed to the
-earliest one, so that a burst can only be sustained by several blogs.
+n-gram with two or more retained occurrences and at least `min_blogs`
+distinct blogs to its time-ordered occurrence list, with runs of
+consecutive same-blog occurrences collapsed to the earliest one, so that a
+burst can only be sustained by several blogs.  These are exactly the
+n-grams the bursts stage can keep a burst of.
 
 Windows are arrays, not objects (`_Windows`):
 
@@ -37,8 +39,9 @@ and tag pairs) the n-gram carries: the first post in corpus order with the
 lemma tuple, and in that post the window that starts first.  The
 occurrence list keeps each window whose blog differs from the previous
 window's, which drops a post's second window of an n-gram and collapses
-same-blog runs in one pass.  `Ngram` objects and occurrence lists are
-built only for the n-grams kept.
+same-blog runs in one pass.  One sort of (n-gram, blog) codes counts each
+n-gram's distinct blogs.  `Ngram` objects and occurrence lists are built
+only for the n-grams kept.
 
 This relies on the `Corpus` order invariant: posts are sorted by
 (timestamp, post_id), so corpus order is occurrence order.
@@ -194,25 +197,31 @@ def run_heads(values: np.ndarray) -> np.ndarray:
 
 
 def build_index(corpus: Corpus, max_len: int = PipelineConfig.max_ngram_len,
-                stopwords: frozenset[str] | None = None
+                stopwords: frozenset[str] | None = None,
+                min_blogs: int = PipelineConfig.min_blogs
                 ) -> dict[Ngram, list[Occurrence]]:
     """Time-ordered occurrence lists per n-gram of 2..max_len lemmas, none
     of them in `stopwords` (the packaged list when None).
 
     Occurrences are sorted by (timestamp, post_id); a single left-to-right
     pass then drops any occurrence whose blog equals the previous retained
-    occurrence's blog, keeping the earliest of each same-blog run.  N-grams
-    with fewer than two retained occurrences are removed.  Each n-gram keeps
-    the words of its first-seen window, and the index lists the n-grams in
-    lemma order, the order `write_index_artifact` writes them in.
+    occurrence's blog, keeping the earliest of each same-blog run.  An
+    n-gram is kept only with two or more retained occurrences and
+    `min_blogs` or more distinct blogs: a burst's blogs are a subset of its
+    n-gram's, so no other n-gram can yield a burst that the filters keep.
+    Each n-gram keeps the words of its first-seen window, and the index
+    lists the n-grams in lemma order, the order `write_index_artifact`
+    writes them in.
     """
     if stopwords is None:
         stopwords = default_stopwords()
     posts = corpus.posts
     windows = _Windows(posts, max_len, stopwords)
+    # a blog's code is the position of its first post, so below the radix
     blogs: dict[str, int] = {}
     blog_of = np.fromiter(map(blogs.setdefault, [p.blog_id for p in posts],
                               count()), np.int64, count=len(posts))
+    radix = len(posts)
     occurrence = [Occurrence(p.timestamp, p.blog_id, p.post_id) for p in posts]
     ngrams, occurrences = [], []
     for length, starts, rank in windows.by_length():
@@ -225,7 +234,13 @@ def build_index(corpus: Corpus, max_len: int = PipelineConfig.max_ngram_len,
         kept = head.copy()
         kept[1:] |= blog[1:] != blog[:-1]
         sizes = np.bincount(group[kept])
-        many = sizes >= 2
+        # distinct blogs per n-gram, from the run heads of its sorted
+        # (n-gram, blog) codes; only n-grams with as many occurrences count
+        many = sizes >= max(min_blogs, 2)
+        pairs = kept & many[group]
+        codes = np.sort(group[pairs] * radix + blog[pairs])
+        many &= np.bincount(codes[run_heads(codes)] // radix,
+                            minlength=len(sizes)) >= min_blogs
         kept &= many[group]
         ngrams += windows.ngrams(starts[head][many], length)
         occs = [occurrence[p] for p in post[kept].tolist()]

@@ -30,6 +30,13 @@ and `report/` keep the old link metrics until score and report run again.
 No stage draws random numbers, so re-running a stage with unchanged inputs
 and config reproduces its artifacts byte for byte, whatever the seed.
 
+The index holds only the n-grams with `min_blogs` distinct blogs or more,
+the only ones whose bursts can be kept, and `index.jsonl` opens with a
+{"min_blogs": m} line.  A bursts stage that reads it at a lower `min_blogs`
+raises `StageError` (the ngrams stage must run again); at an equal or
+higher one it writes the bursts of a full run.  An index without that line
+is malformed.
+
 `dyadic_scores.csv` lists only the ordered pairs of eligible blogs that
 share a topic (|A| > 0), in (b, b2) order.  Every absent eligible pair has
 the fixed row a_size = y_size = 0, gamma = 0.5, pr_h = 0.0, omega = 0.0.
@@ -46,6 +53,7 @@ import shutil
 import sys
 import time
 from dataclasses import MISSING, astuple, fields, is_dataclass
+from itertools import chain
 from pathlib import Path
 from resource import RUSAGE_SELF, getrusage
 from typing import (Callable, Collection, Iterable, Sequence, get_args,
@@ -115,17 +123,26 @@ def _occurrences(triples: list) -> list[Occurrence]:
     return occurrences
 
 
-def write_index_artifact(index: dict[Ngram, list[Occurrence]], path: Path) -> None:
-    """One line per n-gram, in lemma order, holding its lemmas, its
+def write_index_artifact(index: dict[Ngram, list[Occurrence]], path: Path,
+                         min_blogs: int) -> None:
+    """A header line {"min_blogs": m}, the pruning `build_index` applied,
+    then one line per n-gram, in lemma order, holding its lemmas, its
     occurrences and its tags."""
-    _write_jsonl(path, ({**_ngram_json(ngram), "occurrences": index[ngram]}
-                        for ngram in sorted(index, key=lambda n: n.lemmas)))
+    _write_jsonl(path, chain([{"min_blogs": min_blogs}], (
+        {**_ngram_json(ngram), "occurrences": index[ngram]}
+        for ngram in sorted(index, key=lambda n: n.lemmas))))
 
 
-def read_index_artifact(path: Path) -> dict[Ngram, list[Occurrence]]:
+def read_index_artifact(path: Path) -> tuple[int, dict[Ngram, list[Occurrence]]]:
+    """The `min_blogs` an index was pruned at, from its header line, and
+    the index."""
     with open(path, encoding="utf-8") as fh:
-        return {_ngram_from_json(obj): _occurrences(obj["occurrences"])
-                for obj in map(json.loads, fh)}
+        header = json.loads(next(fh, "null"))
+        if not (isinstance(header, dict) and header.keys() == {"min_blogs"}):
+            raise ValueError('the first line is not a {"min_blogs": n} header')
+        return (_from_json(int, header["min_blogs"], "min_blogs: "),
+                {_ngram_from_json(obj): _occurrences(obj["occurrences"])
+                 for obj in map(json.loads, fh)})
 
 
 def _burst_json(burst: Burst) -> dict:
@@ -215,8 +232,9 @@ def stage_ingest(cfg: PipelineConfig, workdir: Path) -> Corpus:
 def stage_ngrams(cfg: PipelineConfig, workdir: Path,
                  corpus: Corpus) -> dict[Ngram, list[Occurrence]]:
     index = build_index(corpus, cfg.max_ngram_len,
-                        load_stopwords(cfg.stopwords) if cfg.stopwords else None)
-    write_index_artifact(index, workdir / "index.jsonl")
+                        load_stopwords(cfg.stopwords) if cfg.stopwords else None,
+                        cfg.min_blogs)
+    write_index_artifact(index, workdir / "index.jsonl", cfg.min_blogs)
     total = sum(len(v) for v in index.values())
     logger.info("[ngrams] %d n-grams kept, %d occurrences", len(index), total)
     return index
@@ -224,18 +242,13 @@ def stage_ngrams(cfg: PipelineConfig, workdir: Path,
 
 def stage_bursts(cfg: PipelineConfig, workdir: Path,
                  index: dict[Ngram, list[Occurrence]]) -> list[Burst]:
-    # a burst's blogs are a subset of its n-gram's, so an n-gram with fewer
-    # than min_blogs blogs cannot yield a kept burst and is not examined;
-    # one with fewer occurrences than min_blogs has fewer blogs too, so its
-    # blogs are not counted
-    examined = {ngram: occs for ngram, occs in index.items()
-                if len(occs) >= cfg.min_blogs
-                and len({o.blog_id for o in occs}) >= cfg.min_blogs}
-    detected = detect_all(examined, alpha=cfg.alpha, beta=cfg.beta_days * DAY)
+    # every n-gram of the index has min_blogs blogs or more (`build_index`,
+    # or `_read_index` for an index pruned at no higher a min_blogs)
+    detected = detect_all(index, alpha=cfg.alpha, beta=cfg.beta_days * DAY)
     kept = filter_bursts(detected, cfg)
     write_bursts_artifact(kept, workdir / "bursts.jsonl")
     logger.info("[bursts] %d n-grams examined, %d bursts detected, %d kept "
-                "after filters", len(examined),
+                "after filters", len(index),
                 sum(len(v) for v in detected.values()), len(kept))
     return kept
 
@@ -376,13 +389,24 @@ STAGES = tuple(_STAGES)
 
 # each result's artifact and reader (a module global, looked up when called)
 _INPUTS = {"corpus": ("corpus.jsonl", lambda p, cfg: load_corpus(p, cfg)),
-           "index": ("index.jsonl", lambda p, _: read_index_artifact(p)),
+           "index": ("index.jsonl", lambda p, cfg: _read_index(p, cfg)),
            "bursts": ("bursts.jsonl", lambda p, _: read_bursts_artifact(p)),
            "topics": ("topics.jsonl", lambda p, _: read_topics_artifact(p)),
            "links": ("network_scores.csv",
                      lambda p, _: read_global_scores(p, _NETWORK_COLUMNS)),
            "linked": ("global_scores.csv",
                       lambda p, _: read_global_scores(p, _COLUMNS))}
+
+
+def _read_index(path: Path, cfg: PipelineConfig) -> dict[Ngram, list[Occurrence]]:
+    """The index at `path`, unless it was pruned at a higher min_blogs than
+    `cfg`'s and so may lack n-grams that the bursts stage would keep."""
+    min_blogs, index = read_index_artifact(path)
+    if cfg.min_blogs < min_blogs:
+        raise StageError("bursts", f"min_blogs {cfg.min_blogs} is below "
+                         f"min_blogs {min_blogs}, which {path} was pruned "
+                         "at; run the ngrams stage again")
+    return index
 
 
 def _read_input(name: str, cfg: PipelineConfig, workdir: Path, stage: str):

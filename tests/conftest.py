@@ -154,6 +154,23 @@ def mpmath_gamma(ctx, dps: int = 50) -> float:
         return float(mean / (n_a + 2) / mpmath.fsum(weights))
 
 
+def alternative_gamma(n_a: int, n_y: int, c: float, dps: int = 30) -> float:
+    """The posterior mean of p, under a flat prior, of the alternative
+    likelihood that gives b's lead in a topic the chance p + (1 - p) C,
+    with one C on every topic: (1 - p)^(n_a - n_y) (C + (1 - C) p)^n_y.
+    The binomial expansion of its second factor makes both integrals sums
+    of Beta functions, taken in `dps`-digit mpmath arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        c = mpmath.mpf(c)
+        weights = [mpmath.binomial(n_y, j) * c ** (n_y - j) * (1 - c) ** j
+                   for j in range(n_y + 1)]
+        mass = [mpmath.fsum(w * mpmath.beta(j + e + 1, n_a - n_y + 1)
+                            for j, w in enumerate(weights)) for e in (0, 1)]
+        return float(mass[1] / mass[0])
+
+
 def quad_gamma(a_topics, y_topics, c):
     """gamma by adaptive scipy quadrature of the split polynomial in p.
 
@@ -339,6 +356,23 @@ def reference_topic_line(topic: Topic) -> str:
               "participations": dict(sorted(topic.participations.items())),
               "bursts": [_reference_burst_record(b) for b in topic.bursts]}
     return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def reference_iter_records(path):
+    """iter_records as `json.loads` of each stripped, non-empty line."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(line_no,
+                                      f"invalid JSON ({exc.msg})") from None
+            if not isinstance(record, dict):
+                raise MalformedRecord(line_no, "object expected")
+            yield line_no, record
 
 
 def _reference_tokens(raw, line, config, report):
@@ -529,12 +563,14 @@ def brute_force_windows(post, max_len, stopwords):
                         yield window
 
 
-def brute_force_index(corpus, max_len, stopwords):
+def brute_force_index(corpus, max_len, stopwords, min_blogs):
     """build_index through a set of Ngram per post and a dict keyed by Ngram.
 
     Ngram objects are equal when their lemmas are, so the first one added
     for a lemma sequence (the first post's, and in it the first window's)
-    is the key that keeps its words.
+    is the key that keeps its words.  An n-gram is kept with two or more
+    occurrences left after the collapse and at least `min_blogs` distinct
+    blogs among its posts.
     """
     raw: dict[Ngram, list[Occurrence]] = {}
     for p in corpus.posts:
@@ -549,7 +585,7 @@ def brute_force_index(corpus, max_len, stopwords):
         occs.sort(key=lambda o: (o.timestamp, o.post_id))
         kept = [o for k, o in enumerate(occs)
                 if k == 0 or o.blog_id != occs[k - 1].blog_id]
-        if len(kept) >= 2:
+        if len(kept) >= 2 and len({o.blog_id for o in occs}) >= min_blogs:
             index[ngram] = kept
     return index
 
@@ -602,9 +638,11 @@ def _reference_windows(post, max_len, stopwords):
     return found
 
 
-def reference_build_index(corpus, max_len, stopwords):
+def reference_build_index(corpus, max_len, stopwords, min_blogs):
     """build_index as a loop over posts, chunks and windows into a table keyed
-    by lemma tuple, in the table's first-seen order."""
+    by lemma tuple, in the table's first-seen order; an n-gram is kept with
+    two or more occurrences after the collapse and `min_blogs` or more
+    distinct blogs."""
     raw = {}
     for p in corpus.posts:
         occ = Occurrence(p.timestamp, p.blog_id, p.post_id)
@@ -618,7 +656,7 @@ def reference_build_index(corpus, max_len, stopwords):
     for words, occs in raw.values():
         occs.sort(key=lambda o: (o.timestamp, o.post_id))
         kept = reference_collapse(occs)
-        if len(kept) >= 2:
+        if len(kept) >= 2 and len(set(o.blog_id for o in kept)) >= min_blogs:
             index[Ngram(words)] = kept
     return index
 

@@ -7,12 +7,12 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 from precursor.config import PipelineConfig
 from precursor.corpus import (DAY, Corpus, EmptyCorpus, MalformedRecord, NonMonotonicWindow, Pos, Token,
-                              corpus_from_records, load_corpus, post_count,
-                              write_records)
+                              corpus_from_records, iter_records, load_corpus,
+                              post_count, write_records)
 from precursor.synth import generate, leader_follower_spec, write_corpus
 
 from conftest import (corpus_of, json_text, post, reference_corpus_from_records,
-                      reference_corpus_line, tok)
+                      reference_corpus_line, reference_iter_records, tok)
 
 
 def write_lines(path, records):
@@ -76,6 +76,15 @@ class TestLoadCorpus:
         with pytest.raises(MalformedRecord) as err:
             load_corpus(path)
         assert err.value.line == 2
+
+    def test_deeply_nested_record_reports_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"post_id": "p1", "blog_id": "a", "timestamp": 1}\n'
+                        '{"post_id": "p2", "x": ' + "[" * 100_000 + "}\n")
+        with pytest.raises(MalformedRecord) as err:
+            load_corpus(path)
+        assert (err.value.line, err.value.reason) == (
+            2, "invalid JSON (nested too deeply)")
 
     def test_duplicate_post_id_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -566,3 +575,59 @@ def test_token_equals_and_hashes_as_its_raw_values(pos):
     raw = ("été", pos.value, 2 ** 70)
     assert Token("été", pos, 2 ** 70) == raw
     assert hash(Token("été", pos, 2 ** 70)) == hash(raw)
+
+
+def records_outcome(read, path):
+    """What a record reader yields from a file, as text (a NaN equals
+    itself there), or the line and reason of its error."""
+    try:
+        return repr(list(read(path)))
+    except MalformedRecord as exc:
+        return exc.line, exc.reason
+
+
+RECORD = '{"post_id": "p1", "blog_id": "a", "timestamp": 1}'
+
+
+@pytest.mark.parametrize("line, reason", [
+    (RECORD + " x", "invalid JSON (Extra data)"),
+    (RECORD + RECORD, "invalid JSON (Extra data)"),
+    (RECORD + " " + RECORD, "invalid JSON (Extra data)"),
+    ("\ufeff" + RECORD, "invalid JSON (Unexpected UTF-8 BOM (decode using "
+                        "utf-8-sig))"),
+    *((pad + RECORD + pad, None) for pad in ("\x0b", "\x0c", "\xa0", "\u2028",
+                                             " \t\x0b\r")),
+    *((RECORD.replace(" ", pad), "invalid JSON (Expecting value)")
+      for pad in ("\x0b", "\x0c", "\xa0", "\u2028")),
+    ("NaN", "object expected"),
+    ('{"post_id": "p1", "blog_id": "a", "timestamp": NaN}', None),
+    ("[1, 2]", "object expected"),
+    ("[" + RECORD + "]", "object expected"),
+    ('{"post_id": "p1", "blog_id": "a"', "invalid JSON (Expecting ',' "
+                                         "delimiter)")])
+def test_records_read_as_json_loads_reads_them(tmp_path, line, reason):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"post_id": "p0", "blog_id": "a", "timestamp": 0}\n'
+                    + line + "\n", encoding="utf-8")
+    outcome = records_outcome(iter_records, path)
+    assert outcome == records_outcome(reference_iter_records, path)
+    if reason is not None:
+        assert outcome == (2, reason)
+
+
+# pieces of JSON records, and the whitespace that JSON or str.strip skips
+FRAGMENTS = st.sampled_from([RECORD, "{", "}", "[", "]", '"a"', ":", ",", "1",
+                             "NaN", "-Infinity", "1e999", "x", " ", "\t",
+                             "\r", "\x0b", "\x0c", "\xa0", "\u2028",
+                             "\x1c", "\ufeff"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(FRAGMENTS, max_size=6).map("".join), max_size=4))
+def test_records_read_as_json_loads_reads_any_line(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        path.write_text("".join(line + "\n" for line in lines),
+                        encoding="utf-8")
+        assert (records_outcome(iter_records, path)
+                == records_outcome(reference_iter_records, path))

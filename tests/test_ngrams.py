@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from precursor.config import PipelineConfig
 from precursor.corpus import Pos
@@ -122,7 +122,7 @@ class TestBuildIndex:
         posts = [post(f"p{i}", blog, t, body=[tok("un"), tok("deux")])
                  for i, (blog, t) in enumerate(
                      [("A", 1), ("A", 2), ("B", 3), ("B", 4), ("A", 5)])]
-        index = build_index(corpus_of(posts), **CFG)
+        index = build_index(corpus_of(posts), **CFG, min_blogs=2)
         occs = index[ngram_of("un", "deux")]
         assert [(o.blog_id, o.timestamp) for o in occs] == [
             ("A", 1), ("B", 3), ("A", 5)]
@@ -131,16 +131,27 @@ class TestBuildIndex:
         posts = [post("p1", "A", 1, body=[tok("un"), tok("deux")]),
                  post("p2", "A", 2, body=[tok("trois"), tok("quatre")]),
                  post("p3", "B", 3, body=[tok("trois"), tok("quatre")])]
-        index = build_index(corpus_of(posts), **CFG)
+        index = build_index(corpus_of(posts), **CFG, min_blogs=1)
         assert ngram_of("un", "deux") not in index
         assert ngram_of("trois", "quatre") in index
 
     def test_timestamp_tie_broken_by_post_id(self):
         posts = [post("pb", "B", 1, body=[tok("un"), tok("deux")]),
                  post("pa", "A", 1, body=[tok("un"), tok("deux")])]
-        index = build_index(corpus_of(posts), **CFG)
+        index = build_index(corpus_of(posts), **CFG, min_blogs=2)
         occs = index[ngram_of("un", "deux")]
         assert [o.blog_id for o in occs] == ["A", "B"]
+
+    def test_min_blogs_counts_distinct_blogs_not_occurrences(self):
+        # four occurrences after the collapse, from three blogs
+        posts = [post(f"p{i}", blog, i, body=[tok("un"), tok("deux")])
+                 for i, blog in enumerate("ABAC")]
+        assert [o.blog_id for o in build_index(
+            corpus_of(posts), **CFG, min_blogs=3)[ngram_of("un", "deux")]
+                ] == list("ABAC")
+        assert build_index(corpus_of(posts), **CFG, min_blogs=4) == {}
+        # the default is the pipeline's
+        assert build_index(corpus_of(posts), **CFG) == {}
 
     def test_collapse_idempotent(self):
         rng = np.random.default_rng(7)
@@ -155,7 +166,7 @@ class TestIndexProperties:
     def test_random_corpora_satisfy_rules(self):
         rng = np.random.default_rng(42)
         stop = frozenset({"w3"})
-        cfg = dict(max_len=4, stopwords=stop)
+        cfg = dict(max_len=4, stopwords=stop, min_blogs=2)
         pos_pool = ["NOUN", "VERB", "ADJ", "NUM", "OTHER"]
         for trial in range(10):
             posts = []
@@ -176,6 +187,7 @@ class TestIndexProperties:
                            for _, pos in ngram.words)
                 assert not (set(ngram.lemmas) & stop)
                 assert len(occs) >= 2
+                assert len({o.blog_id for o in occs}) >= 2
                 for a, b in zip(occs, occs[1:]):
                     assert a.blog_id != b.blog_id
                     assert a.timestamp <= b.timestamp
@@ -200,7 +212,7 @@ token_streams = st.lists(
 @st.composite
 def corpora_and_configs(draw):
     """Posts whose titles and bodies are often copied from other posts, so
-    that long n-grams recur."""
+    that long n-grams recur, the windowing config and a `min_blogs`."""
     pool = draw(st.lists(token_streams, min_size=1, max_size=3))
     streams = st.one_of(token_streams, st.sampled_from(pool))
     posts = [post(f"p{i}", blog, ts, title=title, body=body)
@@ -210,10 +222,10 @@ def corpora_and_configs(draw):
                  min_size=1, max_size=8)))]
     config = dict(max_len=draw(st.integers(1, 8)), stopwords=frozenset(
         draw(st.sets(st.sampled_from(VOCAB), max_size=1))))
-    return corpus_of(posts), config
+    return corpus_of(posts), config, draw(st.integers(1, 6))
 
 
-def index_coverage(corpus, config, index) -> set[str]:
+def index_coverage(corpus, config, min_blogs, index) -> set[str]:
     """Which of the cases the index property must meet this example has."""
     first_taggings, taggings_in_one_post, posts = {}, set(), {}
     for p in corpus.posts:
@@ -246,6 +258,10 @@ def index_coverage(corpus, config, index) -> set[str]:
             lemmas not in kept and len(found) > 1
             and len({p.blog_id for p in found}) == 1
             for lemmas, found in posts.items()),
+        "n-gram dropped for too few blogs": any(
+            lemmas not in kept and 1 < len({p.blog_id for p in found})
+            < min_blogs for lemmas, found in posts.items()),
+        "kept n-gram at min_blogs 3": min_blogs == 3 and bool(kept),
     }
     return {case for case, holds in cases.items() if holds}
 
@@ -254,7 +270,8 @@ INDEX_CASES = {"chunk value beyond 64 bits", "negative chunk value",
                "decreasing chunk values", "kept n-gram longer than 5",
                "max_len 1", "kept n-gram tagged differently in another post",
                "kept n-gram tagged two ways in one post",
-               "same-blog run collapsed", "n-gram dropped by the collapse"}
+               "same-blog run collapsed", "n-gram dropped by the collapse",
+               "n-gram dropped for too few blogs", "kept n-gram at min_blogs 3"}
 
 
 def first_windows(p, config):
@@ -277,27 +294,34 @@ def test_index_equals_brute_force_index():
 
         @settings(max_examples=300, deadline=None)
         @given(corpora_and_configs())
+        # six-lemma n-grams in all three blogs, kept at min_blogs 3: the
+        # draws reach each case in only 6 to 8 runs of 10
+        @example((corpus_of([post(f"p{i}", blog, i, body=[
+            tok(f"w{k % 3}") for k in range(6)]) for i, blog in enumerate("abc")]),
+                  dict(max_len=8, stopwords=frozenset()), 3))
         def check(case):
-            corpus, config = case
-            index = build_index(corpus, **config)
-            expected = brute_force_index(corpus, **config)
+            corpus, config, min_blogs = case
+            index = build_index(corpus, **config, min_blogs=min_blogs)
+            expected = brute_force_index(corpus, **config, min_blogs=min_blogs)
             assert index_table(index) == index_table(expected)
             # in lemma order, each n-gram with its first-seen window's words
-            reference = reference_build_index(corpus, **config)
+            reference = reference_build_index(corpus, **config,
+                                              min_blogs=min_blogs)
             assert [(n.words, occs) for n, occs in index.items()] == [
                 (n.words, reference[n])
                 for n in sorted(reference, key=lambda n: n.lemmas)]
             for p in corpus.posts:
                 assert {n.lemmas: n.words for n in post_ngrams(p, config)
                         } == first_windows(p, config)
-            write_index_artifact(index, fast_path)
-            write_index_artifact(expected, slow_path)
+            write_index_artifact(index, fast_path, min_blogs)
+            write_index_artifact(expected, slow_path, min_blogs)
             assert fast_path.read_bytes() == slow_path.read_bytes()
             # a bursts stage run on its own gets the index in this order
+            header, read = read_index_artifact(fast_path)
+            assert header == min_blogs
             assert [(n.words, occs) for n, occs in index.items()] == [
-                (n.words, occs) for n, occs
-                in read_index_artifact(fast_path).items()]
-            covered.update(index_coverage(corpus, config, index))
+                (n.words, occs) for n, occs in read.items()]
+            covered.update(index_coverage(corpus, config, min_blogs, index))
 
         check()
     assert covered == INDEX_CASES

@@ -228,8 +228,8 @@ class TestArtifacts:
         corpus = load_corpus(small_corpus_file)
         index = build_index(corpus)
         path = tmp_path / "index.jsonl"
-        write_index_artifact(index, path)
-        assert read_index_artifact(path) == index
+        write_index_artifact(index, path, 4)
+        assert read_index_artifact(path) == (4, index)
 
         bursts = filter_bursts(detect_all(index))
         bpath = tmp_path / "bursts.jsonl"
@@ -333,13 +333,14 @@ def test_written_index_lines_equal_the_json_dumps_reference():
         path = Path(tmp) / "index.jsonl"
 
         @settings(max_examples=200, deadline=None)
-        @given(odd_indexes())
-        def check(index):
-            write_index_artifact(index, path)
-            assert path.read_text(encoding="utf-8") == "".join(
+        @given(odd_indexes(), st.integers(1, 6))
+        def check(index, min_blogs):
+            write_index_artifact(index, path, min_blogs)
+            assert path.read_text(encoding="utf-8") == json.dumps(
+                {"min_blogs": min_blogs}) + "\n" + "".join(
                 reference_index_line(ngram, index[ngram])
                 for ngram in sorted(index, key=lambda n: n.lemmas))
-            assert read_index_artifact(path) == index
+            assert read_index_artifact(path) == (min_blogs, index)
             text = "".join("".join(ngram.lemmas) + "".join(
                 o.blog_id + o.post_id for o in occs)
                 for ngram, occs in index.items())
@@ -827,8 +828,9 @@ def occurrence_indexes(draw):
 
 
 def test_pruned_bursts_stage_keeps_what_full_detection_keeps():
-    """The bursts stage examines only n-grams with min_blogs blogs or more
-    and keeps exactly the bursts that detection over every n-gram keeps."""
+    """The bursts stage, given only the n-grams with min_blogs blogs or
+    more (the index `build_index` prunes), keeps exactly the bursts that
+    detection over every n-gram keeps."""
     covered = set()
     with tempfile.TemporaryDirectory() as tmp:
         @settings(max_examples=150, deadline=None)
@@ -839,7 +841,10 @@ def test_pruned_bursts_stage_keeps_what_full_detection_keeps():
                                                    "n0p1")]}, 2)
         def check(index, min_blogs):
             cfg = PipelineConfig(workdir=tmp, min_blogs=min_blogs)
-            kept = pipeline.stage_bursts(cfg, Path(tmp), index)
+            pruned = [n for n, occs in index.items()
+                      if len({o.blog_id for o in occs}) < min_blogs]
+            kept = pipeline.stage_bursts(cfg, Path(tmp), {
+                n: occs for n, occs in index.items() if n not in pruned})
             detected = detect_all(index)
             assert kept == filter_bursts(detected,
                                           PipelineConfig(min_blogs=min_blogs))
@@ -847,8 +852,6 @@ def test_pruned_bursts_stage_keeps_what_full_detection_keeps():
             assert read_bursts_artifact(path) == kept
             assert path.read_text(encoding="utf-8") == "".join(
                 map(reference_burst_line, kept))
-            pruned = [n for n, occs in index.items()
-                      if len({o.blog_id for o in occs}) < min_blogs]
             capped = [n for n, bursts in detected.items()
                       if sum(b.duration for b in bursts) > 30 * DAY]
             covered.update(case for case, holds in (
@@ -859,6 +862,91 @@ def test_pruned_bursts_stage_keeps_what_full_detection_keeps():
         check()
     assert covered == {"bursts kept", "n-grams pruned", "kept next to pruned",
                        "n-gram over the total-duration cap"}
+
+
+@pytest.fixture(scope="module")
+def tiered_corpus_file(tmp_path_factory):
+    """Planted two-word topics in 4, 5 and 6 of 8 blogs."""
+    path = tmp_path_factory.mktemp("tiers") / "corpus.jsonl"
+    blogs = blog_ids(8)
+    spec = SynthSpec(n_blogs=8, window_days=40, base_rate=0.6, seed=2, topics=[
+        synth.PlantedTopic((f"w{n}a", f"w{n}b"), start, 6.0, tuple(blogs[:n]))
+        for n, start in ((4, 2.0), (5, 14.0), (6, 26.0))])
+    synth.write_corpus(generate(spec)[0], path)
+    return path
+
+
+def run_cli(corpus_file, workdir, *flags) -> int:
+    return main(["run", "-q", "--input", str(corpus_file), "--workdir",
+                 str(workdir), *flags])
+
+
+def index_lines(workdir) -> list[str]:
+    return (workdir / "index.jsonl").read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.usefixtures("restore_log_level")
+class TestIndexPruning:
+    def test_index_keeps_the_lines_with_min_blogs_blogs(
+            self, tiered_corpus_file, tmp_path):
+        # at min_blogs 1 the index prunes only n-grams seen once after the
+        # collapse, as before the pruning by blogs
+        assert run_cli(tiered_corpus_file, tmp_path / "1", "--min-blogs", "1",
+                       "--stages", "ingest,ngrams") == 0
+        header, *lines = index_lines(tmp_path / "1")
+        assert header == '{"min_blogs": 1}'
+        blogs = [len({b for _, b, _ in json.loads(line)["occurrences"]})
+                 for line in lines]
+        assert sorted(set(blogs)) == [2, 4, 5, 6]
+        for m in (3, 4, 5, 6):
+            assert run_cli(tiered_corpus_file, tmp_path / str(m),
+                           "--min-blogs", str(m),
+                           "--stages", "ingest,ngrams") == 0
+            assert index_lines(tmp_path / str(m)) == [
+                f'{{"min_blogs": {m}}}',
+                *(line for line, n in zip(lines, blogs) if n >= m)]
+
+    def test_bursts_below_the_index_min_blogs_are_refused(
+            self, tiered_corpus_file, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        assert run_cli(tiered_corpus_file, workdir) == 0
+        before = artifact_bytes(workdir)
+        capsys.readouterr()
+        assert run_cli(tiered_corpus_file, workdir, "--stages", "bursts",
+                       "--min-blogs", "3") == 1
+        assert capsys.readouterr().err == (
+            f"error: [bursts] min_blogs 3 is below min_blogs 4, which "
+            f"{workdir / 'index.jsonl'} was pruned at; run the ngrams stage "
+            "again\n")
+        assert artifact_bytes(workdir) == before
+
+    def test_bursts_at_a_higher_min_blogs_equal_a_full_run(
+            self, tiered_corpus_file, tmp_path):
+        workdir, full = tmp_path / "w", tmp_path / "full5"
+        assert run_cli(tiered_corpus_file, workdir) == 0
+        at_4 = (workdir / "bursts.jsonl").read_bytes()
+        assert run_cli(tiered_corpus_file, workdir, "--stages", "bursts",
+                       "--min-blogs", "5") == 0
+        assert run_cli(tiered_corpus_file, full, "--min-blogs", "5") == 0
+        assert ((workdir / "bursts.jsonl").read_bytes()
+                == (full / "bursts.jsonl").read_bytes() != at_4)
+
+    def test_index_without_its_header_is_refused(
+            self, tiered_corpus_file, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        assert run_cli(tiered_corpus_file, workdir,
+                       "--stages", "ingest,ngrams") == 0
+        path = workdir / "index.jsonl"
+        lines = index_lines(workdir)[1:]
+        for text in ("\n".join(lines) + "\n", ""):
+            path.write_text(text, encoding="utf-8")
+            capsys.readouterr()
+            assert run_cli(tiered_corpus_file, workdir,
+                           "--stages", "bursts") == 1
+            assert capsys.readouterr().err == (
+                f"error: [bursts] malformed artifact {path} (ValueError: "
+                'the first line is not a {"min_blogs": n} header)\n')
+            assert not (workdir / "bursts.jsonl").exists()
 
 
 class TestSynthRunner:
@@ -1041,6 +1129,18 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: line 2: bad timestamp {shown}\n")
 
+    def test_deeply_nested_record_exits_one_naming_its_line(
+            self, tmp_path, capsys):
+        # the decoder's RecursionError used to escape main as a traceback
+        corpus_file = tmp_path / "c.jsonl"
+        corpus_file.write_text(
+            '{"post_id": "p1", "blog_id": "a", "timestamp": 100}\n'
+            '{"post_id": "p2", "x": ' + "[" * 100_000 + "}\n")
+        assert main(["run", "--input", str(corpus_file), "--workdir",
+                     str(tmp_path / "w")]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: invalid JSON (nested too deeply)\n")
+
     @pytest.mark.parametrize("key, value, reason", [
         ("l", None, "bad lemma None: not a string"),
         ("l", 1, "bad lemma 1: not a string"),
@@ -1131,10 +1231,12 @@ class TestCli:
                      "--workdir", str(workdir),
                      "--stages", "ingest,ngrams,bursts,topics,network"]) == 0
         path = workdir / artifact
-        first, rest = path.read_text(encoding="utf-8").split("\n", 1)
-        obj = json.loads(first)
+        lines = path.read_text(encoding="utf-8").split("\n", 2)
+        at = 1 if artifact == "index.jsonl" else 0  # after the header line
+        obj = json.loads(lines[at])
         change(obj)
-        path.write_text(json.dumps(obj) + "\n" + rest, encoding="utf-8")
+        lines[at] = json.dumps(obj)
+        path.write_text("\n".join(lines), encoding="utf-8")
         capsys.readouterr()
         assert main(["run", "--workdir", str(workdir), "--stages", stage]) == 1
         err = capsys.readouterr().err
@@ -1191,7 +1293,7 @@ class TestCli:
                         in (("alpha", first), ("beta", first),
                             ("gamma", second), ("delta", second))]
                 lines.append(json.dumps({
-                    "post_id": f"p{i}", "blog_id": f"b{i % 3}",
+                    "post_id": f"p{i}", "blog_id": f"b{i % 4}",
                     "timestamp": 1000 + 3600 * i, "body": body}) + "\n")
             return "".join(lines)
 

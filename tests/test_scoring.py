@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import cache
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from precursor.scoring import (DegenerateLikelihood, DyadContext, DyadScores,
                                build_dyad_context, eligible_blogs, gamma,
                                global_scores, score_shared_dyads)
 
-from conftest import (DyadScore, brute_force_likelihood, burst_of, corpus_of,
-                      dyad_rows, grid_gamma, likelihood, likelihood_sampled,
-                      mpmath_gamma, post, pr_h, quad_gamma, reference_gamma,
-                      reference_global_scores, reference_score_dyad,
-                      split_polynomial, topic_of)
+from conftest import (DyadScore, alternative_gamma, brute_force_likelihood,
+                      burst_of, corpus_of, dyad_rows, grid_gamma, likelihood,
+                      likelihood_sampled, mpmath_gamma, post, pr_h, quad_gamma,
+                      reference_gamma, reference_global_scores,
+                      reference_score_dyad, split_polynomial, topic_of)
 
 
 def ctx_of(n_a, n_y, c_values, b="a", b2="b"):
@@ -352,19 +353,24 @@ CALIBRATION_C = (0.1, 0.25, 0.5, 0.75, 0.9)
 CALIBRATION_P = (0.0, 0.3, 0.6)
 
 
-def calibration_table(seed: int, n_a: int = 60, draws: int = 40) -> np.ndarray:
+def paper_gammas(n_a: int, n_y: np.ndarray, c: float) -> np.ndarray:
+    """The library's gamma of dyads with |A| = n_a, these |Y| and one C."""
+    return _gammas([n_a] * len(n_y), n_y.tolist(), np.full(int(n_y.sum()), c),
+                   [False] * len(n_y))
+
+
+def calibration_table(seed: int, gammas=paper_gammas, n_a: int = 60,
+                      draws: int = 40) -> np.ndarray:
     """Mean gamma per (C, p) cell, rows C and columns p: `draws` dyads with
     |A| = n_a and one C on every topic, where b enters each topic first
     with probability p + (1 - p) C, as a relationship of strength p on top
-    of chance would have it."""
+    of chance would have it.  The draws do not depend on `gammas`."""
     rng = np.random.default_rng(seed)
     table = np.empty((len(CALIBRATION_C), len(CALIBRATION_P)))
     for i, c in enumerate(CALIBRATION_C):
         for j, p in enumerate(CALIBRATION_P):
             n_y = rng.binomial(n_a, p + (1 - p) * c, draws)
-            table[i, j] = np.mean(_gammas([n_a] * draws, n_y.tolist(),
-                                          np.full(int(n_y.sum()), c),
-                                          [False] * draws))
+            table[i, j] = np.mean(gammas(n_a, n_y, c))
     return table
 
 
@@ -384,6 +390,24 @@ def test_gamma_recovers_p_at_low_chance_and_hides_it_from_half():
     assert half.max() <= 0.1  # [0.084]
     assert high.max() <= 0.03  # [0.023]
     assert (high.max(axis=1) - high.min(axis=1)).max() <= 0.005  # [0.0018]
+
+
+def test_alternative_factor_recovers_p_and_drifts_up_with_chance():
+    """The likelihood whose factor over Y is p + (1 - p) C_r, the chance the
+    simulation gives b's lead (`conftest.alternative_gamma`; not the
+    estimator), on the draws above.  It tracks p at p >= 0.3 up to C = 1/2,
+    rises with p at every C, and at p = 0 reads higher as C grows.  The
+    bands come from a pilot on seeds 1-100 (the extreme seen is in
+    brackets); this test runs seed 0, which the pilot left out."""
+    alt = cache(alternative_gamma)
+    table = calibration_table(0, lambda n_a, n_y, c: [alt(n_a, k, c)
+                                                      for k in n_y.tolist()])
+    assert np.abs(table[:3, 1:] - CALIBRATION_P[1:]).max() <= 0.08  # [0.058]
+    assert np.diff(table, axis=1).min() >= 0.02  # [0.039]
+    assert (table[:3, 2] - table[:3, 0]).min() >= 0.35  # [0.421]
+    assert (table[3:, 2] - table[3:, 0]).min() >= 0.12  # [0.181]
+    assert table[0, 0] <= 0.08  # [0.057]
+    assert table[4, 0] >= 0.15  # [0.228]
 
 
 def scored_corpus():
