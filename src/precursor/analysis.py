@@ -112,8 +112,6 @@ def wilcoxon_rank_sum(x: Sequence[float], y: Sequence[float]) -> tuple[float, fl
     n = n1 + n2
     tie_term = (tie_sizes ** 3 - tie_sizes).sum() / (n * (n - 1))
     sigma2 = n1 * n2 / 12.0 * (n + 1 - tie_term)
-    if sigma2 <= 0:
-        return u1, 1.0
     z = max(abs(u1 - mu) - 0.5, 0.0) / math.sqrt(sigma2)
     p = math.erfc(z / math.sqrt(2.0))
     return u1, min(1.0, p)

@@ -163,10 +163,6 @@ class Burst:
     def duration(self) -> int:
         return self.end - self.start
 
-    @property
-    def blogs(self) -> frozenset[str]:
-        return frozenset(o.blog_id for o in self.occurrences)
-
 
 def _cut(ngram: Ngram, occurrences: list[Occurrence],
          boundaries: list[int]) -> list[Burst]:
@@ -189,7 +185,7 @@ def segment_bursts(ngram: Ngram, occurrences: list[Occurrence],
 
 def burst_passes(burst: Burst, cfg: PipelineConfig) -> bool:
     """Per-burst predicates (the total-duration cap is applied per n-gram)."""
-    if len(burst.blogs) < cfg.min_blogs:
+    if len({o.blog_id for o in burst.occurrences}) < cfg.min_blogs:
         return False
     if burst.duration < cfg.min_burst_days * DAY:
         return False

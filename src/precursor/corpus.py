@@ -18,12 +18,12 @@ field, its JSON type, what absent or null means, and its normalisation:
   null: no links.  Self-links are dropped, and so are links to blogs that
   never post in the corpus unless keep_external_links is set.
 
-Any other value raises `MalformedRecord` naming the line and the field,
-and so does a line that is not one JSON object (also one nested too deeply
-for the decoder).  Each post is a `Post`, a NamedTuple like `Token`, and
-posts are sorted by (timestamp, post_id).  The CSV artifacts end their
-lines with a bare newline and so would not quote a carriage return: a blog
-id holding one would split its rows in two.
+Any other value raises `MalformedRecord` naming the line and the field, and
+so does a line that is not one JSON object (also one nested too deeply, or
+with an integer too long, for the decoder).  Each post is a `Post`, a
+NamedTuple like `Token`, and posts are sorted by (timestamp, post_id).  The
+CSV artifacts end their lines with a bare newline and so would not quote a
+carriage return: a blog id holding one would split its rows in two.
 
 `write_records` writes the format for `synth`; the pipeline writes no
 corpus records, as its `corpus.jsonl` is a byte copy of the input.  The
@@ -204,6 +204,8 @@ def iter_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise MalformedRecord(line_no, f"invalid JSON ({exc.msg})") from None
+                except ValueError as exc:  # an integer too long to convert
+                    raise MalformedRecord(line_no, f"invalid JSON ({exc})") from None
                 except RecursionError:
                     raise MalformedRecord(
                         line_no, "invalid JSON (nested too deeply)") from None

@@ -61,12 +61,12 @@ from .config import PipelineConfig
 from .corpus import CONTENT_POS, Corpus, Pos, Post
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class Ngram:
     """Word sequence; equality and hashing use the lemma sequence only,
     which is built once, with the n-gram."""
 
-    words: tuple[tuple[str, Pos], ...]
+    words: tuple[tuple[str, Pos], ...] = field(compare=False)
     lemmas: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -74,14 +74,6 @@ class Ngram:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Ngram):
-            return NotImplemented
-        return self.lemmas == other.lemmas
-
-    def __hash__(self) -> int:
-        return hash(self.lemmas)
 
 
 class Occurrence(NamedTuple):

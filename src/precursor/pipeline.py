@@ -350,11 +350,9 @@ def stage_report(cfg: PipelineConfig, workdir: Path,
                ["blog_id", "P", "L", "cls", "p_threshold", "l_threshold"],
                [[b, p_scores[b], l_scores[b], partition.assignment[b],
                  *partition.thresholds] for b in blogs])
-    _write_csv(report_dir / "significance.csv",
-               ["class_a", "class_b", "n_a", "n_b", "mean_a", "mean_b",
-                "statistic", "p_value", "stars"],
-               [list(r.values()) for r in
-                analysis.significance_table(partition, in_degrees)])
+    table = analysis.significance_table(partition, in_degrees)
+    _write_csv(report_dir / "significance.csv", list(table[0]),
+               [list(r.values()) for r in table])
 
     points = [(p_scores[b], l_scores[b], in_degrees[b]) for b in blogs]
     cells = analysis.hexbin(points, grid_size=cfg.hex_grid)

@@ -133,7 +133,7 @@ def _nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gammas(a_sizes: Sequence[int], y_sizes: Sequence[int], c_y: np.ndarray,
-            base_zero: Sequence[bool]) -> list[float]:
+            base_zero: Sequence[bool]) -> np.ndarray:
     """Exact gamma of several dyads at once.
 
     Dyad d has |A| = a_sizes[d] >= 1 and |Y| = y_sizes[d]; c_y holds the
@@ -179,7 +179,7 @@ def _gammas(a_sizes: Sequence[int], y_sizes: Sequence[int], c_y: np.ndarray,
         warnings.warn("likelihood vanishes for every p; returning 0.5",
                       DegenerateLikelihood)
         out[d] = 0.5
-    return out.tolist()
+    return out
 
 
 def gamma(ctx: DyadContext) -> float:
@@ -188,7 +188,8 @@ def gamma(ctx: DyadContext) -> float:
         return 0.5  # no shared topic: the flat prior's mean
     zero = any(ctx.c[r] >= 1.0 for r in set(ctx.a_topics) - set(ctx.y_topics))
     c_y = np.array([ctx.c[r] for r in ctx.y_topics], dtype=np.float64)
-    return _gammas([len(ctx.a_topics)], [len(ctx.y_topics)], c_y, [zero])[0]
+    return float(_gammas([len(ctx.a_topics)], [len(ctx.y_topics)], c_y,
+                         [zero])[0])
 
 
 def eligible_blogs(corpus: Corpus,
@@ -215,7 +216,7 @@ def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
     """Scores of the ordered pairs of `blogs` that share a topic, in (b, b2) order.
 
     A member row is one participant in `blogs` of a topic with two or more
-    of them, with its post count in the topic interval and the rank of its
+    of them, with its post count in the topic interval and the time of its
     first participation; member rows are in topic order.  |A|, |Y| and
     gamma equal those of `build_dyad_context` and `gamma` exactly.  Pr(H) is
     the fraction of b2's posts that occur in a member burst of a topic that
@@ -223,7 +224,7 @@ def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
     """
     names = sorted(set(blogs))
     code = {b: j for j, b in enumerate(names)}
-    m_blog, m_rank, m_posts, sizes = [], [], [], []
+    m_blog, m_time, m_posts, sizes = [], [], [], []
     # post-topic incidence: the member row and post of each member's occurrence
     inc_row, inc_post, post_code = [], [], {}
     for topic in topics:
@@ -232,9 +233,9 @@ def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
         if len(members) < 2:
             continue
         row = {b: len(m_blog) + i for i, b in enumerate(members)}
-        rank = {t: r for r, t in enumerate(sorted({first[b] for b in members}))}
         m_blog += [code[b] for b in members]
-        m_rank += [rank[first[b]] for b in members]
+        # offsets from the topic's start are >= 0, so np.array keeps them exact
+        m_time += [first[b] - topic.start for b in members]
         m_posts += [post_count(corpus, b, topic.start, topic.end)
                     for b in members]
         sizes.append(len(members))
@@ -264,15 +265,14 @@ def score_shared_dyads(corpus: Corpus, topics: Sequence[Topic],
     dyad = np.cumsum(head) - 1
     n_dyads = int(dyad[-1]) + 1
 
-    rank, posts = np.array(m_rank), np.array(m_posts)
-    in_y = rank[left] < rank[right]  # strict precedence; ties carry no direction
+    time, posts = np.array(m_time), np.array(m_posts)
+    in_y = time[left] < time[right]  # strict precedence; ties carry no direction
     both = posts[left] + posts[right]
     c = np.where(both > 0, posts[left] / np.maximum(both, 1), 0.5)
     a_size = np.bincount(dyad, minlength=n_dyads)
     y_size = np.bincount(dyad[in_y], minlength=n_dyads)
     zero = np.bincount(dyad[~in_y & (c >= 1.0)], minlength=n_dyads) > 0
-    gammas = np.array(_gammas(a_size.tolist(), y_size.tolist(), c[in_y],
-                              zero.tolist()))
+    gammas = _gammas(a_size, y_size, c[in_y], zero)
 
     # Pr(H): each dyad's distinct posts of b2 over the member rows of b2
     inc_row = np.array(inc_row, dtype=np.int64)

@@ -3,9 +3,9 @@
 Each planted topic schedules posts for a pair of n-grams: the general
 planted n-gram g spans the whole topic interval, and an extended n-gram
 (one extra lemma in front of g) occupies a strictly interior sub-interval.
-Both bursts satisfy the burst filters by construction, and the extended
-burst is generalized by g's burst, so the merge stage is guaranteed to
-produce a topic carrying g over the planted interval.
+`generate` raises InfeasibleSpec unless `filter_bursts` keeps both bursts
+under the defaults; g's burst generalizes the extended one, so the merge
+stage produces a topic carrying g over the planted interval.
 
 When a topic has a leader, the leader posts g exactly once at the interval
 start and every follower's first post comes at least the configured lead
@@ -44,10 +44,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import Callable
 
 import numpy as np
 
-from .bursts import Burst, burst_passes
+from .bursts import Burst, filter_bursts
 from .config import PipelineConfig
 from .corpus import DAY, HOUR, write_records
 from .ngrams import Ngram, Occurrence
@@ -116,9 +117,6 @@ def _validate_topic(spec: SynthSpec, topic: PlantedTopic) -> None:
         raise InfeasibleSpec(
             f"duration {topic.duration_days}d leaves no room for an interior "
             "burst of min_burst_days")
-    if duration > PipelineConfig.max_total_burst_days * DAY:
-        raise InfeasibleSpec("a topic longer than max_total_burst_days fails "
-                             "the total-duration filter")
     if topic.start_day < 0 or topic.start_day + topic.duration_days > spec.window_days:
         raise InfeasibleSpec("topic interval outside the observation window")
 
@@ -170,9 +168,8 @@ def _topic_schedule(spec: SynthSpec, topic: PlantedTopic,
         first, rotation = order[0], order[1:] + [order[0]]
 
     slots: list[tuple[int, str]] = [(start, first)]
-    t = start + lead + int(rng.integers(HOUR, 2 * HOUR)) if lead else start
-    if not lead:
-        t = start + int(rng.integers(2 * HOUR, 5 * HOUR))
+    t = (start + lead + int(rng.integers(HOUR, 2 * HOUR)) if lead
+         else start + int(rng.integers(2 * HOUR, 5 * HOUR)))
     i = 0
     while t < end - 2 * HOUR:
         slots.append((t, rotation[i % len(rotation)]))
@@ -188,11 +185,9 @@ def _topic_schedule(spec: SynthSpec, topic: PlantedTopic,
 def _check_planted_burst(times: list[int], blogs: list[str],
                          label: str) -> None:
     """Re-check a planted schedule against the default burst filters."""
-    cfg = PipelineConfig()
     burst = Burst(Ngram(()), times[0], times[-1],
                   tuple(Occurrence(t, b, "") for t, b in zip(times, blogs)))
-    if (not burst_passes(burst, cfg)
-            or burst.duration > cfg.max_total_burst_days * DAY):
+    if not filter_bursts({burst.ngram: [burst]}):
         raise InfeasibleSpec(f"{label}: fails the default burst filters")
     for a, b in zip(blogs, blogs[1:]):
         if a == b:
@@ -336,6 +331,24 @@ def write_corpus(records: list[dict], path) -> None:
                             map(token, r["title"])) for r in records))
 
 
+def _planted_spec(n_blogs: int, n_topics: int, window_days: float,
+                  base_rate: float, duration_days: float,
+                  participants: Callable[[int], tuple[str, ...]],
+                  leader: str | None = None, lead_hours: float = 12.0,
+                  rate_multipliers: dict[str, float] | None = None,
+                  seed: int = 0) -> SynthSpec:
+    """Topic i has the words `t{i:03d}a t{i:03d}b` and the blogs
+    participants(i); the starts run evenly from day 1 to the last day that
+    leaves the topic a day before the window's end."""
+    span = window_days - duration_days - 2.0
+    topics = [PlantedTopic((f"t{i:03d}a", f"t{i:03d}b"),
+                           1.0 + span * i / max(n_topics - 1, 1),
+                           duration_days, participants(i), leader, lead_hours)
+              for i in range(n_topics)]
+    return SynthSpec(n_blogs, window_days, base_rate, topics,
+                     rate_multipliers or {}, seed=seed)
+
+
 def leader_follower_spec(n_blogs: int = 20, n_topics: int = 30,
                          window_days: float = 75.0, base_rate: float = 0.35,
                          lead_hours: float = 12.0, duration_days: float = 6.0,
@@ -346,22 +359,12 @@ def leader_follower_spec(n_blogs: int = 20, n_topics: int = 30,
     The leader and the follower participate in every planted topic; four
     other blogs rotate through the remaining slots.
     """
-    blogs = blog_ids(n_blogs)
-    others = [b for b in blogs if b not in (leader, follower)]
-    topics = []
-    span = window_days - duration_days - 2.0
-    for i in range(n_topics):
-        extras = [others[(3 * i + j) % len(others)] for j in range(4)]
-        topics.append(PlantedTopic(
-            words=(f"t{i:03d}a", f"t{i:03d}b"),
-            start_day=1.0 + span * i / max(n_topics - 1, 1),
-            duration_days=duration_days,
-            participants=(leader, follower, *extras),
-            leader=leader,
-            lead_hours=lead_hours,
-        ))
-    return SynthSpec(n_blogs=n_blogs, window_days=window_days,
-                     base_rate=base_rate, topics=topics, seed=seed)
+    others = [b for b in blog_ids(n_blogs) if b not in (leader, follower)]
+    return _planted_spec(
+        n_blogs, n_topics, window_days, base_rate, duration_days,
+        lambda i: (leader, follower,
+                   *(others[(3 * i + j) % len(others)] for j in range(4))),
+        leader=leader, lead_hours=lead_hours, seed=seed)
 
 
 def rate_asymmetry_spec(n_blogs: int = 20, window_days: float = 60.0,
@@ -375,25 +378,13 @@ def rate_asymmetry_spec(n_blogs: int = 20, window_days: float = 60.0,
     blog co-participate in exactly one of them, so their dyad's precedence
     evidence comes purely from chance ordering.
     """
-    blogs = blog_ids(n_blogs)
-    rest = [b for b in blogs if b not in (heavy, other)]
-    topics = []
-    span = window_days - duration_days - 2.0
-    for i in range(n_topics):
+    rest = [b for b in blog_ids(n_blogs) if b not in (heavy, other)]
+
+    def participants(i: int) -> tuple[str, ...]:
         pool = [rest[(4 * i + j) % len(rest)] for j in range(4)]
         if i == 0:
-            participants = (heavy, other, *pool[:3])
-        elif i % 2 == 1:
-            participants = (heavy, *pool)
-        else:
-            participants = (other, *pool)
-        topics.append(PlantedTopic(
-            words=(f"t{i:03d}a", f"t{i:03d}b"),
-            start_day=1.0 + span * i / max(n_topics - 1, 1),
-            duration_days=duration_days,
-            participants=participants,
-            leader=None,
-        ))
-    return SynthSpec(n_blogs=n_blogs, window_days=window_days,
-                     base_rate=base_rate, topics=topics,
-                     rate_multipliers={heavy: multiplier}, seed=seed)
+            return (heavy, other, *pool[:3])
+        return (heavy if i % 2 else other, *pool)
+    return _planted_spec(n_blogs, n_topics, window_days, base_rate,
+                         duration_days, participants,
+                         rate_multipliers={heavy: multiplier}, seed=seed)

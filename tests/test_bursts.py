@@ -279,7 +279,8 @@ class TestFilters:
             grouped[burst.ngram] = [burst]
         config = PipelineConfig()
         for burst in filter_bursts(grouped, config):
-            assert len(burst.blogs) >= config.min_blogs
+            assert (len({o.blog_id for o in burst.occurrences})
+                    >= config.min_blogs)
             assert burst.duration >= config.min_burst_days * DAY
             times = [o.timestamp for o in burst.occurrences]
             gap = (times[-1] - times[0]) / (len(times) - 1)

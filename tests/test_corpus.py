@@ -86,6 +86,17 @@ class TestLoadCorpus:
         assert (err.value.line, err.value.reason) == (
             2, "invalid JSON (nested too deeply)")
 
+    def test_integer_too_long_to_convert_reports_line(self, tmp_path):
+        # the decoder raises a plain ValueError past 4,300 digits
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"post_id": "p1", "blog_id": "a", "timestamp": 1}\n'
+                        '{"post_id": "p2", "blog_id": "a", "timestamp": '
+                        + "1" * 5000 + "}\n")
+        with pytest.raises(MalformedRecord) as err:
+            load_corpus(path)
+        assert err.value.line == 2
+        assert err.value.reason.startswith("invalid JSON (")
+
     def test_duplicate_post_id_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_lines(path, [rec("p1", "a", 10), rec("p1", "b", 20)])

@@ -96,9 +96,14 @@ class TestNgramIdentity:
         a = Ngram((("mot", Pos.NOUN), ("clé", Pos.NOUN)))
         b = Ngram((("mot", Pos.VERB), ("clé", Pos.NOUN)))
         assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1  # a dict keyed by one tag variant finds the other
 
     def test_inequality(self):
         assert ngram_of("a", "b") != ngram_of("b", "a")
+        ngram = ngram_of("mot", "clé")
+        # not equal to its own lemma tuple, which gets NotImplemented
+        assert ngram != ("mot", "clé") and ("mot", "clé") != ngram
+        assert ngram.__eq__(("mot", "clé")) is NotImplemented
 
     def test_lemmas_are_built_once(self):
         ngram = Ngram((("mot", Pos.NOUN), ("clé", Pos.NOUN)))

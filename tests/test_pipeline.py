@@ -1141,6 +1141,18 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: line 2: invalid JSON (nested too deeply)\n")
 
+    def test_integer_too_long_exits_one_naming_its_line(self, tmp_path, capsys):
+        # the decoder's ValueError past 4,300 digits used to name no line
+        corpus_file = tmp_path / "c.jsonl"
+        corpus_file.write_text(
+            '{"post_id": "p1", "blog_id": "a", "timestamp": 100}\n'
+            '{"post_id": "p2", "blog_id": "a", "timestamp": ' + "1" * 5000
+            + "}\n")
+        assert main(["run", "--input", str(corpus_file), "--workdir",
+                     str(tmp_path / "w")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: line 2: invalid JSON (")
+
     @pytest.mark.parametrize("key, value, reason", [
         ("l", None, "bad lemma None: not a string"),
         ("l", 1, "bad lemma 1: not a string"),

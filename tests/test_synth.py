@@ -58,6 +58,13 @@ class TestFeasibility:
         with pytest.raises(InfeasibleSpec):
             generate(base_spec([topic(tuple(blog_ids(5)), duration=3.0)]))
 
+    def test_topic_longer_than_total_burst_cap_rejected(self):
+        # 31 days exceed max_total_burst_days, which filter_bursts applies
+        spec = SynthSpec(n_blogs=10, window_days=40.0, base_rate=0.4,
+                         topics=[topic(tuple(blog_ids(6)), duration=31.0)])
+        with pytest.raises(InfeasibleSpec, match="fails the default burst"):
+            generate(spec)
+
     def test_unknown_participant_rejected(self):
         spec = base_spec([topic(("blog_000", "blog_001", "blog_002", "ghost"))])
         with pytest.raises(InfeasibleSpec):
