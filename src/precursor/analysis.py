@@ -148,7 +148,7 @@ def binned_summary(scores: Mapping[str, float], metric: Mapping[str, float],
         raise ValueError("n_bins must be >= 1")
     keys = sorted(k for k in scores if k in metric)
     values = np.array([scores[k] for k in keys], dtype=np.float64)
-    if log_bins and keys:
+    if log_bins:
         values = _log_normalize(values)
     lo = float(values.min()) if keys else 0.0
     hi = float(values.max()) if keys else 1.0
@@ -213,8 +213,6 @@ def hexbin(points: Sequence[tuple[float, float, float]],
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
-    if not points:
-        return []
     size = hex_size_for(points, grid_size)
 
     cells: dict[tuple[int, int], list[float]] = {}
@@ -283,8 +281,6 @@ def corner_lists(precursor: Mapping[str, float], in_deg: Mapping[str, int],
     attached to each blog is its Euclidean distance to the corner.
     """
     keys = sorted(b for b in precursor if b in in_deg)
-    if not keys:
-        return {c: [] for c in ("ll", "lh", "hl", "hh")}
     xs = _log_normalize(np.array([precursor[b] for b in keys]))
     ys = _log_normalize(np.array([float(in_deg[b]) for b in keys]))
     corners = {"ll": (0.0, 0.0), "lh": (0.0, 1.0),

@@ -18,12 +18,12 @@ field, its JSON type, what absent or null means, and its normalisation:
   null: no links.  Self-links are dropped, and so are links to blogs that
   never post in the corpus unless keep_external_links is set.
 
-Any other value raises `MalformedRecord` naming the line and the field, and
-so does a line that is not one JSON object (also one nested too deeply, or
-with an integer too long, for the decoder).  Each post is a `Post`, a
-NamedTuple like `Token`, and posts are sorted by (timestamp, post_id).  The
-CSV artifacts end their lines with a bare newline and so would not quote a
-carriage return: a blog id holding one would split its rows in two.
+Any other value raises `MalformedRecord` naming the line and the field, as
+does a string with a lone surrogate (from a `\\ud800`-`\\udfff` escape; no
+UTF-8 artifact can hold it) or a line that is not one JSON object (also one
+too deep, or with too long an integer, for the decoder).  Posts are `Post`
+NamedTuples sorted by (timestamp, post_id).  The CSV artifacts end lines with
+a bare newline, so a carriage return, left unquoted, would split a row.
 
 `write_records` writes the format for `synth`; the pipeline writes no
 corpus records, as its `corpus.jsonl` is a byte copy of the input.  The
@@ -35,6 +35,7 @@ once and built once.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -69,6 +70,7 @@ class Pos(str, Enum):
 CONTENT_POS = frozenset({Pos.NOUN, Pos.VERB, Pos.ADJ, Pos.NUM})
 
 _POS_BY_NAME = {p.value: p for p in Pos}
+_lone_surrogate = re.compile("[\ud800-\udfff]").search
 
 
 class CorpusError(Exception):
@@ -160,6 +162,11 @@ def _parse_timestamp(raw, line: int) -> int:
     raise MalformedRecord(line, f"bad timestamp {raw!r}")
 
 
+def _check_text(line: int, name: str, text: str) -> None:
+    if _lone_surrogate(text):
+        raise MalformedRecord(line, f"bad {name} {text!r}: lone surrogate")
+
+
 def _token_entry(raw: tuple, line: int, assume_nouns: bool,
                  table: dict) -> tuple[Token | None, bool]:
     """The token for raw (lemma, tag, chunk) values whose chunk is an int,
@@ -170,6 +177,9 @@ def _token_entry(raw: tuple, line: int, assume_nouns: bool,
         raise MalformedRecord(line, f"bad lemma {lemma!r}: not a string")
     if type(tag) is not str:
         raise MalformedRecord(line, f"bad tag {tag!r}: not a string")
+    if not (lemma.isascii() and tag.isascii()):
+        _check_text(line, "lemma", lemma)
+        _check_text(line, "tag", tag)
     text = lemma.strip().lower()
     if not text:
         entry = None, False
@@ -238,6 +248,9 @@ def corpus_from_records(records: Iterable[tuple[int, dict]],
             raise MalformedRecord(line_no, "missing blog_id")
         if "\r" in blog_id:
             raise MalformedRecord(line_no, "carriage return in blog_id")
+        if not (post_id.isascii() and blog_id.isascii()):
+            _check_text(line_no, "post_id", post_id)
+            _check_text(line_no, "blog_id", blog_id)
         if "timestamp" not in record:
             raise MalformedRecord(line_no, "missing timestamp")
         if post_id in seen_ids:
@@ -287,6 +300,8 @@ def corpus_from_records(records: Iterable[tuple[int, dict]],
             if "\r" in target:
                 raise MalformedRecord(line_no,
                                       "carriage return in a link target")
+            if not target.isascii():
+                _check_text(line_no, "link target", target)
         parsed.append((post_id, blog_id, ts, *streams, links))
 
     times = [p[2] for p in parsed]

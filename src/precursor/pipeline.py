@@ -325,14 +325,13 @@ def stage_report(cfg: PipelineConfig, workdir: Path,
 
     p_scores, l_scores, degrees, ranks = (
         {row[0]: row[i] for row in linked} for i in range(1, 5))
-    in_degrees = {b: float(d) for b, d in degrees.items()}
     blogs = list(p_scores)
     _write_text(report_dir / "scatter.svg", svg.scatter_svg(
         [(p_scores[b], l_scores[b]) for b in blogs], "precursor score P",
         "laggard score L", "Precursor vs laggard scores"))
 
     for s_name, s_map in {"precursor": p_scores, "laggard": l_scores}.items():
-        for m_name, m_map in {"indegree": in_degrees, "pagerank": ranks}.items():
+        for m_name, m_map in {"indegree": degrees, "pagerank": ranks}.items():
             bins = analysis.binned_summary(s_map, m_map, n_bins=cfg.bins,
                                            log_bins=cfg.log_bins)
             name = f"boxplots_{s_name}_{m_name}"
@@ -350,11 +349,11 @@ def stage_report(cfg: PipelineConfig, workdir: Path,
                ["blog_id", "P", "L", "cls", "p_threshold", "l_threshold"],
                [[b, p_scores[b], l_scores[b], partition.assignment[b],
                  *partition.thresholds] for b in blogs])
-    table = analysis.significance_table(partition, in_degrees)
+    table = analysis.significance_table(partition, degrees)
     _write_csv(report_dir / "significance.csv", list(table[0]),
                [list(r.values()) for r in table])
 
-    points = [(p_scores[b], l_scores[b], in_degrees[b]) for b in blogs]
+    points = [(p_scores[b], l_scores[b], degrees[b]) for b in blogs]
     cells = analysis.hexbin(points, grid_size=cfg.hex_grid)
     _write_csv(report_dir / "hexbin.csv",
                ["q", "r", "center_p", "center_l", "count", "mean_metric"],

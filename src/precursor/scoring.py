@@ -136,16 +136,16 @@ def _gammas(a_sizes: Sequence[int], y_sizes: Sequence[int], c_y: np.ndarray,
             base_zero: Sequence[bool]) -> np.ndarray:
     """Exact gamma of several dyads at once.
 
-    Dyad d has |A| = a_sizes[d] >= 1 and |Y| = y_sizes[d]; c_y holds the
+    Dyad d has |A| = a_sizes[d] >= 0 and |Y| = y_sizes[d]; c_y holds the
     chance probabilities C_r of every dyad's Y, dyad after dyad, each in
     topic order, and base_zero[d] says whether some C_r on A\\Y is 1.
 
     A dyad takes `_nodes(m)` for the least power of two m with 2m - 1 >=
-    |A| + 1.  L, without the base factor (gamma does not depend on it), is
-    taken in log space: at thousands of topics it spans more than the
-    float range.  The log factors over Y come in (rows x m) blocks of about
-    2^16 elements; no sum runs through BLAS or across dyads, so a dyad's
-    gamma does not depend on the batch.
+    |A| + 1: at |A| = 0 the one node 0.5, the flat prior's mean.  L, less
+    the base factor (gamma does not depend on it), is taken in log space, as
+    at thousands of topics it overflows floats.  The log factors over Y come
+    in (rows x m) blocks of about 2^16 elements; no sum runs through BLAS or
+    across dyads, so a dyad's gamma does not depend on the batch.
     """
     a = np.asarray(a_sizes, dtype=np.int64)
     y = np.asarray(y_sizes, dtype=np.int64)
@@ -184,8 +184,6 @@ def _gammas(a_sizes: Sequence[int], y_sizes: Sequence[int], c_y: np.ndarray,
 
 def gamma(ctx: DyadContext) -> float:
     """Exact posterior mean of p under a flat prior: `_gammas` on one dyad."""
-    if not ctx.a_topics:
-        return 0.5  # no shared topic: the flat prior's mean
     zero = any(ctx.c[r] >= 1.0 for r in set(ctx.a_topics) - set(ctx.y_topics))
     c_y = np.array([ctx.c[r] for r in ctx.y_topics], dtype=np.float64)
     return float(_gammas([len(ctx.a_topics)], [len(ctx.y_topics)], c_y,

@@ -60,7 +60,7 @@ def boxplot_svg(summaries, x_label: str, y_label: str, title: str) -> str:
     parts = []
     tops = [s.maximum for s in summaries if s.count]
     bots = [s.minimum for s in summaries if s.count]
-    y_lo, y_hi = _scale(bots + tops if tops else [0.0, 1.0])
+    y_lo, y_hi = _scale(bots + tops)
     n = len(summaries)
     for i, s in enumerate(summaries):
         cx = MARGIN + (i + 0.5) / n * (W - 2 * MARGIN)
@@ -89,13 +89,11 @@ def boxplot_svg(summaries, x_label: str, y_label: str, title: str) -> str:
 def hexbin_svg(cells, size: float, x_label: str, y_label: str,
                title: str) -> str:
     """Pointy-top hexagon cells shaded by mean metric (darker = higher)."""
-    if not cells:
-        return _svg(x_label, y_label, title, [])
     xs = [c.center_x for c in cells]
     ys = [c.center_y for c in cells]
     x_lo, x_hi = _scale([x - size for x in xs] + [x + size for x in xs])
     y_lo, y_hi = _scale([y - size for y in ys] + [y + size for y in ys])
-    max_metric = max(c.mean_metric for c in cells) or 1.0
+    max_metric = max((c.mean_metric for c in cells), default=0.0) or 1.0
     px_per_unit = (W - 2 * MARGIN) / (x_hi - x_lo)
     r = size * px_per_unit
     parts = []

@@ -110,8 +110,9 @@ def _validate_topic(spec: SynthSpec, topic: PlantedTopic) -> None:
                              f"{len(others)}")
     duration = topic.duration_days * DAY
     lead = topic.lead_hours * HOUR if topic.leader else 0.0
-    if lead >= duration:
-        raise InfeasibleSpec("lead time must be shorter than the topic")
+    if not 0.0 <= lead < duration:
+        raise InfeasibleSpec(f"lead_hours {topic.lead_hours} must be >= 0 "
+                             "and shorter than the topic")
     inner_span = duration - (lead + 6 * HOUR) - 12 * HOUR
     if inner_span < PipelineConfig.min_burst_days * DAY + 12 * HOUR:
         raise InfeasibleSpec(
@@ -197,7 +198,7 @@ def _check_planted_burst(times: list[int], blogs: list[str],
 def _noise_times(rate: float, window: float, ramp: float,
                  rng: np.random.Generator) -> list[int]:
     """Exponential arrivals; with ramp > 0, thinning against the peak rate."""
-    peak = rate * (1.0 + max(ramp, 0.0))
+    peak = rate * (1.0 + ramp)
     times = []
     t = float(rng.exponential(DAY / peak))
     while t < window:
@@ -245,22 +246,27 @@ def _add_links(records: list[dict], blogs: list[str], link_prob: float,
 
 
 def generate(spec: SynthSpec) -> tuple[list[dict], GroundTruth]:
-    """Build corpus records plus the planted ground truth.
-
-    Deterministic for a given spec (including the seed).  Raises
-    InfeasibleSpec when a planted topic cannot satisfy the burst filters.
+    """Build corpus records plus the planted ground truth, deterministically
+    for a given spec (seed included).  Raises InfeasibleSpec when a planted
+    topic cannot satisfy the burst filters, a participant, leader or rate
+    multiplier names no blog of the spec, or a ramp or lead is negative.
     """
     if spec.base_rate <= 0:
         raise InfeasibleSpec("base posting rate must be positive")
     for mult in spec.rate_multipliers.values():
         if mult <= 0:
             raise InfeasibleSpec("rate multipliers must be positive")
+    if spec.rate_ramp < 0:
+        raise InfeasibleSpec(f"rate_ramp {spec.rate_ramp} is negative")
     blogs = blog_ids(spec.n_blogs)
     known = set(blogs)
+    if unknown := set(spec.rate_multipliers) - known:
+        raise InfeasibleSpec("rate multipliers of unknown blogs "
+                             f"{sorted(unknown)}")
     for topic in spec.topics:
-        unknown = set(topic.participants) - known
-        if unknown:
-            raise InfeasibleSpec(f"unknown participants {sorted(unknown)}")
+        if unknown := {*topic.participants, topic.leader} - known - {None}:
+            raise InfeasibleSpec("unknown participants or leader "
+                                 f"{sorted(unknown)}")
         _validate_topic(spec, topic)
 
     rng_topics = np.random.default_rng([spec.seed, 1])

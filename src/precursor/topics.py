@@ -11,12 +11,12 @@ Generalizations are looked up, not scanned for: the bursts are indexed once
 by lemma sequence, and a burst of length n asks the index for its at most
 n(n+1)/2 distinct contiguous sub-sequences, keeping only the bursts later in
 the traversal order whose interval contains its own.  Merging n bursts costs
-O(n · n_max² · bucket) for n-grams of at most n_max lemmas, where bucket is
-the number of bursts sharing one lemma sequence, instead of the n²/2
-pairwise tests a scan of every later burst needs.
+O(n · n_max² · bucket) for n-grams of at most n_max lemmas (bucket: the
+bursts sharing one lemma sequence), not a scan's n²/2 pairwise tests.
 
 A topic is the tuple (n-gram set, start, end) plus bookkeeping: the member
-bursts and, per participating blog, its earliest occurrence time.
+bursts in (start, end, lemmas) order, the first giving the topic's start
+and first n-gram, and per participating blog its earliest occurrence time.
 """
 
 from __future__ import annotations
@@ -40,25 +40,16 @@ class Topic:
     participations: dict[str, int]
 
 
-def _is_contiguous_subsequence(needle: tuple[str, ...],
-                               haystack: tuple[str, ...]) -> bool:
-    if len(needle) > len(haystack):
-        return False
-    return any(haystack[i:i + len(needle)] == needle
-               for i in range(len(haystack) - len(needle) + 1))
-
-
-def is_generalization(ga: Burst, gb: Burst) -> bool:
-    """True iff gb generalizes ga: subsequence words, containing interval."""
-    if not _is_contiguous_subsequence(gb.ngram.lemmas, ga.ngram.lemmas):
-        return False
-    return gb.start <= ga.start and gb.end >= ga.end
-
-
 def _contiguous_subsequences(lemmas: tuple[str, ...]) -> set[tuple[str, ...]]:
     """Every distinct contiguous piece of lemmas, lemmas itself included."""
     n = len(lemmas)
     return {lemmas[a:b] for a in range(n) for b in range(a + 1, n + 1)}
+
+
+def is_generalization(ga: Burst, gb: Burst) -> bool:
+    """True iff gb generalizes ga: subsequence words, containing interval."""
+    return (gb.ngram.lemmas in _contiguous_subsequences(ga.ngram.lemmas)
+            and gb.start <= ga.start and gb.end >= ga.end)
 
 
 def _participations(bursts: list[Burst]) -> dict[str, int]:
@@ -123,19 +114,12 @@ def merge_bursts(bursts: list[Burst],
 
     topics = []
     for idxs in groups:
-        burst_list = sorted((bursts[i] for i in idxs),
-                            key=lambda b: (b.start, b.end, b.ngram.lemmas))
-        topics.append((min(b.start for b in burst_list),
-                       max(b.end for b in burst_list),
-                       tuple(dict.fromkeys(b.ngram for b in burst_list)),
-                       tuple(burst_list)))
-
+        members = sorted((bursts[i] for i in idxs),
+                         key=lambda b: (b.start, b.end, b.ngram.lemmas))
+        topics.append((max(b.end for b in members), members))
     # Two topics can share this key (a case is in tests/test_topics.py); the
     # stable sort then keeps them in the order of their first finders.
-    topics.sort(key=lambda t: (t[0], t[1], t[2][0].lemmas))
-    out = []
-    for seq, (start, end, ngrams, burst_list) in enumerate(topics, start=1):
-        out.append(Topic(topic_id=f"T{seq:04d}", ngrams=ngrams, start=start,
-                         end=end, bursts=burst_list,
-                         participations=_participations(list(burst_list))))
-    return out
+    topics.sort(key=lambda t: (t[1][0].start, t[0], t[1][0].ngram.lemmas))
+    return [Topic(f"T{seq:04d}", tuple(dict.fromkeys(b.ngram for b in ms)),
+                  ms[0].start, end, tuple(ms), _participations(ms))
+            for seq, (end, ms) in enumerate(topics, start=1)]

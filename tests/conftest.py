@@ -375,6 +375,14 @@ def reference_iter_records(path):
             yield line_no, record
 
 
+def _reference_text(line, name, value):
+    """A string read from a record, refused if it holds a lone surrogate:
+    only a JSON escape in \\ud800-\\udfff can write one, and no UTF-8
+    artifact can hold it."""
+    if any(0xD800 <= ord(ch) <= 0xDFFF for ch in value):
+        raise MalformedRecord(line, f"bad {name} {value!r}: lone surrogate")
+
+
 def _reference_tokens(raw, line, config, report):
     """Tokens of one title or body, each raw value's type checked before
     use: the chunk first, then the lemma and the tag."""
@@ -396,6 +404,8 @@ def _reference_tokens(raw, line, config, report):
             if not isinstance(value, str):
                 raise MalformedRecord(line, f"bad {name} {value!r}: "
                                             "not a string")
+        _reference_text(line, "lemma", lemma)
+        _reference_text(line, "tag", tag)
         lemma = lemma.strip().lower()
         if not lemma:
             report.empty_lemma_tokens += 1
@@ -436,6 +446,8 @@ def reference_corpus_from_records(records, config=None) -> Corpus:
             raise MalformedRecord(line_no, "missing blog_id")
         if "\r" in blog_id:
             raise MalformedRecord(line_no, "carriage return in blog_id")
+        _reference_text(line_no, "post_id", post_id)
+        _reference_text(line_no, "blog_id", blog_id)
         if "timestamp" not in record:
             raise MalformedRecord(line_no, "missing timestamp")
         if post_id in seen_ids:
@@ -456,6 +468,7 @@ def reference_corpus_from_records(records, config=None) -> Corpus:
             if "\r" in target:
                 raise MalformedRecord(line_no,
                                       "carriage return in a link target")
+            _reference_text(line_no, "link target", target)
         parsed.append((Post(post_id=post_id, blog_id=blog_id, timestamp=ts,
                             title_tokens=title, body_tokens=body),
                        links))

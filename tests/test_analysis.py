@@ -6,6 +6,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from precursor import svg
 from precursor.analysis import (_rank_with_ties, binned_summary, classify,
                                 corner_lists, hexbin, hex_size_for,
                                 significance_table, stars, wilcoxon_rank_sum)
@@ -138,6 +139,12 @@ class TestBinnedSummary:
                               n_bins=4)
         empty = [s for s in wide if s.count == 0]
         assert empty and all(s.median is None for s in empty)
+        # no score at all: four empty bins over [0, 1], log bins or not
+        for log_bins in (False, True):
+            assert [(s.lo, s.hi, s.count, s.median) for s in binned_summary(
+                {}, {}, n_bins=4, log_bins=log_bins)] == [
+                    (0.0, 0.25, 0, None), (0.25, 0.5, 0, None),
+                    (0.5, 0.75, 0, None), (0.75, 1.0, 0, None)]
 
     def test_two_bin_hand_quartiles(self):
         scores = {f"b{i}": (0.0 if i < 4 else 1.0) for i in range(8)}
@@ -195,6 +202,7 @@ class TestHexbin:
                   for x, y, m in rng.uniform(0, 1, size=(60, 3))]
         cells = hexbin(points, grid_size=4)
         assert sum(c.count for c in cells) == len(points)
+        assert hexbin([], grid_size=4) == []
 
     def test_grid_validated(self):
         with pytest.raises(ValueError):
@@ -260,9 +268,28 @@ class TestCornerLists:
         degrees = {f"b{i}": i + 1 for i in range(30)}
         corners = corner_lists(precursor, degrees, k=10)
         assert all(len(v) == 10 for v in corners.values())
+        assert list(corner_lists({}, {}, k=10).items()) == [
+            ("ll", []), ("lh", []), ("hl", []), ("hh", [])]
 
     def test_zero_values_survive_log_transform(self):
         corners = corner_lists({"a": 0.0, "b": 0.5}, {"a": 0, "b": 3}, k=2)
         assert corners["ll"][0][0] == "a"
         assert all(math.isfinite(d) for lst in corners.values()
                    for _, d in lst)
+
+
+class TestSvg:
+    def test_no_cells_draw_the_bare_frame(self):
+        assert (svg.hexbin_svg([], 1.0, "P", "L", "title")
+                == svg._svg("P", "L", "title", []))
+
+    def test_no_scores_draw_no_box(self):
+        bins = binned_summary({}, {}, n_bins=4)
+        drawn = svg.boxplot_svg(bins, "bins", "metric", "title")
+        # the frame and one label per bin of [0, 1]; no whisker, box or
+        # median line
+        assert drawn == svg._svg("bins", "metric", "title", [
+            f'<text x="{x}" y="440" text-anchor="middle" font-size="10">'
+            f'{label}</text>' for x, label in (
+                ("122.00", "[0, 0.25]"), ("254.00", "[0.25, 0.5]"),
+                ("386.00", "[0.5, 0.75]"), ("518.00", "[0.75, 1]"))])

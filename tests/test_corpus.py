@@ -97,6 +97,32 @@ class TestLoadCorpus:
         assert err.value.line == 2
         assert err.value.reason.startswith("invalid JSON (")
 
+    @pytest.mark.parametrize("field, value", [
+        (None, None), ("post_id", '"p\\ud800"'), ("blog_id", '"\\uDFFF"'),
+        ("lemma", '"\\ud800t000a"'), ("tag", '"NOUN\\udbff"'),
+        ("link target", '"\\ude00c"')],
+        ids=["pair", "post_id", "blog_id", "lemma", "tag", "link-target"])
+    def test_lone_surrogate_reports_line_and_field(self, tmp_path, field,
+                                                    value):
+        # only an escape writes one; an escaped pair, as in this blog id, is
+        # one astral character and loads
+        fields = {"post_id": '"p2"', "blog_id": '"\\ud83d\\ude00"',
+                  "lemma": '"cat"', "tag": '"NOUN"', "link target": '"a"'}
+        fields.update({field: value} if field else {})
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            '{"post_id": "p1", "blog_id": "a", "timestamp": 1}\n'
+            '{"post_id": %(post_id)s, "blog_id": %(blog_id)s, "timestamp": 2, '
+            '"body": [{"l": %(lemma)s, "p": %(tag)s}], '
+            '"links": [%(link target)s]}\n' % fields)
+        if field is None:
+            assert load_corpus(path).blogs == {"a", "\U0001f600"}
+            return
+        with pytest.raises(MalformedRecord) as err:
+            load_corpus(path)
+        assert (err.value.line, err.value.reason) == (
+            2, f"bad {field} {json.loads(value)!r}: lone surrogate")
+
     def test_duplicate_post_id_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_lines(path, [rec("p1", "a", 10), rec("p1", "b", 20)])
@@ -435,13 +461,13 @@ RAW = {"l": ["Cat", " dog ", "", "1", "été"],
 # them that load.  A lemma, tag or chunk value goes into one token; these
 # are all faults, among them each value the loader once converted (a null
 # lemma to "none", a chunk of 2.5 to 2, "1" or true to 1)
-FAULTS = {"post_id": ["", 7], "blog_id": ["", 5, "a\rb"],
+FAULTS = {"post_id": ["", 7, "p\ud800"], "blog_id": ["", 5, "a\rb", "\udfff"],
           "timestamp": [1.5, True, float("nan"), "2020-01-01T00:00:00Z", "bad"],
           "links": [None, "a", 0, {}, False, ["a", 3], ["b", None],
-                    ["b", "\r"]],
+                    ["b", "\r"], ["b", "\udc00c"]],
           "title": [None, "cat"], "token": ["cat", 3, None],
-          "lemma": [None, 1, 1.0, True, ["cat"]],
-          "tag": [None, 1, True, ["NOUN"]],
+          "lemma": [None, 1, 1.0, True, ["cat"], "c\ud800t"],
+          "tag": [None, 1, True, ["NOUN"], "\udbff"],
           "chunk": [1.0, True, 2.5, "1", "x", None, [1], float("nan"),
                     float("inf")]}
 TOKEN_KEYS = {"lemma": "l", "tag": "p", "chunk": "c"}

@@ -1153,6 +1153,27 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "error: line 2: invalid JSON (")
 
+    @pytest.mark.parametrize("key, value", [
+        ("l", "\ud800t000a"), ("post_id", "p\ud800"), ("blog_id", "\ud800")],
+        ids=["lemma", "post_id", "blog_id"])
+    def test_lone_surrogate_exits_one_before_writing(self, tmp_path, capsys,
+                                                     key, value):
+        # refused at ingest: no UTF-8 artifact can hold it, and a stage that
+        # met it later would fail naming no line
+        record = {"post_id": "p2", "blog_id": "b", "timestamp": 200,
+                  "body": [{"l": "cat", "p": "NOUN", "c": 0}]}
+        (record["body"][0] if key == "l" else record)[key] = value
+        corpus_file = tmp_path / "c.jsonl"
+        corpus_file.write_text(
+            '{"post_id": "p1", "blog_id": "a", "timestamp": 100}\n'
+            + json.dumps(record) + "\n")
+        assert main(["run", "--input", str(corpus_file), "--workdir",
+                     str(tmp_path / "w")]) == 1
+        field = {"l": "lemma"}.get(key, key)
+        assert capsys.readouterr().err == (
+            f"error: line 2: bad {field} {value!r}: lone surrogate\n")
+        assert not (tmp_path / "w" / "corpus.jsonl").exists()
+
     @pytest.mark.parametrize("key, value, reason", [
         ("l", None, "bad lemma None: not a string"),
         ("l", 1, "bad lemma 1: not a string"),

@@ -170,6 +170,8 @@ chance = st.floats(0.01, 0.99)
 class TestGamma:
     def test_flat_prior_mean(self):
         assert gamma(ctx_of(0, 0, [])) == 0.5
+        # |A| = 0 takes the one-node rule: x = 0.5 with weight 1
+        assert _gammas([0], [0], np.zeros(0), [False]).tolist() == [0.5]
 
     def test_one_third_case(self):
         assert gamma(ctx_of(1, 0, [0.5])) == pytest.approx(1 / 3, abs=1e-12)
