@@ -14,12 +14,18 @@ alpha or its minimum inter-burst gap falls below beta, and the best trial
 (the first, when several tie) is accepted only if it strictly improves on
 the current rho.  The procedure stops when no candidate qualifies.
 
-`detect_all` runs the greedy split for every n-gram of an index in lockstep
-(`_greedy_splits`), and `detect_bursts` runs the same kernel on one n-gram.
-Occurrence times are integer seconds, so every gap and every sum of gaps is
-an integer well inside float64's exact range: the sums are exact whatever
-order they are added in, and each n-gram's trial ratios are the same floats
-a one-n-gram loop computes.
+With k bits set at gaps summing to s, and o open gaps summing to R, the
+trial at open gap g has rho = ((s + g)/(k + 1)) / ((R - g)/(o - 1)), which
+rises strictly with g while R - g > 0.  So the best trial is at the largest
+open gap, the first of equal ones (when R - g = 0 the others are zeros,
+which beta refuses), and its minimum gap is g: the greedy sets the gaps
+largest first, and theta holds those of the leading run of accepted trials.
+`_greedy_splits` finds that run for every n-gram of an index (`detect_all`)
+or for one (`detect_bursts`) from one sort and per-n-gram prefix sums.
+Occurrence times are integer seconds, so the prefix sums, which run over
+the whole index, are exact in any order while below 2**53 s; and while an
+n-gram spans less than 2**51 s, distinct gaps give ratios more than their
+three roundings apart, so floats and choices are the stepwise greedy's.
 """
 
 from __future__ import annotations
@@ -92,51 +98,31 @@ def _greedy_splits(gaps: np.ndarray, n_gaps: np.ndarray, alpha: float,
     """The greedy theta of every n-gram at once, over their concatenated gaps.
 
     gaps holds n_gaps[j] >= 1 gaps of n-gram j after those of n-grams
-    0..j-1; the result is the boolean theta over the same positions.
+    0..j-1; the result is the boolean theta over the same positions, each
+    n-gram's k largest gaps (the first of equal ones) for its greedy k.
     """
     theta = np.zeros(gaps.size, dtype=bool)
     if not n_gaps.size:
         return theta
-    total = np.add.reduceat(gaps, np.cumsum(n_gaps) - n_gaps)
-    k = np.zeros(n_gaps.size, dtype=np.int64)
-    s_in = np.zeros(n_gaps.size)
-    cur_min = np.full(n_gaps.size, np.inf)
-    # the n-grams still running, their gap positions, and for each of those
-    # gaps the n-gram's place among the running ones
-    run = np.arange(n_gaps.size)
-    pos = np.arange(gaps.size)
-    seg = np.repeat(run, n_gaps)
-    while run.size:
-        g, size = gaps[pos], n_gaps[run]
-        kk, s, rest = k[run], s_in[run], total[run] - s_in[run]
-        open_gaps = size - kk
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cur_intra = np.where((kk > 0) & (open_gaps > 0),
-                                 rest / open_gaps, 0.0)
-            cur_rho = np.where((kk > 0) & (cur_intra > 0),
-                               (s / kk) / cur_intra, 0.0)
-            # score every currently-unset position of every running n-gram
-            v_inter = (s[seg] + g) / (kk[seg] + 1)
-            rem = (open_gaps - 1)[seg]
-            v_intra = np.where(rem > 0, (rest[seg] - g) / rem, 0.0)
-            rho = np.where(v_intra > 0, v_inter / v_intra, 0.0)
-        m_int = np.minimum(cur_min[run][seg], g)
-        score = np.where((rho < alpha) | (m_int < beta), 0.0, rho)
-        score[theta[pos]] = -np.inf
-
-        starts = np.cumsum(size) - size
-        best = np.maximum.reduceat(score, starts)
-        ties = np.flatnonzero(score == best[seg])
-        first = ties[np.searchsorted(ties, starts)]
-        accept = (best > 0.0) & (best > cur_rho)
-        chosen = pos[first[accept]]
-        theta[chosen] = True
-        run = run[accept]
-        k[run] += 1
-        s_in[run] += gaps[chosen]
-        cur_min[run] = np.minimum(cur_min[run], gaps[chosen])
-        going = accept[seg]
-        pos, seg = pos[going], (np.cumsum(accept) - 1)[seg[going]]
+    starts = np.cumsum(n_gaps) - n_gaps
+    seg = np.repeat(np.arange(n_gaps.size), n_gaps)
+    order = np.lexsort((-gaps, seg))
+    g = gaps[order]
+    # trial k of an n-gram comes after its k largest gaps are accepted
+    k = np.arange(gaps.size) - starts[seg]
+    prefix = np.concatenate(([0.0], np.cumsum(g)))
+    s = prefix[:-1] - prefix[starts][seg]
+    rest = np.add.reduceat(gaps, starts)[seg] - s
+    open_gaps = n_gaps[seg] - k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cur_intra = rest / open_gaps
+        cur_rho = np.where((k > 0) & (cur_intra > 0), (s / k) / cur_intra, 0.0)
+        v_inter = (s + g) / (k + 1)
+        v_intra = np.where(open_gaps > 1, (rest - g) / (open_gaps - 1), 0.0)
+        rho = np.where(v_intra > 0, v_inter / v_intra, 0.0)
+    accept = (rho >= alpha) & (g >= beta) & (rho > 0.0) & (rho > cur_rho)
+    n_split = np.minimum.reduceat(np.where(accept, n_gaps[seg], k), starts)
+    theta[order[k < n_split[seg]]] = True
     return theta
 
 
@@ -223,7 +209,7 @@ def detect_all(index: dict[Ngram, list[Occurrence]],
                alpha: float = PipelineConfig.alpha,
                beta: float = PipelineConfig.beta_days * DAY
                ) -> dict[Ngram, list[Burst]]:
-    """Run detection over a whole occurrence index, every n-gram at once."""
+    """Run detection over a whole occurrence index, all n-grams in one sort."""
     _check_thresholds(alpha, beta)
     lists = list(index.values())
     sizes = np.fromiter(map(len, lists), np.int64, len(lists))

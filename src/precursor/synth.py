@@ -249,7 +249,8 @@ def generate(spec: SynthSpec) -> tuple[list[dict], GroundTruth]:
     """Build corpus records plus the planted ground truth, deterministically
     for a given spec (seed included).  Raises InfeasibleSpec when a planted
     topic cannot satisfy the burst filters, a participant, leader or rate
-    multiplier names no blog of the spec, or a ramp or lead is negative.
+    multiplier names no blog of the spec, a topic's leader is not among its
+    participants, or a ramp or lead is negative.
     """
     if spec.base_rate <= 0:
         raise InfeasibleSpec("base posting rate must be positive")
@@ -263,10 +264,13 @@ def generate(spec: SynthSpec) -> tuple[list[dict], GroundTruth]:
     if unknown := set(spec.rate_multipliers) - known:
         raise InfeasibleSpec("rate multipliers of unknown blogs "
                              f"{sorted(unknown)}")
-    for topic in spec.topics:
+    for t_idx, topic in enumerate(spec.topics):
         if unknown := {*topic.participants, topic.leader} - known - {None}:
             raise InfeasibleSpec("unknown participants or leader "
                                  f"{sorted(unknown)}")
+        if topic.leader not in (None, *topic.participants):
+            raise InfeasibleSpec(f"topic {t_idx}: leader {topic.leader} is "
+                                 "not among its participants")
         _validate_topic(spec, topic)
 
     rng_topics = np.random.default_rng([spec.seed, 1])

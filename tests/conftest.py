@@ -750,9 +750,18 @@ def brute_force_merge(bursts, keep_singletons: bool = False) -> list[Topic]:
             in enumerate(topics, start=1)]
 
 
-def reference_detect_bursts(times, alpha: float, beta: float) -> np.ndarray:
+def reference_detect_bursts(times, alpha: float, beta: float,
+                            met: set | None = None) -> np.ndarray:
     """The greedy split of one n-gram as a loop of its own: each step
-    rescores every unset gap from theta and accepts the first best one."""
+    rescores every unset gap from theta and accepts the first best one.
+
+    When given, `met` gains the name of each rule the run met.  With no
+    admissible trial left, "stopped by alpha" when a trial that passed beta
+    had a positive rho below alpha, and "stopped by beta" when a trial whose
+    rho passed alpha had a split gap below beta; "stopped on no rise" when
+    the best admissible trial only tied or lowered rho; and "largest open
+    gaps tied" when an accepted gap equalled another unset one.
+    """
     g = np.diff(np.asarray(times, dtype=np.float64))
     n_gaps = g.size
     theta = np.zeros(n_gaps, dtype=np.int64)
@@ -776,9 +785,20 @@ def reference_detect_bursts(times, alpha: float, beta: float) -> np.ndarray:
         score = np.where((rho < alpha) | (m_int < beta), 0.0, rho)
         score[theta == 1] = -np.inf
         best = int(np.argmax(score))
+        unset = theta == 0
         if score[best] > 0.0 and score[best] > cur_rho:
+            if met is not None and np.count_nonzero(g[unset] == g[best]) > 1:
+                met.add("largest open gaps tied")
             theta[best] = 1
         else:
+            if met is not None and score[best] > 0.0:
+                met.add("stopped on no rise")
+            elif met is not None:
+                met.update(rule for rule, holds in (
+                    ("stopped by alpha", (unset & (m_int >= beta) & (rho > 0)
+                                          & (rho < alpha)).any()),
+                    ("stopped by beta", (unset & (rho >= alpha)
+                                         & (m_int < beta)).any())) if holds)
             return theta
 
 
@@ -811,6 +831,25 @@ def exhaustive_best_partition(times, alpha: float, beta: float):
         if rho > best:
             best = rho
             best_theta = bits
+    return best, best_theta
+
+
+def best_partition(times, alpha: float, beta: float):
+    """`exhaustive_best_partition` from n - 1 candidates, not 2**(n - 1).
+
+    Among the assignments with k splits, the k largest gaps (the first of
+    equal ones) give both the largest rho and the largest minimum split gap,
+    so each k needs scoring only there; `burst_ratio` scores them, so the
+    roundings are those of the exhaustive search.
+    """
+    g = _gaps(times)
+    theta = np.zeros(g.size, dtype=np.int64)
+    best, best_theta = 0.0, (0,) * g.size
+    for j in np.argsort(-g, kind="stable").tolist():
+        theta[j] = 1
+        rho = burst_ratio(times, theta)
+        if rho >= alpha and g[j] >= beta and rho > best:
+            best, best_theta = rho, tuple(theta.tolist())
     return best, best_theta
 
 

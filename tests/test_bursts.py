@@ -9,12 +9,19 @@ from precursor.bursts import (Burst, burst_passes, burst_ratio, detect_all,
                               intra_burst_mean, segment_bursts)
 from precursor.ngrams import Occurrence
 
-from conftest import (NoSplit, burst_of, exhaustive_best_partition,
-                      min_inter_interval, ngram_of, reference_detect_bursts)
+from conftest import (NoSplit, best_partition, burst_of,
+                      exhaustive_best_partition, min_inter_interval, ngram_of,
+                      reference_detect_bursts)
 
 T_DAYS = [0, 1, 2, 10, 11, 12]
 T = [t * DAY for t in T_DAYS]
 THETA = [0, 0, 1, 0, 0]
+
+# gaps of a few hours inside clusters and of days between them, with ties
+# among the small ones and, from the fixed lengths, among the large ones
+gap = st.one_of(st.integers(0, 6 * HOUR), st.integers(DAY, 40 * DAY),
+                st.sampled_from((6 * DAY, 15 * DAY)))
+gap_lists = st.lists(gap, min_size=1, max_size=39)
 
 
 class TestMeans:
@@ -119,6 +126,23 @@ class TestDetect:
             best, _ = exhaustive_best_partition(times, 5.0, 5 * DAY)
             assert burst_ratio(times, theta) <= best + 1e-9
 
+    @settings(max_examples=60, deadline=None)
+    @given(gaps=st.lists(gap, min_size=1, max_size=11),
+           alpha=st.floats(0.5, 20.0), beta_days=st.floats(0.1, 20.0))
+    def test_best_partition_equals_the_exhaustive_search(self, gaps, alpha,
+                                                         beta_days):
+        times = np.cumsum([0] + gaps).tolist()
+        beta = beta_days * DAY
+        best, theta = best_partition(times, alpha, beta)
+        exact, exact_theta = exhaustive_best_partition(times, alpha, beta)
+        assert best == exact
+        assert burst_ratio(times, theta) == best
+        # with several sets of k largest gaps the two may pick different ones
+        k = sum(exact_theta)
+        top = sorted(gaps, reverse=True)
+        if sum(theta) == k and (k in (0, len(top)) or top[k - 1] > top[k]):
+            assert theta == exact_theta
+
     def test_time_shift_invariance(self):
         shifted = [t + 12345 for t in T]
         assert detect_bursts(shifted).tolist() == detect_bursts(T).tolist()
@@ -132,12 +156,6 @@ class TestDetect:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             detect_bursts([0])
-
-
-# gaps of a few hours inside clusters and of days between them, with ties
-gap_lists = st.lists(st.one_of(st.integers(0, 6 * HOUR),
-                               st.integers(DAY, 40 * DAY)),
-                     min_size=1, max_size=39)
 
 
 class TestLockstep:
@@ -175,7 +193,7 @@ class TestLockstep:
             splits = []
             for ngram, occs in index.items():
                 theta = reference_detect_bursts([o.timestamp for o in occs],
-                                                alpha, beta)
+                                                alpha, beta, covered)
                 assert found[ngram] == segment_bursts(ngram, occs, theta)
                 splits.append(int(theta.sum()))
             covered.update(case for case, holds in (
@@ -188,7 +206,9 @@ class TestLockstep:
 
         check()
         assert covered == {"empty index", "several splits in one n-gram",
-                           "split next to no split", "tied times"}
+                           "split next to no split", "tied times",
+                           "stopped by alpha", "stopped by beta",
+                           "stopped on no rise", "largest open gaps tied"}
 
     def test_a_split_that_only_ties_the_ratio_is_refused(self):
         # after the split at the 4-day gap, splitting at the 3-day gap

@@ -76,15 +76,18 @@ class TestFeasibility:
 
     @pytest.mark.parametrize("topic_kw, spec_kw, message", [
         # each would plant something other than the spec says: followers
-        # before their leader, a 21st blog, no multiplier, a ramp of 0
+        # before their leader, a 21st blog, a seventh participant, no
+        # multiplier, a ramp of 0
         ({"lead_hours": -12.0}, {}, "lead_hours -12.0 must be >= 0"),
         ({"leader": "blog_999"}, {},
          r"unknown participants or leader \['blog_999'\]"),
+        ({"leader": "blog_006"}, {},
+         "topic 0: leader blog_006 is not among its participants"),
         ({}, {"rate_multipliers": {"blog_0001": 2.0}},
          r"rate multipliers of unknown blogs \['blog_0001'\]"),
         ({}, {"rate_ramp": -0.5}, "rate_ramp -0.5 is negative")],
-        ids=["negative-lead", "unknown-leader", "unknown-multiplier",
-             "negative-ramp"])
+        ids=["negative-lead", "unknown-leader", "outside-leader",
+             "unknown-multiplier", "negative-ramp"])
     def test_spec_that_plants_something_else_rejected(self, topic_kw, spec_kw,
                                                       message):
         spec = leader_follower_spec(seed=1)
