@@ -150,23 +150,18 @@ class Burst:
         return self.end - self.start
 
 
-def _cut(ngram: Ngram, occurrences: list[Occurrence],
-         boundaries: list[int]) -> list[Burst]:
-    """Bursts ending at each boundary occurrence index and at the last one."""
+def segment_bursts(ngram: Ngram, occurrences: list[Occurrence],
+                   theta: np.ndarray) -> list[Burst]:
+    """Cut an occurrence list into Burst objects along theta boundaries: a
+    burst ends at each occurrence whose bit is set and at the last one."""
     bursts = []
     start = 0
-    for boundary in boundaries + [len(occurrences) - 1]:
+    for boundary in np.flatnonzero(theta).tolist() + [len(occurrences) - 1]:
         segment = tuple(occurrences[start:boundary + 1])
         bursts.append(Burst(ngram, segment[0].timestamp, segment[-1].timestamp,
                             segment))
         start = boundary + 1
     return bursts
-
-
-def segment_bursts(ngram: Ngram, occurrences: list[Occurrence],
-                   theta: np.ndarray) -> list[Burst]:
-    """Cut an occurrence list into Burst objects along theta boundaries."""
-    return _cut(ngram, occurrences, np.flatnonzero(theta).tolist())
 
 
 def burst_passes(burst: Burst, cfg: PipelineConfig) -> bool:
@@ -224,15 +219,6 @@ def detect_all(index: dict[Ngram, list[Occurrence]],
         raise ValueError("occurrence times must be ascending")
     n_gaps = sizes - 1
     theta = _greedy_splits(gaps, n_gaps, alpha, beta)
-    splits = np.flatnonzero(theta)
-    k = np.bincount(np.repeat(np.arange(sizes.size), n_gaps)[splits],
-                    minlength=sizes.size)
-    # a split's gap index within its n-gram is the index of the occurrence
-    # that ends the burst
-    local = (splits - np.repeat(np.cumsum(n_gaps) - n_gaps, k)).tolist()
-    out: dict[Ngram, list[Burst]] = {}
-    done = 0
-    for ngram, occs, n in zip(index, lists, k.tolist()):
-        out[ngram] = _cut(ngram, occs, local[done:done + n])
-        done += n
-    return out
+    bounds = np.concatenate(([0], np.cumsum(n_gaps))).tolist()
+    return {ngram: segment_bursts(ngram, occs, theta[lo:hi])
+            for ngram, occs, lo, hi in zip(index, lists, bounds, bounds[1:])}

@@ -22,11 +22,14 @@ metrics to the score stage, and the scores with their link metrics to the
 report stage.  A stage whose input no earlier stage of the call produced
 reads it from its artifact (`corpus.jsonl`, `index.jsonl`, `bursts.jsonl`,
 `topics.jsonl`, `network_scores.csv`, `global_scores.csv`) before it writes
-anything.  `corpus.jsonl` holds the input's bytes as they are, so a stage
-that reads it applies the current window, link and noun keys to the
-original records.  Each artifact has one writing stage and changes only
-when that stage runs: after `--stages network` alone, `global_scores.csv`
-and `report/` keep the old link metrics until score and report run again.
+anything; the score stage also refuses (`StageError`) a topic that crosses
+the window and an eligible blog with no link metrics, as an earlier stage
+run under another window leaves them (such a topic could put Pr(H) above 1).
+`corpus.jsonl` holds the input's bytes as they are, so a stage that reads
+it applies the current window, link and noun keys to the original records.
+Each artifact has one writing stage and changes only when that stage runs:
+after `--stages network` alone, `global_scores.csv` and `report/` keep the
+old link metrics until score and report run again.
 No stage draws random numbers, so re-running a stage with unchanged inputs
 and config reproduces its artifacts byte for byte, whatever the seed.
 
@@ -277,7 +280,21 @@ def stage_network(cfg: PipelineConfig, workdir: Path,
 
 def stage_score(cfg: PipelineConfig, workdir: Path, corpus: Corpus,
                 topics: list[Topic], links: list[tuple]) -> list[tuple]:
+    lo, hi = corpus.window
+    for t in topics:
+        if t.start < lo or t.end > hi:
+            crossed = (f"starts at {t.start}, before the window start {lo}"
+                       if t.start < lo else
+                       f"ends at {t.end}, after the window end {hi}")
+            raise StageError("score", f"topic {t.topic_id} of "
+                             f"{workdir / 'topics.jsonl'} {crossed}; run the "
+                             "ngrams, bursts and topics stages again")
     blogs = scoring.eligible_blogs(corpus, cfg.min_posts)
+    metrics = {b: (degree, rank) for b, degree, rank in links}
+    if missing := [b for b in blogs if b not in metrics]:
+        raise StageError("score", f"{workdir / 'network_scores.csv'} has no "
+                         f"row for eligible blog {missing[0]}; run the "
+                         "network stage again")
     shared = scoring.score_shared_dyads(corpus, topics, blogs)
     names = shared.blogs
     _write_csv(workdir / "dyadic_scores.csv",
@@ -286,8 +303,7 @@ def stage_score(cfg: PipelineConfig, workdir: Path, corpus: Corpus,
                    [names[j] for j in shared.b2.tolist()],
                    *(column.tolist() for column in shared[3:])))
     pl = scoring.global_scores(shared)
-    metrics = {b: (degree, rank) for b, degree, rank in links}
-    linked = [(b, *pl[b], *metrics.get(b, (0, 0.0))) for b in blogs]
+    linked = [(b, *pl[b], *metrics[b]) for b in blogs]
     _write_csv(workdir / "global_scores.csv", list(_COLUMNS), linked)
     logger.info("[score] %d dyads scored over %d eligible blogs "
                 "(%d with shared topics)", len(blogs) * (len(blogs) - 1),
@@ -302,11 +318,11 @@ _NETWORK_COLUMNS = ["blog_id", "in_degree", "pagerank"]
 
 
 def read_global_scores(path: Path, columns: Collection[str]) -> list[tuple]:
-    """The given columns of every row of a per-blog table, `global_scores.csv`
-    or `network_scores.csv`, each value typed by its column's name."""
+    """The given columns of each row of `global_scores.csv` or
+    `network_scores.csv`, typed by column name and checked by `_from_json`."""
     with open(path, encoding="utf-8", newline="") as fh:
-        return [tuple(_COLUMNS[name](row[name]) for name in columns)
-                for row in csv.DictReader(fh)]
+        return [tuple(_from_json(_COLUMNS[n], _COLUMNS[n](row[n]), f"{n}: ")
+                      for n in columns) for row in csv.DictReader(fh)]
 
 
 def _write_text(path: Path, text: str) -> None:

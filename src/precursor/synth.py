@@ -43,6 +43,7 @@ A weighted draw (a tag or an entry position) is the one uniform that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, cycle
 from operator import itemgetter
 from typing import Callable
 
@@ -149,9 +150,12 @@ def _topic_schedule(spec: SynthSpec, topic: PlantedTopic,
                     rng: np.random.Generator) -> list[tuple[int, str, bool]]:
     """(timestamp, blog, extended?) slots for one planted topic.
 
-    Blogs alternate (round-robin) so the distinct-consecutive-blog collapse
-    retains every slot; the first and last slots sit exactly on the interval
-    bounds, and slots inside the interior zone carry the extended n-gram.
+    The first and last slots sit exactly on the interval bounds, and slots
+    inside the interior zone carry the extended n-gram.  The blogs take
+    turns: a led topic opens with its leader and then cycles through its
+    followers, a leaderless one cycles through its entry order.  The
+    participants are distinct, min_blogs or more, so no two adjacent slots
+    share a blog and the index's collapse of same-blog runs keeps them all.
     """
     start = int(round(topic.start_day * DAY))
     end = start + int(round(topic.duration_days * DAY))
@@ -160,39 +164,30 @@ def _topic_schedule(spec: SynthSpec, topic: PlantedTopic,
     inner_hi = end - 12 * HOUR
 
     if topic.leader is not None:
-        first = topic.leader
-        rotation = [b for b in topic.participants if b != topic.leader]
-        rng.shuffle(rotation)
+        followers = [b for b in topic.participants if b != topic.leader]
+        rng.shuffle(followers)
+        turns = chain([topic.leader], cycle(followers))
     else:
         rates = [_rate_of(spec, b) for b in topic.participants]
-        order = _entry_order(topic.participants, rates, rng)
-        first, rotation = order[0], order[1:] + [order[0]]
+        turns = cycle(_entry_order(topic.participants, rates, rng))
 
-    slots: list[tuple[int, str]] = [(start, first)]
+    slots: list[tuple[int, str]] = [(start, next(turns))]
     t = (start + lead + int(rng.integers(HOUR, 2 * HOUR)) if lead
          else start + int(rng.integers(2 * HOUR, 5 * HOUR)))
-    i = 0
     while t < end - 2 * HOUR:
-        slots.append((t, rotation[i % len(rotation)]))
-        i += 1
+        slots.append((t, next(turns)))
         t += int(rng.integers(3 * HOUR, 7 * HOUR))
-    last_blog = rotation[i % len(rotation)]
-    if last_blog == slots[-1][1]:
-        last_blog = rotation[(i + 1) % len(rotation)]
-    slots.append((end, last_blog))
+    slots.append((end, next(turns)))
     return [(ts, blog, inner_lo <= ts <= inner_hi) for ts, blog in slots]
 
 
-def _check_planted_burst(times: list[int], blogs: list[str],
+def _check_planted_burst(slots: list[tuple[int, str, bool]],
                          label: str) -> None:
-    """Re-check a planted schedule against the default burst filters."""
-    burst = Burst(Ngram(()), times[0], times[-1],
-                  tuple(Occurrence(t, b, "") for t, b in zip(times, blogs)))
+    """Re-check planted slots against the default burst filters."""
+    burst = Burst(Ngram(()), slots[0][0], slots[-1][0],
+                  tuple(Occurrence(t, b, "") for t, b, _ in slots))
     if not filter_bursts({burst.ngram: [burst]}):
         raise InfeasibleSpec(f"{label}: fails the default burst filters")
-    for a, b in zip(blogs, blogs[1:]):
-        if a == b:
-            raise InfeasibleSpec(f"{label}: same blog twice in a row")
 
 
 def _noise_times(rate: float, window: float, ramp: float,
@@ -249,8 +244,8 @@ def generate(spec: SynthSpec) -> tuple[list[dict], GroundTruth]:
     """Build corpus records plus the planted ground truth, deterministically
     for a given spec (seed included).  Raises InfeasibleSpec when a planted
     topic cannot satisfy the burst filters, a participant, leader or rate
-    multiplier names no blog of the spec, a topic's leader is not among its
-    participants, or a ramp or lead is negative.
+    multiplier names no blog of the spec, a topic lists a participant twice
+    or a leader not among them, or a ramp or lead is negative.
     """
     if spec.base_rate <= 0:
         raise InfeasibleSpec("base posting rate must be positive")
@@ -268,6 +263,10 @@ def generate(spec: SynthSpec) -> tuple[list[dict], GroundTruth]:
         if unknown := {*topic.participants, topic.leader} - known - {None}:
             raise InfeasibleSpec("unknown participants or leader "
                                  f"{sorted(unknown)}")
+        for i, blog in enumerate(topic.participants):
+            if blog in topic.participants[:i]:
+                raise InfeasibleSpec(f"topic {t_idx}: participant {blog} is "
+                                     "listed twice")
         if topic.leader not in (None, *topic.participants):
             raise InfeasibleSpec(f"topic {t_idx}: leader {topic.leader} is "
                                  "not among its participants")
@@ -283,11 +282,8 @@ def generate(spec: SynthSpec) -> tuple[list[dict], GroundTruth]:
 
     for t_idx, topic in enumerate(spec.topics):
         slots = _topic_schedule(spec, topic, rng_topics)
-        times = [s[0] for s in slots]
-        slot_blogs = [s[1] for s in slots]
-        _check_planted_burst(times, slot_blogs, f"topic {t_idx} ({' '.join(topic.words)})")
-        inner = [(ts, blog) for ts, blog, ext in slots if ext]
-        _check_planted_burst([ts for ts, _ in inner], [b for _, b in inner],
+        _check_planted_burst(slots, f"topic {t_idx} ({' '.join(topic.words)})")
+        _check_planted_burst([s for s in slots if s[2]],
                              f"topic {t_idx} interior")
         ext_word = f"x{t_idx:03d}"
         for s_idx, (ts, blog, ext) in enumerate(slots):
@@ -302,13 +298,13 @@ def generate(spec: SynthSpec) -> tuple[list[dict], GroundTruth]:
             })
         truth_topics.append({
             "words": list(topic.words),
-            "start": times[0],
-            "end": times[-1],
-            "participants": sorted(set(slot_blogs)),
+            "start": slots[0][0],
+            "end": slots[-1][0],
+            "participants": sorted({blog for _, blog, _ in slots}),
             "leader": topic.leader,
         })
         if topic.leader is not None:
-            for follower in sorted(set(slot_blogs) - {topic.leader}):
+            for follower in sorted({b for _, b, _ in slots} - {topic.leader}):
                 pairs.append((topic.leader, follower))
 
     vocab = [f"n{i:03d}" for i in range(spec.noise_vocab)]

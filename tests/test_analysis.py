@@ -276,6 +276,9 @@ class TestCornerLists:
         assert corners["ll"][0][0] == "a"
         assert all(math.isfinite(d) for lst in corners.values()
                    for _, d in lst)
+        # equal positive values normalize to 0 rather than to 0 / 0
+        equal = corner_lists({"a": 0.5, "b": 0.5}, {"a": 3, "b": 3}, k=2)
+        assert [d for _, d in equal["ll"]] == [0.0, 0.0]
 
 
 class TestSvg:

@@ -52,6 +52,10 @@ class TestMeans:
         with pytest.raises(NoSplit):
             min_inter_interval(T, [0] * 5)
 
+    def test_theta_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="theta must have length 5"):
+            inter_burst_mean(T, THETA[:-1])
+
 
 class TestBurstRatio:
     def test_fixture_value(self):
@@ -230,6 +234,8 @@ class TestLockstep:
                                           Occurrence(3, "b1", "p1")]}
         with pytest.raises(ValueError, match="ascending"):
             detect_all(backwards)
+        with pytest.raises(ValueError, match="ascending"):
+            detect_bursts([5, 3])
         with pytest.raises(ValueError, match="positive"):
             detect_all({}, alpha=0.0)
 
@@ -276,6 +282,10 @@ class TestFilters:
         too_sparse = burst_of(("w1", "w2"), start, end,
                               dense_occs(start, end, "abcd", 4))
         assert not burst_passes(too_sparse, PipelineConfig())
+        # one post has no mean gap, whatever the blog and length minimums
+        one_post = burst_of(("w1", "w2"), start, start, [(start, "a", "p")])
+        assert not burst_passes(one_post, PipelineConfig(min_blogs=1,
+                                                         min_burst_days=0))
 
     def test_total_duration_cap_discards_all(self):
         b1 = self.good_burst(start=0, days=20)

@@ -131,10 +131,12 @@ class TestLoadCorpus:
 
     def test_iso_timestamp_equivalent_to_epoch(self, tmp_path):
         path = tmp_path / "c.jsonl"
+        # an ISO time with no offset reads as UTC
         write_lines(path, [rec("p1", "a", "2009-10-01T00:00:00+00:00"),
-                           rec("p2", "a", 1254355200)])
+                           rec("p2", "a", 1254355200),
+                           rec("p3", "a", "2009-10-01T00:00:00")])
         corpus = load_corpus(path)
-        assert corpus.posts[0].timestamp == corpus.posts[1].timestamp
+        assert {p.timestamp for p in corpus.posts} == {1254355200}
 
     def test_window_filtering_and_report(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -219,9 +221,11 @@ class TestLoadCorpus:
             load_corpus(path)
         assert err.value.line == 2
 
-    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1e400",
+                                     "null"])
     def test_non_finite_timestamp_reports_line(self, tmp_path, raw):
-        # json.loads reads NaN and the infinities, and 1e400 as infinity
+        # json.loads reads NaN and the infinities, and 1e400 as infinity;
+        # null is neither a number nor a string
         path = tmp_path / "c.jsonl"
         path.write_text('{"post_id": "p1", "blog_id": "a", "timestamp": 1}\n'
                         '{"post_id": "p2", "blog_id": "a", "timestamp": %s}\n'

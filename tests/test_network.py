@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from precursor.network import NotConverged, build_graph, in_degrees, pagerank
+from precursor.network import (CitationGraph, NotConverged, build_graph,
+                               in_degrees, pagerank)
 
 from conftest import corpus_of, pagerank_linear, post, reference_pagerank
 
@@ -51,6 +52,7 @@ class TestPageRank:
         graph = graph_from_links({}, extra_blogs=[f"b{i}" for i in range(5)])
         ranks = pagerank(graph)
         assert all(r == pytest.approx(0.2, abs=1e-9) for r in ranks.values())
+        assert pagerank(CitationGraph(nodes=())) == {}
 
     def test_chain_matches_linear_solve(self):
         graph = graph_from_links({"a": ["b"], "b": ["c"]})

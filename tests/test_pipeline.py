@@ -131,6 +131,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config_file(path)
 
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("alpha = 7.5\nbins 3\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:2: expected key = value")):
+            parse_config_file(path)
+
     @pytest.mark.parametrize("key, raw", [("alpha", "abc"), ("bins", "2.5"),
                                           ("log_bins", "maybe")])
     def test_badly_typed_value_names_file_line_and_key(self, tmp_path, key,
@@ -493,6 +500,16 @@ class TestRunPipeline:
         assert [r["blog_id"] for r in read_rows(
             workdir / "report" / "classes.csv")] == blogs
 
+    @pytest.mark.parametrize("name, message", [
+        ("", "no input corpus file configured"),
+        ("missing.jsonl", "input file .*missing.jsonl not found")])
+    def test_ingest_needs_an_existing_input(self, tmp_path, name, message):
+        cfg = PipelineConfig(input=name and str(tmp_path / name),
+                             workdir=str(tmp_path / "w"))
+        with pytest.raises(StageError, match=message) as err:
+            run_pipeline(cfg, stages=["ingest"])
+        assert err.value.stage == "ingest"
+
     def test_resume_requires_prior_artifacts(self, small_corpus_file, tmp_path):
         cfg = PipelineConfig(input=str(small_corpus_file),
                              workdir=str(tmp_path / "o2"))
@@ -534,6 +551,9 @@ class TestRunPipeline:
         assert rows[0] == "b,b2,a_size,y_size,gamma,pr_h,omega"
         pairs = [tuple(row.split(",")[:2]) for row in rows[1:]]
         assert pairs == sorted(expected)
+        for row in read_rows(workdir / "dyadic_scores.csv"):
+            assert 0.0 <= float(row["pr_h"]) <= 1.0
+            assert float(row["omega"]) <= float(row["gamma"])
         # the fixture has eligible pairs both with and without shared topics
         assert 0 < len(expected) < len(eligible) * (len(eligible) - 1)
 
@@ -949,6 +969,52 @@ class TestIndexPruning:
             assert not (workdir / "bursts.jsonl").exists()
 
 
+@pytest.mark.usefixtures("restore_log_level")
+class TestScoreRefusesInputsOfAnotherWindow:
+    """Topics or link metrics built under another window than the score
+    stage's are refused before the stage writes anything."""
+
+    @pytest.mark.parametrize("bound", ["start", "end"])
+    def test_topic_outside_the_window_is_refused(
+            self, small_corpus_file, tmp_path, capsys, bound):
+        workdir = tmp_path / "w"
+        assert run_cli(small_corpus_file, workdir) == 0
+        topics = read_topics_artifact(workdir / "topics.jsonl")
+        if bound == "start":
+            at = min(t.start for t in topics) + 1
+            t = next(t for t in topics if t.start < at)
+            crossed = f"starts at {t.start}, before the window start {at}"
+        else:
+            at = max(t.end for t in topics) - 1
+            t = next(t for t in topics if t.end > at)
+            crossed = f"ends at {t.end}, after the window end {at}"
+        before = artifact_bytes(workdir)
+        capsys.readouterr()
+        assert run_cli(small_corpus_file, workdir, "--stages", "score",
+                       f"--window-{bound}", str(at)) == 1
+        assert capsys.readouterr().err == (
+            f"error: [score] topic {t.topic_id} of {workdir / 'topics.jsonl'} "
+            f"{crossed}; run the ngrams, bursts and topics stages again\n")
+        assert artifact_bytes(workdir) == before
+
+    def test_eligible_blog_without_link_metrics_is_refused(
+            self, small_corpus_file, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        assert run_cli(small_corpus_file, workdir) == 0
+        assert run_cli(small_corpus_file, workdir, "--stages", "network",
+                       "--window-end", str(DAY)) == 0
+        linked = {r["blog_id"] for r in read_rows(workdir / "network_scores.csv")}
+        missing = [b for b in eligible_from_artifact(workdir) if b not in linked]
+        assert missing  # the first day leaves some eligible blog out
+        before = artifact_bytes(workdir)
+        capsys.readouterr()
+        assert run_cli(small_corpus_file, workdir, "--stages", "score") == 1
+        assert capsys.readouterr().err == (
+            f"error: [score] {workdir / 'network_scores.csv'} has no row for "
+            f"eligible blog {missing[0]}; run the network stage again\n")
+        assert artifact_bytes(workdir) == before
+
+
 class TestSynthRunner:
     def test_spec_file_to_corpus(self, tmp_path):
         spec = {"n_blogs": 8, "window_days": 30, "base_rate": 0.5, "seed": 2,
@@ -963,6 +1029,13 @@ class TestSynthRunner:
         truth = json.loads((tmp_path / "synth_out" / "ground_truth.json")
                            .read_text())
         assert truth["topics"][0]["words"] == ["alpha", "beta"]
+        # a seed given replaces the spec's
+        run_synth(spec_path, tmp_path / "seeded", seed=3)
+        spec_path.write_text(json.dumps({**spec, "seed": 3}))
+        run_synth(spec_path, tmp_path / "spec_seed")
+        assert artifact_bytes(tmp_path / "seeded") == \
+            artifact_bytes(tmp_path / "spec_seed") != \
+            artifact_bytes(tmp_path / "synth_out")
 
     def test_keys_left_out_take_the_spec_class_defaults(self, tmp_path):
         # no seed, noise_vocab, link_prob, rate_ramp or lead_hours given
@@ -1288,6 +1361,14 @@ class TestCli:
         pytest.param("report", "global_scores.csv", 1, 1, "abc",
                      "ValueError: could not convert string to float: 'abc')",
                      id="bad-P-report"),
+        *(pytest.param(stage, artifact, 1, column, value,
+                       f"ValueError: {name}: expected a finite number, got "
+                       f"{float(value)!r})", id=f"{value}-{name}-{stage}")
+          for stage, artifact, column, name, value in (
+              ("score", "network_scores.csv", 2, "pagerank", "nan"),
+              ("report", "global_scores.csv", 1, "P", "inf"),
+              ("report", "global_scores.csv", 2, "L", "-inf"),
+              ("report", "global_scores.csv", 4, "pagerank", "nan"))),
         *(pytest.param(stage, artifact, 1, slice(1, None), [],  # the blog id
                        f"TypeError: {kind}() argument must be",  # alone
                        id=f"short-row-{stage}")

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from precursor import synth
 from precursor.corpus import DAY, HOUR, corpus_from_records
@@ -77,7 +77,8 @@ class TestFeasibility:
     @pytest.mark.parametrize("topic_kw, spec_kw, message", [
         # each would plant something other than the spec says: followers
         # before their leader, a 21st blog, a seventh participant, no
-        # multiplier, a ramp of 0
+        # multiplier, a ramp of 0, one blog counted as two participants, a
+        # one-word n-gram, posts past the window, a blog that never posts
         ({"lead_hours": -12.0}, {}, "lead_hours -12.0 must be >= 0"),
         ({"leader": "blog_999"}, {},
          r"unknown participants or leader \['blog_999'\]"),
@@ -85,9 +86,17 @@ class TestFeasibility:
          "topic 0: leader blog_006 is not among its participants"),
         ({}, {"rate_multipliers": {"blog_0001": 2.0}},
          r"rate multipliers of unknown blogs \['blog_0001'\]"),
-        ({}, {"rate_ramp": -0.5}, "rate_ramp -0.5 is negative")],
+        ({}, {"rate_ramp": -0.5}, "rate_ramp -0.5 is negative"),
+        ({"participants": ("blog_000", "blog_001", "blog_002", "blog_003",
+                           "blog_004", "blog_005", "blog_002")}, {},
+         "topic 0: participant blog_002 is listed twice"),
+        ({"words": ("t000a",)}, {}, "planted n-gram needs >= 2 words"),
+        ({"start_day": 72.0}, {}, "outside the observation window"),
+        ({}, {"rate_multipliers": {"blog_001": 0.0}},
+         "rate multipliers must be positive")],
         ids=["negative-lead", "unknown-leader", "outside-leader",
-             "unknown-multiplier", "negative-ramp"])
+             "unknown-multiplier", "negative-ramp", "participant-twice",
+             "one-word", "past-the-window", "zero-multiplier"])
     def test_spec_that_plants_something_else_rejected(self, topic_kw, spec_kw,
                                                       message):
         spec = leader_follower_spec(seed=1)
@@ -153,6 +162,29 @@ class TestGenerate:
         lead = others[0]["timestamp"] - planted[0]["timestamp"]
         assert lead >= 12 * HOUR
         assert ("blog_000", "blog_001") in truth.pairs
+
+    @settings(max_examples=100, deadline=None)
+    @given(blogs=st.permutations(blog_ids(10)), others=st.integers(4, 8),
+           led=st.booleans(), duration=st.floats(4.0, 20.0),
+           lead_hours=st.floats(0.0, 48.0),
+           multiplier=st.floats(0.2, 5.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_adjacent_slots_never_share_a_blog(self, blogs, others, led,
+                                               duration, lead_hours,
+                                               multiplier, seed):
+        # what keeps every slot through the n-gram index's collapse of a
+        # blog's consecutive occurrences; a led topic's first blog leads
+        participants = tuple(blogs[:others + 1 if led else others])
+        planted = PlantedTopic(("a", "b"), 1.0, duration, participants,
+                               participants[0] if led else None, lead_hours)
+        spec = replace(base_spec([planted]),
+                       rate_multipliers={participants[1]: multiplier})
+        try:
+            synth._validate_topic(spec, planted)
+        except InfeasibleSpec:
+            assume(False)
+        slots = synth._topic_schedule(spec, planted,
+                                      np.random.default_rng(seed))
+        assert all(a[1] != b[1] for a, b in zip(slots, slots[1:]))
 
     def test_rate_multiplier_scales_post_volume(self):
         spec = SynthSpec(n_blogs=6, window_days=40, base_rate=0.5,
